@@ -1,0 +1,72 @@
+"""Golden CLI output: stdout bytes and exit codes pinned for a fixed command set.
+
+The expected values live in ``golden_cli.json``.  They are a record of what
+the tool printed before the exact-coefficient core was rewritten, so a
+refactor that changes a single output byte fails here.  Rewrite the file
+only for an intended output change:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from oddzeta.cli import run
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+_CONSTANTS = [
+    "catalan",
+    "apery",
+    "alt_harmonic",
+    "beta_even(1)",
+    "beta_even(2)",
+    "eta_odd(1)",
+    "eta_odd(2)",
+    "zeta_odd(1)",
+    "zeta_odd(2)",
+    "zeta_odd(3)",
+    "zeta_even(1)",
+    "zeta_even(2)",
+    "zeta_even(3)",
+]
+
+COMMANDS = [
+    *(["constant", name, "--digits", "30"] for name in _CONSTANTS),
+    ["constant", "apery", "--digits", "100"],
+    ["constant", "catalan", "--digits", "40", "--format", "csv"],
+    ["constant", "zeta_odd(2)", "--digits", "40", "--format", "json"],
+    ["coeffs", "--k", "5", "--n", "12", "--format", "csv"],
+    ["coeffs", "--k", "5", "--n", "12", "--format", "json"],
+    ["coeffs", "--k", "5", "--n", "12", "--format", "plain"],
+    ["verify", "--digits", "30"],
+    ["verify", "--digits", "30", "--format", "csv"],
+    ["ratio", "--k", "2", "--n", "20"],
+    ["identity", "--id", "S1", "--k", "1", "--theta", "pi/2", "--terms", "2000"],
+    ["identity", "--id", "S2", "--k", "1", "--theta", "1", "--terms", "2000"],
+    ["constant", "bogus"],
+    ["constant", "catalan", "--digits", "2000"],
+]
+
+
+def invoke(argv):
+    out = io.StringIO()
+    code = run(argv, out=out, err=io.StringIO())
+    return {"argv": argv, "code": code, "stdout": out.getvalue()}
+
+
+def _golden() -> dict:
+    return {" ".join(case["argv"]): case for case in json.loads(GOLDEN.read_text())}
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_golden_output(argv):
+    expected = _golden()[" ".join(argv)]
+    assert invoke(argv) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps([invoke(argv) for argv in COMMANDS], indent=1) + "\n")
