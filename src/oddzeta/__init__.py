@@ -26,7 +26,7 @@ from .errors import (
     TailRatioError,
     UnknownConstantError,
 )
-from .exact import BernoulliTable, bernoulli, tangent_coeff
+from .exact import bernoulli, tangent_coeff
 from .highprec import (
     FixedDecimal,
     SeriesResult,
@@ -47,7 +47,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernoulliTable",
     "CoefficientTable",
     "ConstantValue",
     "FixedDecimal",

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 from . import identities, oracle
 from .coeffs import build_table, table_to_csv, table_to_json
@@ -30,10 +28,10 @@ from .errors import (
     TailRatioError,
     UnknownConstantError,
 )
-from .exact import CACHE_DIR_ENV, reset_default_table
+from .exact import cache_dir
 from .highprec import term_ratio_sequence
 
-__all__ = ["CliConfig", "build_parser", "main", "run"]
+__all__ = ["build_parser", "main", "run"]
 
 JSON_SCHEMA_VERSION = 1
 DIGITS_CEILING = 1000
@@ -44,29 +42,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated invocation parameters, one instance per run."""
-
-    command: str
-    digits: int = 30
-    k: int | None = None
-    n_max: int | None = None
-    theta: str | None = None
-    fmt: str = "plain"
-    cache_dir: str | None = None
-    name: str | None = None
-    identity_id: str | None = None
-    fourier_terms: int | None = None
-    series_terms: int | None = None
-
-    def __post_init__(self):
-        if not 1 <= self.digits <= DIGITS_CEILING:
-            raise ResourceLimitError(
-                f"digits must lie in 1..{DIGITS_CEILING}, got {self.digits}"
-            )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oddzeta",
@@ -75,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
             "from exact-rational series in powers of pi/2, with oracle verification."
         ),
     )
-    parser.add_argument("--cache-dir", default=None, help="directory for the Bernoulli cache")
+    parser.add_argument("--cache-dir", default=None, help="directory for the tangent number cache")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_const = sub.add_parser("constant", help="print one constant")
@@ -109,41 +84,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        command=args.command,
-        digits=getattr(args, "digits", 30),
-        k=getattr(args, "k", None),
-        n_max=getattr(args, "n", None),
-        theta=getattr(args, "theta", None),
-        fmt=getattr(args, "fmt", "plain"),
-        cache_dir=args.cache_dir,
-        name=getattr(args, "name", None),
-        identity_id=getattr(args, "identity_id", None),
-        fourier_terms=getattr(args, "fourier_terms", None),
-        series_terms=getattr(args, "series_terms", None),
-    )
-
-
 def _json_doc(command: str, **fields) -> str:
     doc = {"schema": JSON_SCHEMA_VERSION, "command": command}
     doc.update(fields)
     return json.dumps(doc, separators=(",", ":"))
 
 
-def _cmd_constant(cfg: CliConfig, out) -> int:
-    value = compute_constant(cfg.name, cfg.digits)
-    if cfg.fmt == "plain":
+def _cmd_constant(args: argparse.Namespace, out) -> int:
+    value = compute_constant(args.name, args.digits)
+    if args.fmt == "plain":
         print(value.value.to_decimal(), file=out)
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         print("name,digits,value", file=out)
-        print(f"{value.name},{cfg.digits},{value.value.to_decimal()}", file=out)
+        print(f"{value.name},{args.digits},{value.value.to_decimal()}", file=out)
     else:
         print(
             _json_doc(
                 "constant",
                 name=value.name,
-                digits=cfg.digits,
+                digits=args.digits,
                 value=value.value.to_decimal(),
                 method=value.method,
                 k=value.k,
@@ -154,33 +113,39 @@ def _cmd_constant(cfg: CliConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_coeffs(cfg: CliConfig, out) -> int:
-    table = build_table(cfg.k, cfg.n_max)
-    if cfg.fmt == "json":
-        print(_json_doc("coeffs", entries=json.loads(table_to_json(table))), file=out)
-    elif cfg.fmt == "plain":
-        for k in range(1, table.k_max + 1):
-            for n in range(1, table.n_max + 1):
-                v = table.e(n, k)
-                print(f"k={k} n={n} E={v.numerator}/{v.denominator}", file=out)
-    else:
-        out.write(table_to_csv(table))
+def _cmd_coeffs(args: argparse.Namespace, out) -> int:
+    table = build_table(args.k, args.n)
+    # exact E_n(k) pass Python's default int->str digit limit near n = 780
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.fmt == "json":
+            print(_json_doc("coeffs", entries=json.loads(table_to_json(table))), file=out)
+        elif args.fmt == "plain":
+            for k in range(1, table.k_max + 1):
+                for n in range(1, table.n_max + 1):
+                    v = table.e(n, k)
+                    print(f"k={k} n={n} E={v.numerator}/{v.denominator}", file=out)
+        else:
+            out.write(table_to_csv(table))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 
-def _cmd_verify(cfg: CliConfig, out) -> int:
-    names = [cfg.name] if cfg.name else oracle.default_battery()
-    reports = [oracle.verify(name, cfg.digits) for name in names]
-    all_ok = all(r.matched_digits >= cfg.digits for r in reports)
-    if cfg.fmt == "plain":
+def _cmd_verify(args: argparse.Namespace, out) -> int:
+    names = [args.name] if args.name else oracle.default_battery()
+    reports = [oracle.verify(name, args.digits) for name in names]
+    all_ok = all(r.matched_digits >= args.digits for r in reports)
+    if args.fmt == "plain":
         for r in reports:
             print(
                 f"{r.name}: matched_digits={r.matched_digits} terms_used={r.terms_used} "
                 f"computed={r.computed} reference={r.reference}",
                 file=out,
             )
-        print(f"result: {'ok' if all_ok else 'FAILED'} (required {cfg.digits} digits)", file=out)
-    elif cfg.fmt == "csv":
+        print(f"result: {'ok' if all_ok else 'FAILED'} (required {args.digits} digits)", file=out)
+    elif args.fmt == "csv":
         print("name,computed,reference,matched_digits,terms_used", file=out)
         for r in reports:
             print(
@@ -191,7 +156,7 @@ def _cmd_verify(cfg: CliConfig, out) -> int:
         print(
             _json_doc(
                 "verify",
-                digits=cfg.digits,
+                digits=args.digits,
                 all_passed=all_ok,
                 reports=[r.to_json_dict() for r in reports],
             ),
@@ -200,12 +165,12 @@ def _cmd_verify(cfg: CliConfig, out) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_ratio(cfg: CliConfig, out) -> int:
-    seq = term_ratio_sequence(cfg.k, cfg.n_max, digits=12)
-    if cfg.fmt == "plain":
+def _cmd_ratio(args: argparse.Namespace, out) -> int:
+    seq = term_ratio_sequence(args.k, args.n, digits=12)
+    if args.fmt == "plain":
         for n, value in seq:
             print(f"n={n} ratio={value.to_decimal()}", file=out)
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         print("n,ratio", file=out)
         for n, value in seq:
             print(f"{n},{value.to_decimal()}", file=out)
@@ -213,7 +178,7 @@ def _cmd_ratio(cfg: CliConfig, out) -> int:
         print(
             _json_doc(
                 "ratio",
-                k=cfg.k,
+                k=args.k,
                 ratios=[{"n": n, "value": v.to_decimal()} for n, v in seq],
             ),
             file=out,
@@ -221,23 +186,23 @@ def _cmd_ratio(cfg: CliConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_identity(cfg: CliConfig, out) -> int:
+def _cmd_identity(args: argparse.Namespace, out) -> int:
     result = identities.check_identity(
-        cfg.identity_id,
-        cfg.k,
-        cfg.theta,
-        cfg.fourier_terms,
-        cfg.series_terms,
-        digits=cfg.digits,
+        args.identity_id,
+        args.k,
+        args.theta,
+        args.fourier_terms,
+        args.series_terms,
+        digits=args.digits,
     )
-    if cfg.fmt == "plain":
+    if args.fmt == "plain":
         print(
             f"identity={result.identity} k={result.k} theta={result.theta_token} "
             f"fourier_terms={result.fourier_terms} series_terms={result.series_terms} "
             f"residual={result.residual.to_sci(6)}",
             file=out,
         )
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         out.write(identities.sweep_to_csv([result]))
     else:
         print(
@@ -274,11 +239,11 @@ def run(argv, out=None, err=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = _config_from_args(args)
-        if cfg.cache_dir is not None:
-            os.environ[CACHE_DIR_ENV] = cfg.cache_dir
-            reset_default_table()
-        return _COMMANDS[cfg.command](cfg, out)
+        digits = getattr(args, "digits", 30)
+        if not 1 <= digits <= DIGITS_CEILING:
+            raise ResourceLimitError(f"digits must lie in 1..{DIGITS_CEILING}, got {digits}")
+        with cache_dir(args.cache_dir):
+            return _COMMANDS[args.command](args, out)
     except UnknownConstantError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE

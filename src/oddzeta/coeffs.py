@@ -9,6 +9,11 @@ Two coefficient families are produced here, both exact rationals:
   of the alternating constants A_k (beta values for even k, eta values for
   odd k).  Odd-index columns form a closed recursion; even-index columns
   depend on the odd ones only.
+
+Both are read from one process-wide store of E columns keyed by k.  A
+column grows lazily to the rows asked for, and the odd columns its
+recurrence reads grow with it.  Column 1 is E_n(1) = D_n(1); every other
+D_n(k) is derived from it on demand.
 """
 
 from __future__ import annotations
@@ -16,10 +21,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .errors import ResourceLimitError
+from .exact import tangent_coeff
 
 __all__ = [
     "CoefficientTable",
@@ -33,6 +38,9 @@ __all__ = [
 
 MAX_TABLE_CELLS = 2_000_000
 
+# k -> [E_1(k), E_2(k), ...]; columns only grow, stored entries never change
+_columns: dict[int, list[Fraction]] = {}
+
 
 def _check_n_k(n: int, k: int) -> None:
     if n < 1:
@@ -41,36 +49,41 @@ def _check_n_k(n: int, k: int) -> None:
         raise ValueError("k must be >= 1")
 
 
-@lru_cache(maxsize=None)
+def _column(k: int, rows: int) -> list[Fraction]:
+    """The stored column E_.(k), grown to at least ``rows`` entries."""
+    column = _columns.setdefault(k, [])
+    if len(column) < rows:
+        if k == 1:
+            tangent_coeff(rows)  # grow the tangent list once, not once per row
+        for r in range(1, k, 2):
+            _column(r, rows)
+        for n in range(len(column) + 1, rows + 1):
+            column.append(_e_value(n, k))
+    return column
+
+
+def _e_value(n: int, k: int) -> Fraction:
+    """E_n(k), given row n of every odd column below k."""
+    if k == 1:
+        return tangent_coeff(n) / ((1 << (2 * n - 1)) * 2 * n)
+    j = k // 2
+    odd_part = sum(
+        (-1) ** r * _columns[2 * r + 1][n - 1] / factorial(k - 2 * r - 1) for r in range(j)
+    )
+    value = Fraction((-1) ** j, 2) * d_coeff(n, k) + (-1) ** (j + 1) * odd_part
+    return value if k % 2 == 0 else value / (1 - Fraction(1, 1 << k))
+
+
 def d_coeff(n: int, k: int) -> Fraction:
     """Ladder coefficient D_n(k) = c_n / (2^(2n-1) * (2n)(2n+1)...(2n+k-1))."""
     _check_n_k(n, k)
-    from .exact import tangent_coeff
-
-    if k == 1:
-        return tangent_coeff(n) / ((1 << (2 * n - 1)) * 2 * n)
-    return d_coeff(n, k - 1) / (2 * n + k - 1)
+    return _column(1, n)[n - 1] / prod(range(2 * n + 1, 2 * n + k))
 
 
-@lru_cache(maxsize=None)
 def e_coeff(n: int, k: int) -> Fraction:
     """Series coefficient E_n(k) of (pi/2)^(2n+k-1) in the expansion of A_k."""
     _check_n_k(n, k)
-    if k == 1:
-        return d_coeff(n, 1)
-    if k % 2 == 0:
-        j = k // 2
-        odd_part = sum(
-            (-1) ** r * e_coeff(n, 2 * r + 1) / factorial(2 * (j - r) - 1)
-            for r in range(j)
-        )
-        return Fraction((-1) ** j, 2) * d_coeff(n, k) + (-1) ** (j + 1) * odd_part
-    j = (k - 1) // 2
-    odd_part = sum(
-        (-1) ** r * e_coeff(n, 2 * r + 1) / factorial(2 * (j - r)) for r in range(j)
-    )
-    numerator = Fraction((-1) ** j, 2) * d_coeff(n, k) + (-1) ** (j + 1) * odd_part
-    return numerator / (1 - Fraction(1, 1 << k))
+    return _column(k, n)[n - 1]
 
 
 def f_ratio(n: int, k: int) -> Fraction:
@@ -104,25 +117,17 @@ class CoefficientTable:
 
 
 def build_table(k_max: int, n_max: int) -> CoefficientTable:
-    """Materialize E_n(k) for the full grid; identical inputs give identical tables.
+    """Snapshot of rows 1..n_max of columns 1..k_max of the coefficient store.
 
-    Odd columns are computed in increasing k first (they close over themselves),
-    then even columns, although the memoized point recursion makes any
-    evaluation order produce the same exact rationals.
+    Identical inputs give equal tables, whatever was computed before.
     """
     _check_n_k(n_max, k_max)
     if k_max * n_max > MAX_TABLE_CELLS:
         raise ResourceLimitError(
             f"table of {k_max}x{n_max} cells exceeds ceiling {MAX_TABLE_CELLS}"
         )
-    for k in range(1, k_max + 1, 2):  # warm the closed odd-column recursion
-        for n in range(1, n_max + 1):
-            e_coeff(n, k)
-    entries = tuple(
-        tuple(e_coeff(n, k) for n in range(1, n_max + 1)) for k in range(1, k_max + 1)
-    )
-    d_base = tuple(d_coeff(n, 1) for n in range(1, n_max + 1))
-    return CoefficientTable(k_max=k_max, n_max=n_max, entries=entries, d_base=d_base)
+    entries = tuple(tuple(_column(k, n_max)[:n_max]) for k in range(1, k_max + 1))
+    return CoefficientTable(k_max=k_max, n_max=n_max, entries=entries, d_base=entries[0])
 
 
 def table_to_csv(table: CoefficientTable) -> str:

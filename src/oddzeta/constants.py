@@ -9,12 +9,11 @@ the classical Bernoulli closed form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
-from .coeffs import CoefficientTable, build_table
+from .coeffs import build_table
 from .errors import UnknownConstantError
 from .exact import bernoulli
 from .highprec import FixedDecimal, GUARD_DIGITS, compute_pi, estimate_terms, sum_series
@@ -28,7 +27,6 @@ __all__ = [
     "compute_constant",
     "eta_odd",
     "parse_constant_name",
-    "series_table",
     "valid_name_summary",
     "zeta_even_closed",
     "zeta_odd",
@@ -53,14 +51,8 @@ class ConstantValue:
     terms_used: int | None = None
 
 
-@lru_cache(maxsize=32)
-def series_table(k: int, digits: int) -> CoefficientTable:
-    """Coefficient table sized for summing A_k to ``digits`` digits."""
-    return build_table(k, estimate_terms(digits, k))
-
-
 def _series_constant(name: str, k: int, digits: int) -> ConstantValue:
-    result = sum_series(series_table(k, digits), k, digits)
+    result = sum_series(build_table(k, estimate_terms(digits, k)), k, digits)
     return ConstantValue(
         name=name, value=result.value, method=SERIES_METHOD, k=k, terms_used=result.terms_used
     )
@@ -97,33 +89,19 @@ def zeta_odd(k: int, digits: int) -> ConstantValue:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    inner_digits = digits + 2
-    result = sum_series(series_table(2 * k + 1, inner_digits), 2 * k + 1, inner_digits)
+    inner = _series_constant(f"zeta_odd({k})", 2 * k + 1, digits + 2)
     factor = Fraction(1 << (2 * k), (1 << (2 * k)) - 1)
-    value = result.value.mul_fraction(factor).rescale(digits)
-    return ConstantValue(
-        name=f"zeta_odd({k})",
-        value=value,
-        method=SERIES_METHOD,
-        k=2 * k + 1,
-        terms_used=result.terms_used,
-    )
+    return replace(inner, value=inner.value.mul_fraction(factor).rescale(digits))
 
 
 def catalan(digits: int) -> ConstantValue:
     """Catalan's constant, beta(2) = A_2."""
-    inner = beta_even(1, digits)
-    return ConstantValue(
-        name="catalan", value=inner.value, method=inner.method, k=inner.k, terms_used=inner.terms_used
-    )
+    return replace(beta_even(1, digits), name="catalan")
 
 
 def apery(digits: int) -> ConstantValue:
     """Apery's constant zeta(3) = A_3 / (1 - 2^(-2))."""
-    inner = zeta_odd(1, digits)
-    return ConstantValue(
-        name="apery", value=inner.value, method=inner.method, k=inner.k, terms_used=inner.terms_used
-    )
+    return replace(zeta_odd(1, digits), name="apery")
 
 
 def zeta_even_closed(n: int, digits: int) -> ConstantValue:

@@ -1,159 +1,149 @@
-"""Exact rational arithmetic: Bernoulli numbers and tangent series coefficients.
+"""Exact integer tangent numbers, tangent series coefficients and Bernoulli numbers.
 
-All coefficients downstream are built from exact ``fractions.Fraction`` values,
-so equality assertions are exact and no rounding enters before the final
-fixed-point evaluation stage.
+Every coefficient downstream is a rational function of the tangent numbers
+T_n (tan x = sum_n T_n x^(2n-1) / (2n-1)!).  They are integers and are
+generated with integer arithmetic only, so equality assertions are exact and
+no rounding enters before the final fixed-point evaluation stage.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .errors import ResourceLimitError
 
-__all__ = [
-    "CACHE_DIR_ENV",
-    "BernoulliTable",
-    "bernoulli",
-    "default_table",
-    "reset_default_table",
-    "tangent_coeff",
-]
+__all__ = ["CACHE_DIR_ENV", "bernoulli", "cache_dir", "tangent_coeff"]
 
-#: Environment variable naming the directory that holds the on-disk Bernoulli cache.
+#: Environment variable naming the directory that holds the on-disk tangent-number cache.
 CACHE_DIR_ENV = "ODDZETA_CACHE_DIR"
-CACHE_FILENAME = "bernoulli.tsv"
-DEFAULT_MAX_INDEX = 10_000
+CACHE_FILENAME = "tangent.tsv"
+#: Largest tangent index served; B_2n needs T_n, so this caps Bernoulli indices at 10 000.
+MAX_TANGENT_INDEX = 5_000
+
+# T_1, T_2, ... shared by the whole process; it only grows, stored entries never change
+_tangents: list[int] = []
+_cache_dir: str | None = None
 
 
-class BernoulliTable:
-    """Memoized exact Bernoulli numbers B_0, B_1, ... with B_1 = -1/2.
+def _tangent_numbers(count: int) -> list[int]:
+    """[T_1, ..., T_count] by Brent & Harvey's integer TangentNumbers algorithm.
 
-    Entries are produced by the defining recurrence
-    ``sum_{j=0}^{m} C(m+1, j) * B_j = 0`` solved for ``B_m``.  The table only
-    ever grows (doubling amortization), and entries already stored are never
-    recomputed, so repeated queries are deterministic.
-
-    When ``cache_path`` is set, the table is seeded from that file and
-    rewritten after every extension.  Format: one ``m<TAB>num/den`` line per
-    index, in increasing order of ``m``.
+    O(count^2) additions and multiplications by small integers (R. P. Brent and
+    D. Harvey, *Fast computation of Bernoulli, Tangent and Secant numbers*,
+    arXiv:1108.0286).  The algorithm is not incremental: a longer list is
+    computed from scratch.
     """
+    t = [0] * (count + 1)
+    t[1] = 1
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
 
-    def __init__(self, max_index: int = DEFAULT_MAX_INDEX, cache_path: str | None = None):
-        if max_index < 0:
-            raise ValueError("max_index must be >= 0")
-        self.max_index = max_index
-        self.cache_path = cache_path
-        self._values: list[Fraction] = [Fraction(1)]
-        if cache_path is not None:
-            self._load_cache()
 
-    def __len__(self) -> int:
-        return len(self._values)
+@contextmanager
+def cache_dir(directory: str | None):
+    """Keep the disk cache in ``directory`` inside the block, in place of ``$ODDZETA_CACHE_DIR``.
 
-    def get(self, m: int) -> Fraction:
-        if m < 0:
-            raise ValueError("Bernoulli index must be >= 0")
-        if m > self.max_index:
-            raise ResourceLimitError(
-                f"Bernoulli index {m} exceeds configured maximum {self.max_index}"
-            )
-        if m >= len(self._values):
-            # double the populated range so long runs of queries amortize
-            self._extend_to(min(max(m, 2 * (len(self._values) - 1)), self.max_index))
-            if self.cache_path is not None:
-                self._save_cache()
-        return self._values[m]
+    ``None`` leaves the environment variable in charge.  The previous setting
+    is restored on exit, so the choice never outlives the block.
+    """
+    global _cache_dir
+    saved, _cache_dir = _cache_dir, directory
+    try:
+        yield
+    finally:
+        _cache_dir = saved
 
-    def _extend_to(self, m: int) -> None:
-        vals = self._values
-        for r in range(len(vals), m + 1):
-            if r % 2 == 1 and r > 1:
-                b = Fraction(0)
-            else:
-                acc = Fraction(0)
-                for j in range(r):
-                    if vals[j]:
-                        acc += comb(r + 1, j) * vals[j]
-                b = -acc / (r + 1)
-                if r >= 2:
-                    # B_{2n} alternates in sign starting with B_2 > 0
-                    assert (b > 0) == (r % 4 == 2), f"sign anomaly at B_{r}"
-            vals.append(b)
 
-    def _load_cache(self) -> None:
-        try:
-            with open(self.cache_path, "r", encoding="ascii") as fh:
-                lines = fh.read().splitlines()
-        except OSError:
-            return
-        loaded: list[Fraction] = []
-        try:
-            for expect, line in enumerate(lines):
-                idx_s, frac_s = line.split("\t")
-                if int(idx_s) != expect:
+def _cache_path() -> str | None:
+    directory = _cache_dir if _cache_dir is not None else os.environ.get(CACHE_DIR_ENV)
+    return os.path.join(directory, CACHE_FILENAME) if directory else None
+
+
+def _load_cache(path: str) -> list[int]:
+    """Longest clean prefix T_1, T_2, ... of a cache file; [] if it cannot be read.
+
+    Format: one ``n<TAB>hex(T_n)`` line per index, in increasing order of n.
+    A line that is not in exactly that canonical form ends the prefix.
+    """
+    values: list[int] = []
+    try:
+        with open(path, encoding="ascii") as fh:
+            for n, line in enumerate(fh, 1):
+                value = int(line.partition("\t")[2], 16)
+                if value < 1 or line != f"{n}\t{value:x}\n":
                     break
-                num_s, den_s = frac_s.split("/")
-                value = Fraction(int(num_s), int(den_s))
-                if value.denominator != int(den_s):
-                    break  # not in canonical form; distrust the rest
-                loaded.append(value)
-        except (ValueError, ZeroDivisionError):
-            pass  # keep whatever prefix parsed cleanly
-        if loaded and loaded[0] == 1:
-            self._values = loaded[: self.max_index + 1]
+                values.append(value)
+    except (OSError, ValueError):
+        pass  # keep whatever prefix parsed cleanly
+    return values
 
-    def _save_cache(self) -> None:
-        directory = os.path.dirname(self.cache_path) or "."
+
+def _save_cache(path: str, values: list[int]) -> None:
+    """Atomically rewrite the cache file; a failed write leaves no temp file behind."""
+    directory = os.path.dirname(path) or "."
+    try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="ascii") as fh:
-                for m, v in enumerate(self._values):
-                    fh.write(f"{m}\t{v.numerator}/{v.denominator}\n")
-            os.replace(tmp, self.cache_path)
-        except OSError:
-            try:
+                fh.writelines(f"{n}\t{value:x}\n" for n, value in enumerate(values, 1))
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
                 os.unlink(tmp)
-            except OSError:
-                pass
+    except OSError:
+        pass  # the cache only saves time; an unwritable directory costs a recompute
 
 
-_DEFAULT_TABLE: BernoulliTable | None = None
-
-
-def default_table() -> BernoulliTable:
-    """Shared process-wide table; honors the cache directory env variable."""
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        cache_dir = os.environ.get(CACHE_DIR_ENV)
-        path = os.path.join(cache_dir, CACHE_FILENAME) if cache_dir else None
-        _DEFAULT_TABLE = BernoulliTable(cache_path=path)
-    return _DEFAULT_TABLE
-
-
-def reset_default_table() -> None:
-    """Drop the shared table (used by tests that toggle the cache env var)."""
-    global _DEFAULT_TABLE
-    _DEFAULT_TABLE = None
-
-
-def bernoulli(m: int) -> Fraction:
-    """Exact B_m (convention B_1 = -1/2), memoized in the shared table."""
-    return default_table().get(m)
+def _tangent(n: int) -> int:
+    """T_n from the shared list, growing it (from the disk cache if that holds enough)."""
+    if n > MAX_TANGENT_INDEX:
+        raise ResourceLimitError(
+            f"tangent index {n} exceeds configured maximum {MAX_TANGENT_INDEX}"
+        )
+    have = len(_tangents)
+    if n > have:
+        path = _cache_path()
+        values = _load_cache(path) if path else []
+        if len(values) < n or values[:have] != _tangents:
+            # grow by at most a quarter past the request: rising requests recompute
+            # O(log n) times and the list never exceeds 5/4 of the largest request
+            values = _tangent_numbers(min(max(n, have * 5 // 4), MAX_TANGENT_INDEX))
+            if path:
+                _save_cache(path, values)
+        _tangents.extend(values[have:MAX_TANGENT_INDEX])
+    return _tangents[n - 1]
 
 
 def tangent_coeff(n: int) -> Fraction:
-    """Maclaurin coefficient c_n of tan, i.e. tan x = sum_{n>=1} c_n x^(2n-1).
-
-    c_n = B_{2n} * (2^(2n) - 1) * 2^(2n) * (-1)^(n+1) / (2n)!; every c_n is
-    positive because B_{2n} carries the sign (-1)^(n+1).
-    """
+    """Maclaurin coefficient c_n = T_n / (2n-1)! of tan x = sum_{n>=1} c_n x^(2n-1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    two = 1 << (2 * n)
-    value = bernoulli(2 * n) * (two - 1) * two * (-1) ** (n + 1)
-    return value / factorial(2 * n)
+    return Fraction(_tangent(n), factorial(2 * n - 1))
+
+
+def bernoulli(m: int) -> Fraction:
+    """Exact B_m (convention B_1 = -1/2), from the tangent numbers.
+
+    B_2n = (-1)^(n+1) * 2n * T_n / (4^n (4^n - 1)); odd indices above 1 vanish.
+    """
+    if m < 0:
+        raise ValueError("Bernoulli index must be >= 0")
+    if m > 2 * MAX_TANGENT_INDEX:
+        raise ResourceLimitError(
+            f"Bernoulli index {m} exceeds configured maximum {2 * MAX_TANGENT_INDEX}"
+        )
+    if m < 2:
+        return Fraction(1) if m == 0 else Fraction(-1, 2)
+    if m % 2:
+        return Fraction(0)
+    four = 1 << m  # 4^n with n = m/2
+    return Fraction((-1) ** (m // 2 + 1) * m * _tangent(m // 2), four * (four - 1))

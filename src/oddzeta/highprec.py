@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from .coeffs import CoefficientTable, e_coeff
 from .errors import InsufficientTableError, ResourceLimitError, TailRatioError
@@ -187,7 +186,8 @@ def compute_pi(digits: int) -> FixedDecimal:
     a5, e5 = _arctan_recip(5, work)
     a239, e239 = _arctan_recip(239, work)
     result = FixedDecimal(16 * a5 - 4 * a239, work, 16 * e5 + 4 * e239).rescale(digits)
-    assert result.err_ulp <= 1
+    if result.err_ulp > 1:
+        raise ArithmeticError(f"pi error bound {result.err_ulp} ulp exceeds the promised 1 ulp")
     return result
 
 
@@ -297,8 +297,3 @@ def term_ratio_sequence(k: int, n_count: int, digits: int = 15) -> list[tuple[in
         q = abs(e_coeff(n + 1, k) / e_coeff(n, k))
         out.append((n, step.mul_fraction(q).rescale(digits)))
     return out
-
-
-def pochhammer(s: int, count: int) -> int:
-    """Rising product s (s+1) ... (s+count-1); empty product is 1."""
-    return prod(range(s, s + count))

@@ -225,14 +225,6 @@ def fourier_lhs(identity: str, k: int, theta, fourier_terms: int, digits: int = 
     return pair[0] if identity == "S1" else pair[1]
 
 
-@lru_cache(maxsize=64)
-def _a_odd_value(r: int, digits: int) -> FixedDecimal:
-    """A_(2r+1): the alternating harmonic value for r = 0, eta(2r+1) otherwise."""
-    if r == 0:
-        return alt_harmonic(digits).value
-    return eta_odd(r, digits).value
-
-
 def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) -> FixedDecimal:
     """Ladder-series side of the identity at full working precision.
 
@@ -277,7 +269,7 @@ def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) 
         exponent = 2 * (k - r) - offset
         numer = (-1) ** (k - r - offset)
         coeff = Fraction(numer, factorial(exponent))
-        a_val = _a_odd_value(r, digits + 6)
+        a_val = (eta_odd(r, digits + 6) if r else alt_harmonic(digits + 6)).value
         acc = acc + a_val.mul(th.pow_int(exponent)).mul_fraction(coeff)
     return acc
 
@@ -342,7 +334,8 @@ def eta_from_half_pi_identity(k: int, digits: int = 30) -> FixedDecimal:
     for r in range(k):
         exponent = 2 * (k - r)
         coeff = Fraction((-1) ** (k - r - 1), factorial(exponent))
-        acc = acc + _a_odd_value(r, digits + 6).mul(hp.pow_int(exponent)).mul_fraction(coeff)
+        a_val = (eta_odd(r, digits + 6) if r else alt_harmonic(digits + 6)).value
+        acc = acc + a_val.mul(hp.pow_int(exponent)).mul_fraction(coeff)
     denom = (1 << (2 * k + 1)) - 1
     return acc.mul_fraction(Fraction(1 << (2 * k + 1), denom)).rescale(digits)
 

@@ -14,12 +14,12 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .constants import compute_constant, parse_constant_name, valid_name_summary
 from .errors import ResourceLimitError, UnknownConstantError
 from .exact import bernoulli
-from .highprec import FixedDecimal, _ceil_div, _divround, pochhammer
+from .highprec import FixedDecimal, _ceil_div, _divround
 
 __all__ = [
     "VerificationReport",
@@ -76,14 +76,19 @@ def _to_fixed(value: Fraction, bound: Fraction, digits: int) -> FixedDecimal:
     return FixedDecimal(m, digits, err)
 
 
+def _eta_sum(s: int, digits: int, extra_depth: int = 0) -> tuple[Fraction, Fraction]:
+    """(value, bound) of the accelerated eta(s) sum, deep enough for ``digits``."""
+    depth = acceleration_depth(digits + 3) + extra_depth
+    if depth > 40_000:
+        raise ResourceLimitError(f"acceleration depth {depth} beyond supported range")
+    return accelerated_alternating(lambda j: Fraction(1, (j + 1) ** s), depth)
+
+
 def reference_eta(s: int, digits: int, extra_depth: int = 0) -> FixedDecimal:
     """eta(s) = sum (-1)^(m+1) / m^s by certified alternating-series acceleration."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    depth = acceleration_depth(digits + 3) + extra_depth
-    if depth > 40_000:
-        raise ResourceLimitError(f"acceleration depth {depth} beyond supported range")
-    value, bound = accelerated_alternating(lambda j: Fraction(1, (j + 1) ** s), depth)
+    value, bound = _eta_sum(s, digits, extra_depth)
     return _to_fixed(value, bound, digits)
 
 
@@ -102,9 +107,7 @@ def reference_zeta_odd(k: int, digits: int) -> FixedDecimal:
     """zeta(2k+1) from the eta reference via the exact factor 2^(2k)/(2^(2k)-1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    s = 2 * k + 1
-    depth = acceleration_depth(digits + 3)
-    value, bound = accelerated_alternating(lambda j: Fraction(1, (j + 1) ** s), depth)
+    value, bound = _eta_sum(2 * k + 1, digits)
     factor = Fraction(1 << (2 * k), (1 << (2 * k)) - 1)
     return _to_fixed(value * factor, bound * factor, digits)
 
@@ -143,6 +146,11 @@ def reference_pi(digits: int) -> FixedDecimal:
             return _to_fixed(total, 2 * nxt, digits)
         u = nxt
         n += 1
+
+
+def pochhammer(s: int, count: int) -> int:
+    """Rising product s (s+1) ... (s+count-1); empty product is 1."""
+    return prod(range(s, s + count))
 
 
 def reference_zeta_even(n: int, digits: int) -> FixedDecimal:

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -10,10 +12,8 @@ from oddzeta.cli import (
     EXIT_RESOURCE,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
-    CliConfig,
     run,
 )
-from oddzeta.errors import ResourceLimitError
 
 
 def invoke(argv):
@@ -119,8 +119,9 @@ def test_bad_theta_usage_error():
     assert "theta" in err
 
 
-def test_digit_ceiling_resource_error():
-    code, _, err = invoke(["constant", "catalan", "--digits", "2000"])
+@pytest.mark.parametrize("digits", ["0", "2000"])
+def test_digit_ceiling_resource_error(digits):
+    code, _, err = invoke(["constant", "catalan", "--digits", digits])
     assert code == EXIT_RESOURCE
     assert "digits" in err
 
@@ -138,21 +139,29 @@ def test_plain_output_deterministic():
 
 
 def test_cache_dir_flag(tmp_path, monkeypatch):
-    from oddzeta.exact import CACHE_DIR_ENV, reset_default_table
+    from oddzeta import exact
+    from oddzeta.exact import CACHE_DIR_ENV
 
     monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    monkeypatch.setattr(exact, "_tangents", [])
+    environ = dict(os.environ)
     code, out, _ = invoke(
         ["--cache-dir", str(tmp_path), "constant", "zeta_even(1)", "--digits", "10"]
     )
     assert code == EXIT_OK
     assert out == "1.6449340668\n"
-    assert (tmp_path / "bernoulli.tsv").exists()
-    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-    reset_default_table()
+    assert (tmp_path / "tangent.tsv").exists()
+    # the flag is not left behind for library callers in the same process
+    assert dict(os.environ) == environ
+    assert exact._cache_path() is None
 
 
-def test_cli_config_validates_digits():
-    with pytest.raises(ResourceLimitError):
-        CliConfig(command="constant", digits=0)
-    cfg = CliConfig(command="constant", digits=30)
-    assert cfg.fmt == "plain"
+def test_coeffs_past_int_str_limit():
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = invoke(["coeffs", "--k", "1", "--n", "800"])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 801
+    assert lines[800].startswith("1,800,")
+    assert len(lines[800].rpartition(",")[2]) > limit
+    assert sys.get_int_max_str_digits() == limit

@@ -109,6 +109,13 @@ def test_build_table_full_grid_matches_steps():
             assert table.e(n, k) == step(n)
 
 
+def test_build_table_reads_shared_store():
+    # overlapping tables (as for D and D + 2 digits) share the stored rationals
+    small, large = build_table(3, 20), build_table(3, 30)
+    assert all(a is b for a, b in zip(small.entries[2], large.entries[2]))
+    assert small.d_base is small.entries[0]
+
+
 def test_table_bounds_checked():
     table = build_table(2, 3)
     with pytest.raises(IndexError):

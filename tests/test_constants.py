@@ -12,7 +12,6 @@ from oddzeta.constants import (
     compute_constant,
     eta_odd,
     parse_constant_name,
-    series_table,
     zeta_even_closed,
     zeta_odd,
 )
@@ -116,10 +115,6 @@ def test_compute_constant_dispatch():
     assert compute_constant("catalan", 15).value == catalan(15).value
     assert compute_constant("zeta_even(1)", 15).value == zeta_even_closed(1, 15).value
     assert compute_constant("eta_odd(2)", 15).value == eta_odd(2, 15).value
-
-
-def test_series_table_cached():
-    assert series_table(3, 15) is series_table(3, 15)
 
 
 def test_argument_validation():

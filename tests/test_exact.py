@@ -1,4 +1,4 @@
-"""Bernoulli generation, tangent coefficients, and the on-disk cache."""
+"""Tangent numbers, tangent coefficients, Bernoulli numbers, and the on-disk cache."""
 
 from fractions import Fraction
 from math import comb, gcd
@@ -7,14 +7,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from exact_reference import tan_coeff, tan_fraction
+from oddzeta import exact as exact_module
 from oddzeta.errors import ResourceLimitError
 from oddzeta.exact import (
     CACHE_DIR_ENV,
-    BernoulliTable,
+    MAX_TANGENT_INDEX,
     bernoulli,
-    reset_default_table,
+    cache_dir,
     tangent_coeff,
 )
+
+
+@pytest.fixture
+def fresh_tangents(monkeypatch):
+    """An empty tangent list for one test; the shared one is restored afterwards."""
+    monkeypatch.setattr(exact_module, "_tangents", [])
+    return exact_module
 
 
 def test_bernoulli_base_values():
@@ -49,51 +57,92 @@ def test_bernoulli_canonical_form(m):
 
 
 def test_table_extension_is_append_only():
-    table = BernoulliTable(max_index=100)
-    table.get(10)
-    before = list(table._values)
-    table.get(60)
-    assert table._values[: len(before)] == before
-    fresh = BernoulliTable(max_index=100)
-    assert fresh.get(60) == table.get(60)
+    tangent_coeff(10)
+    before = list(exact_module._tangents)
+    tangent_coeff(len(before) + 40)
+    assert exact_module._tangents[: len(before)] == before
 
 
-def test_resource_limit_on_index():
-    table = BernoulliTable(max_index=10)
-    table.get(10)
+def test_growth_never_passes_five_quarters_of_request(fresh_tangents, monkeypatch):
+    builds = []
+    compute = fresh_tangents._tangent_numbers
+    monkeypatch.setattr(
+        fresh_tangents, "_tangent_numbers", lambda count: builds.append(count) or compute(count)
+    )
+    for n in range(1, 201):
+        tangent_coeff(n)
+        assert len(fresh_tangents._tangents) <= n * 5 // 4
+    assert builds == sorted(set(builds)) and len(builds) <= 25
+
+
+def test_resource_limit_on_index(monkeypatch):
     with pytest.raises(ResourceLimitError):
-        table.get(12)
+        bernoulli(2 * MAX_TANGENT_INDEX + 1)
+    monkeypatch.setattr(exact_module, "MAX_TANGENT_INDEX", 5)
+    assert bernoulli(10) == Fraction(5, 66)
+    for m in (11, 12):
+        with pytest.raises(ResourceLimitError):
+            bernoulli(m)
 
 
-def test_cache_roundtrip(tmp_path):
-    path = str(tmp_path / "bernoulli.tsv")
-    table = BernoulliTable(max_index=64, cache_path=path)
-    table.get(12)
-    lines = open(path).read().splitlines()
-    assert lines[2] == "2\t1/6"
+def test_cache_roundtrip(tmp_path, fresh_tangents, monkeypatch):
+    with cache_dir(str(tmp_path)):
+        assert tangent_coeff(12) == tan_coeff(12)
+    lines = (tmp_path / "tangent.tsv").read_text().splitlines()
+    assert lines[:4] == ["1\t1", "2\t2", "3\t10", "4\t110"]  # 16 and 272 in hex
     assert all("\t" in line and " " not in line for line in lines)
-    reloaded = BernoulliTable(max_index=64, cache_path=path)
-    assert len(reloaded) == len(table)
-    assert reloaded.get(12) == table.get(12)
+    saved = list(fresh_tangents._tangents)
+    monkeypatch.setattr(fresh_tangents, "_tangents", [])
+    monkeypatch.setattr(fresh_tangents, "_tangent_numbers", None)  # reload, never recompute
+    with cache_dir(str(tmp_path)):
+        assert tangent_coeff(12) == tan_coeff(12)
+    assert fresh_tangents._tangents == saved
 
 
-def test_corrupt_cache_is_ignored(tmp_path):
-    path = str(tmp_path / "bernoulli.tsv")
-    with open(path, "w") as fh:
-        fh.write("0\t1/1\n1\tnot-a-fraction\n")
-    table = BernoulliTable(max_index=32, cache_path=path)
-    assert table.get(2) == Fraction(1, 6)
+def test_cache_holds_values_past_int_str_limit(tmp_path):
+    path = str(tmp_path / "tangent.tsv")
+    values = [1, 2, 16, 10**5000 + 7]  # the last has more than 4300 decimal digits
+    exact_module._save_cache(path, values)
+    assert exact_module._load_cache(path) == values
+    assert [p.name for p in tmp_path.iterdir()] == ["tangent.tsv"]
 
 
-def test_env_cache_dir_used_by_default_table(tmp_path, monkeypatch):
+@pytest.mark.parametrize("failure", [OSError, RuntimeError])
+def test_failed_cache_save_leaves_no_temp_file(tmp_path, monkeypatch, failure):
+    def refuse(src, dst):
+        raise failure("refused")
+
+    monkeypatch.setattr(exact_module.os, "replace", refuse)
+    path = str(tmp_path / "tangent.tsv")
+    if failure is OSError:
+        exact_module._save_cache(path, [1, 2])
+    else:
+        with pytest.raises(RuntimeError):
+            exact_module._save_cache(path, [1, 2])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_corrupt_cache_is_ignored(tmp_path, fresh_tangents):
+    path = tmp_path / "tangent.tsv"
+    path.write_text("1\t1\n2\tnot-hex\n3\t10\n")
+    with cache_dir(str(tmp_path)):
+        assert tangent_coeff(3) == Fraction(2, 15)
+    assert fresh_tangents._tangents[:3] == [1, 2, 16]
+    # only the canonical prefix of a file is trusted
+    for text, prefix in [
+        ("1\t1\n2\t02\n", [1]),
+        ("1\t1\n2\t-2\n", [1]),
+        ("1\t1\n2\t2", [1]),
+        ("2\t2\n", []),
+    ]:
+        path.write_text(text)
+        assert exact_module._load_cache(str(path)) == prefix
+
+
+def test_env_cache_dir_used_by_default_table(tmp_path, fresh_tangents, monkeypatch):
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-    reset_default_table()
-    try:
-        assert bernoulli(8) == Fraction(-1, 30)
-        assert (tmp_path / "bernoulli.tsv").exists()
-    finally:
-        monkeypatch.delenv(CACHE_DIR_ENV)
-        reset_default_table()
+    assert bernoulli(8) == Fraction(-1, 30)
+    assert (tmp_path / "tangent.tsv").exists()
 
 
 def test_tangent_coeff_small_values():
@@ -104,7 +153,7 @@ def test_tangent_coeff_small_values():
 
 
 def test_tangent_coeff_matches_derivative_recurrence():
-    for n in range(1, 31):
+    for n in range(1, 101):
         assert tangent_coeff(n) == tan_coeff(n)
 
 
@@ -125,9 +174,7 @@ def test_tangent_coeff_rejects_bad_index():
 
 
 def test_tangent_coeff_propagates_resource_limit(monkeypatch):
-    from oddzeta import exact as exact_module
-
-    monkeypatch.setattr(exact_module, "_DEFAULT_TABLE", BernoulliTable(max_index=10))
+    monkeypatch.setattr(exact_module, "MAX_TANGENT_INDEX", 5)
     assert tangent_coeff(5) == Fraction(62, 2835)
     with pytest.raises(ResourceLimitError):
         tangent_coeff(6)

@@ -89,6 +89,14 @@ def test_pi_coarse_bracket():
     assert p.err_ulp <= 1
 
 
+def test_pi_bound_breach_raises(monkeypatch):
+    from oddzeta import highprec
+
+    monkeypatch.setattr(highprec, "_arctan_recip", lambda x, scale: (0, 10**scale))
+    with pytest.raises(ArithmeticError):
+        compute_pi(5)
+
+
 def test_pi_twenty_digits():
     assert compute_pi(20).to_decimal() == "3.14159265358979323846"
 
