@@ -8,7 +8,7 @@ independent oracles (convergence-accelerated direct summation and classical
 closed forms).
 """
 
-from .coeffs import CoefficientTable, build_table, d_coeff, e_coeff, f_ratio
+from .coeffs import build_table, d_coeff, e_coeff, f_ratio
 from .constants import (
     ConstantValue,
     alt_harmonic,
@@ -20,12 +20,7 @@ from .constants import (
     zeta_even_closed,
     zeta_odd,
 )
-from .errors import (
-    InsufficientTableError,
-    ResourceLimitError,
-    TailRatioError,
-    UnknownConstantError,
-)
+from .errors import ResourceLimitError, TailRatioError, UnknownConstantError
 from .exact import bernoulli, tangent_coeff
 from .highprec import (
     FixedDecimal,
@@ -47,11 +42,9 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientTable",
     "ConstantValue",
     "FixedDecimal",
     "IdentityResidual",
-    "InsufficientTableError",
     "ResourceLimitError",
     "SeriesResult",
     "TailRatioError",

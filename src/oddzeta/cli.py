@@ -22,12 +22,7 @@ import sys
 from . import identities, oracle
 from .coeffs import build_table, table_to_csv, table_to_json
 from .constants import compute_constant
-from .errors import (
-    InsufficientTableError,
-    ResourceLimitError,
-    TailRatioError,
-    UnknownConstantError,
-)
+from .errors import ResourceLimitError, TailRatioError, UnknownConstantError
 from .exact import cache_dir
 from .highprec import term_ratio_sequence
 
@@ -122,9 +117,8 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
         if args.fmt == "json":
             print(_json_doc("coeffs", entries=json.loads(table_to_json(table))), file=out)
         elif args.fmt == "plain":
-            for k in range(1, table.k_max + 1):
-                for n in range(1, table.n_max + 1):
-                    v = table.e(n, k)
+            for k, column in enumerate(table, 1):
+                for n, v in enumerate(column, 1):
                     print(f"k={k} n={n} E={v.numerator}/{v.denominator}", file=out)
         else:
             out.write(table_to_csv(table))
@@ -250,7 +244,7 @@ def run(argv, out=None, err=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
-    except (ResourceLimitError, InsufficientTableError, TailRatioError) as exc:
+    except (ResourceLimitError, TailRatioError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_RESOURCE
 

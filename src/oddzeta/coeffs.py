@@ -19,7 +19,6 @@ D_n(k) is derived from it on demand.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
@@ -27,10 +26,10 @@ from .errors import ResourceLimitError
 from .exact import tangent_coeff
 
 __all__ = [
-    "CoefficientTable",
     "build_table",
     "d_coeff",
     "e_coeff",
+    "e_column",
     "f_ratio",
     "table_to_csv",
     "table_to_json",
@@ -92,63 +91,36 @@ def f_ratio(n: int, k: int) -> Fraction:
     return e_coeff(n, k) / d_coeff(n, 1)
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Dense immutable grid of E_n(k), 1 <= k <= k_max, 1 <= n <= n_max.
-
-    ``entries[k-1][n-1]`` holds E_n(k); ``d_base[n-1]`` holds D_n(1).
-    """
-
-    k_max: int
-    n_max: int
-    entries: tuple[tuple[Fraction, ...], ...]
-    d_base: tuple[Fraction, ...]
-
-    def e(self, n: int, k: int) -> Fraction:
-        _check_n_k(n, k)
-        if k > self.k_max or n > self.n_max:
-            raise IndexError(f"(n={n}, k={k}) outside table ({self.n_max}, {self.k_max})")
-        return self.entries[k - 1][n - 1]
-
-    def d1(self, n: int) -> Fraction:
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"n={n} outside table (n_max={self.n_max})")
-        return self.d_base[n - 1]
+def e_column(k: int, rows: int) -> list[Fraction]:
+    """[E_1(k), ..., E_rows(k)], read from the store after one growth to ``rows``."""
+    _check_n_k(rows, k)
+    return _column(k, rows)[:rows]
 
 
-def build_table(k_max: int, n_max: int) -> CoefficientTable:
-    """Snapshot of rows 1..n_max of columns 1..k_max of the coefficient store.
-
-    Identical inputs give equal tables, whatever was computed before.
-    """
+def build_table(k_max: int, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Columns 1..k_max of the store, each cut to rows 1..n_max: ``table[k-1][n-1]`` is E_n(k)."""
     _check_n_k(n_max, k_max)
     if k_max * n_max > MAX_TABLE_CELLS:
         raise ResourceLimitError(
             f"table of {k_max}x{n_max} cells exceeds ceiling {MAX_TABLE_CELLS}"
         )
-    entries = tuple(tuple(_column(k, n_max)[:n_max]) for k in range(1, k_max + 1))
-    return CoefficientTable(k_max=k_max, n_max=n_max, entries=entries, d_base=entries[0])
+    return tuple(tuple(e_column(k, n_max)) for k in range(1, k_max + 1))
 
 
-def table_to_csv(table: CoefficientTable) -> str:
+def table_to_csv(table: tuple[tuple[Fraction, ...], ...]) -> str:
     """CSV dump with header ``k,n,numerator,denominator``, k-major order."""
     lines = ["k,n,numerator,denominator"]
-    for k in range(1, table.k_max + 1):
-        for n in range(1, table.n_max + 1):
-            v = table.e(n, k)
+    for k, column in enumerate(table, 1):
+        for n, v in enumerate(column, 1):
             lines.append(f"{k},{n},{v.numerator},{v.denominator}")
     return "\n".join(lines) + "\n"
 
 
-def table_to_json(table: CoefficientTable) -> str:
+def table_to_json(table: tuple[tuple[Fraction, ...], ...]) -> str:
     """JSON array of ``{k, n, value: "num/den"}`` objects, k-major order."""
     rows = [
-        {
-            "k": k,
-            "n": n,
-            "value": f"{table.e(n, k).numerator}/{table.e(n, k).denominator}",
-        }
-        for k in range(1, table.k_max + 1)
-        for n in range(1, table.n_max + 1)
+        {"k": k, "n": n, "value": f"{v.numerator}/{v.denominator}"}
+        for k, column in enumerate(table, 1)
+        for n, v in enumerate(column, 1)
     ]
     return json.dumps(rows, indent=None, separators=(",", ":"))

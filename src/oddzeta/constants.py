@@ -13,10 +13,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
-from .coeffs import build_table
 from .errors import UnknownConstantError
 from .exact import bernoulli
-from .highprec import FixedDecimal, GUARD_DIGITS, compute_pi, estimate_terms, sum_series
+from .highprec import FixedDecimal, GUARD_DIGITS, compute_pi, sum_series
 
 __all__ = [
     "ConstantValue",
@@ -52,7 +51,7 @@ class ConstantValue:
 
 
 def _series_constant(name: str, k: int, digits: int) -> ConstantValue:
-    result = sum_series(build_table(k, estimate_terms(digits, k)), k, digits)
+    result = sum_series(k, digits)
     return ConstantValue(
         name=name, value=result.value, method=SERIES_METHOD, k=k, terms_used=result.terms_used
     )

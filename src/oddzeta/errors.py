@@ -5,10 +5,6 @@ class ResourceLimitError(RuntimeError):
     """A configured resource ceiling (index, digits, table size) was exceeded."""
 
 
-class InsufficientTableError(ValueError):
-    """A coefficient table does not cover enough rows for the requested precision."""
-
-
 class TailRatioError(ArithmeticError):
     """Observed consecutive series terms stopped decaying geometrically (ratio > 1/3)."""
 

@@ -8,6 +8,7 @@ no rounding enters before the final fixed-point evaluation stage.
 
 from __future__ import annotations
 
+import operator
 import os
 import tempfile
 from contextlib import contextmanager
@@ -23,6 +24,8 @@ CACHE_DIR_ENV = "ODDZETA_CACHE_DIR"
 CACHE_FILENAME = "tangent.tsv"
 #: Largest tangent index served; B_2n needs T_n, so this caps Bernoulli indices at 10 000.
 MAX_TANGENT_INDEX = 5_000
+# modulus of the consistency check on cached values; prime, and above every (2n-1) served
+_CHECK_PRIME = (1 << 61) - 1
 
 # T_1, T_2, ... shared by the whole process; it only grows, stored entries never change
 _tangents: list[int] = []
@@ -68,18 +71,30 @@ def _cache_path() -> str | None:
 
 
 def _load_cache(path: str) -> list[int]:
-    """Longest clean prefix T_1, T_2, ... of a cache file; [] if it cannot be read.
+    """Longest clean, checked prefix T_1, T_2, ... of a cache file; [] if it cannot be read.
 
     Format: one ``n<TAB>hex(T_n)`` line per index, in increasing order of n.
-    A line that is not in exactly that canonical form ends the prefix.
+    A line that is not in exactly that canonical form ends the prefix, and so
+    does a value that fails tan' = 1 + tan^2 modulo the prime p = 2^61 - 1,
+    a check that shares nothing with the generator: with
+    u_n = T_n / (2n-1)! mod p it reads (2n-1) u_n = [n = 1] + sum_{i<n} u_i u_(n-i).
     """
     values: list[int] = []
+    u: list[int] = []  # u_1, ..., u_(n-1)
+    factorial_mod = 1  # (2n-1)! mod p
     try:
         with open(path, encoding="ascii") as fh:
             for n, line in enumerate(fh, 1):
                 value = int(line.partition("\t")[2], 16)
                 if value < 1 or line != f"{n}\t{value:x}\n":
                     break
+                if n > 1:
+                    factorial_mod = factorial_mod * (2 * n - 2) * (2 * n - 1) % _CHECK_PRIME
+                u_n = value % _CHECK_PRIME * pow(factorial_mod, -1, _CHECK_PRIME) % _CHECK_PRIME
+                convolution = (n == 1) + sum(map(operator.mul, u, reversed(u)))
+                if ((2 * n - 1) * u_n - convolution) % _CHECK_PRIME:
+                    break
+                u.append(u_n)
                 values.append(value)
     except (OSError, ValueError):
         pass  # keep whatever prefix parsed cleanly

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import CoefficientTable, e_coeff
-from .errors import InsufficientTableError, ResourceLimitError, TailRatioError
+from .coeffs import e_column
+from .errors import ResourceLimitError, TailRatioError
 
 __all__ = [
     "GUARD_DIGITS",
@@ -221,26 +221,17 @@ def estimate_terms(digits: int, k: int) -> int:
     return _ceil_div(need * _INV_LOG10_3_NUM, _INV_LOG10_3_DEN) + 5
 
 
-def sum_series(table: CoefficientTable, k: int, digits: int) -> SeriesResult:
+def sum_series(k: int, digits: int) -> SeriesResult:
     """Evaluate A_k = sum_n E_n(k) (pi/2)^(2n+k-1) to ``digits`` digits.
 
-    Terms are exact rationals times an incrementally maintained fixed-point
-    power of pi/2.  The reported error bound covers per-term rounding plus a
-    geometric tail bound |last| * (1/3) / (1 - 1/3); a runtime check aborts
-    if observed consecutive terms ever decay slower than 1/3 past burn-in.
+    Terms are exact rationals, read from column k of the coefficient store
+    grown once to :func:`estimate_terms` rows, times an incrementally
+    maintained fixed-point power of pi/2.  The reported error bound covers
+    per-term rounding plus a geometric tail bound |last| * (1/3) / (1 - 1/3);
+    a runtime check aborts if observed consecutive terms ever decay slower
+    than 1/3 past burn-in.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if table.k_max < k:
-        raise InsufficientTableError(f"table k_max={table.k_max} < requested k={k}")
-    n_needed = estimate_terms(digits, k)
-    if table.n_max < n_needed:
-        raise InsufficientTableError(
-            f"table n_max={table.n_max} < {n_needed} rows needed for {digits} digits "
-            f"at k={k}; rebuild the table with more rows"
-        )
+    column = e_column(k, estimate_terms(digits, k))
     work = digits + GUARD_DIGITS
     hp = half_pi(work)
     step = hp.mul(hp)
@@ -251,8 +242,8 @@ def sum_series(table: CoefficientTable, k: int, digits: int) -> SeriesResult:
     noise_floor = 1000
     cutoff = 100
     terms = 0
-    for n in range(1, n_needed + 1):
-        term = power.mul_fraction(table.e(n, k))
+    for n, coeff in enumerate(column, 1):
+        term = power.mul_fraction(coeff)
         total += term.mantissa
         total_err += term.err_ulp
         terms = n
@@ -289,11 +280,11 @@ def term_ratio_sequence(k: int, n_count: int, digits: int = 15) -> list[tuple[in
     """
     if n_count < 1:
         raise ValueError("n_count must be >= 1")
+    column = e_column(k, n_count + 1)
     work = digits + GUARD_DIGITS
     hp = half_pi(work)
     step = hp.mul(hp)
-    out = []
-    for n in range(1, n_count + 1):
-        q = abs(e_coeff(n + 1, k) / e_coeff(n, k))
-        out.append((n, step.mul_fraction(q).rescale(digits)))
-    return out
+    return [
+        (n, step.mul_fraction(abs(column[n] / column[n - 1])).rescale(digits))
+        for n in range(1, n_count + 1)
+    ]

@@ -27,7 +27,6 @@ from .highprec import (
     _divround,
     compute_pi,
     estimate_terms,
-    half_pi,
 )
 
 __all__ = [
@@ -238,12 +237,20 @@ def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) 
         raise ValueError("k must be >= 1")
     if series_terms < 1:
         raise ValueError("series_terms must be >= 1")
-    token = canonical_theta_token(theta)
+    eta_terms = k if identity == "S1" else k + 1
+    return _ladder_side(identity, k, canonical_theta_token(theta), series_terms, digits, eta_terms)
+
+
+def _ladder_side(
+    identity: str, k: int, token: str, series_terms: int, digits: int, eta_terms: int
+) -> FixedDecimal:
+    """The :func:`rhs_eval` sum with only the eta-polynomial terms r < ``eta_terms``."""
     scale = digits + GUARD_DIGITS
     m, err = _theta_mantissa(token, scale)
     th = FixedDecimal(m, scale, err)
     th2 = th.mul(th)
     d_index = 2 * k if identity == "S1" else 2 * k + 1
+    d_coeff(series_terms, d_index)  # grow the store (and the tangent list) once, not once per term
     power = th.pow_int(d_index + 1)
     acc = FixedDecimal(0, scale, 0)
     last = None
@@ -263,9 +270,8 @@ def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) 
         )
     tail_ulp = int(abs(last.mantissa) * rho / (2 * (1 - rho))) + 1
     acc = FixedDecimal(acc.mantissa, acc.scale, acc.err_ulp + tail_ulp)
-    r_top = k - 1 if identity == "S1" else k
     offset = 1 if identity == "S1" else 0
-    for r in range(r_top + 1):
+    for r in range(eta_terms):
         exponent = 2 * (k - r) - offset
         numer = (-1) ** (k - r - offset)
         coeff = Fraction(numer, factorial(exponent))
@@ -313,31 +319,16 @@ def check_identity(
 def eta_from_half_pi_identity(k: int, digits: int = 30) -> FixedDecimal:
     """Recompute eta(2k+1) from the cosine identity specialized at theta = pi/2.
 
-    Solving the S2 identity at pi/2 for the eta value gives
-    A_(2k+1) = [(-1)^k/2 * sum_n D_n(2k+1) (pi/2)^(2n+2k)
-                + sum_{r<k} (-1)^(k-r-1) A_(2r+1) (pi/2)^(2k-2r) / (2k-2r)!]
-               * 2^(2k+1)/(2^(2k+1) - 1),
+    At pi/2 the S2 Fourier sum is eta(2k+1) / 2^(2k+1), and the r = k term of
+    the ladder side is eta(2k+1) itself.  Solving for it gives
+    A_(2k+1) = -(S2 ladder side without its r = k term) * 2^(2k+1)/(2^(2k+1) - 1),
     an independent route that must agree with the series-path eta values.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scale = digits + GUARD_DIGITS
-    hp = half_pi(scale)
-    hp2 = hp.mul(hp)
-    n_terms = estimate_terms(digits, 2 * k + 1)
-    power = hp.pow_int(2 * k + 2)
-    acc = FixedDecimal(0, scale, 0)
-    for n in range(1, n_terms + 1):
-        acc = acc + power.mul_fraction(d_coeff(n, 2 * k + 1))
-        power = power.mul(hp2)
-    acc = acc.mul_fraction(Fraction((-1) ** k, 2))
-    for r in range(k):
-        exponent = 2 * (k - r)
-        coeff = Fraction((-1) ** (k - r - 1), factorial(exponent))
-        a_val = (eta_odd(r, digits + 6) if r else alt_harmonic(digits + 6)).value
-        acc = acc + a_val.mul(hp.pow_int(exponent)).mul_fraction(coeff)
-    denom = (1 << (2 * k + 1)) - 1
-    return acc.mul_fraction(Fraction(1 << (2 * k + 1), denom)).rescale(digits)
+    side = _ladder_side("S2", k, "pi/2", estimate_terms(digits, 2 * k + 1), digits, k)
+    two_power = 1 << (2 * k + 1)
+    return side.mul_fraction(Fraction(-two_power, two_power - 1)).rescale(digits)
 
 
 def tan_half_residual(theta, fourier_terms: int, digits: int = 15) -> FixedDecimal:

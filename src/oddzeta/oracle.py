@@ -1,11 +1,13 @@
 """Independent reference values and the verification harness.
 
 Every reference here is computed by a method unrelated to the pi/2-power
-series machinery: Chebyshev-polynomial convergence acceleration for the
-alternating eta/beta sums, an atanh series for ln 2, Euler-Maclaurin-tailed
-direct summation for even zeta arguments, and a transformed arctangent
-series for pi.  Only the raw fixed-point/rational primitives are shared
-with the production path, so a bug there cannot silently confirm itself.
+series machinery: Chebyshev-polynomial convergence acceleration (Cohen,
+Rodriguez Villegas and Zagier, Experimental Math. 9, 2000) for the
+alternating eta/beta sums, with zeta at every argument s >= 2 following
+from eta(s) by an exact factor, an atanh series for ln 2, and a transformed
+arctangent series for pi.  Only the raw fixed-point/rational primitives are
+shared with the production path, so a bug there cannot silently confirm
+itself.
 """
 
 from __future__ import annotations
@@ -14,11 +16,9 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
 
 from .constants import compute_constant, parse_constant_name, valid_name_summary
 from .errors import ResourceLimitError, UnknownConstantError
-from .exact import bernoulli
 from .highprec import FixedDecimal, _ceil_div, _divround
 
 __all__ = [
@@ -76,12 +76,24 @@ def _to_fixed(value: Fraction, bound: Fraction, digits: int) -> FixedDecimal:
     return FixedDecimal(m, digits, err)
 
 
-def _eta_sum(s: int, digits: int, extra_depth: int = 0) -> tuple[Fraction, Fraction]:
-    """(value, bound) of the accelerated eta(s) sum, deep enough for ``digits``."""
+def _accelerated_sum(term, digits: int, extra_depth: int = 0) -> tuple[Fraction, Fraction]:
+    """(value, bound) of sum_j (-1)^j term(j), accelerated deep enough for ``digits``."""
     depth = acceleration_depth(digits + 3) + extra_depth
     if depth > 40_000:
         raise ResourceLimitError(f"acceleration depth {depth} beyond supported range")
-    return accelerated_alternating(lambda j: Fraction(1, (j + 1) ** s), depth)
+    return accelerated_alternating(term, depth)
+
+
+def _eta_sum(s: int, digits: int, extra_depth: int = 0) -> tuple[Fraction, Fraction]:
+    """(value, bound) of the accelerated eta(s) sum, deep enough for ``digits``."""
+    return _accelerated_sum(lambda j: Fraction(1, (j + 1) ** s), digits, extra_depth)
+
+
+def _zeta_from_eta(s: int, digits: int) -> FixedDecimal:
+    """zeta(s) = eta(s) * 2^(s-1)/(2^(s-1)-1), s >= 2, the factor exact on value and bound."""
+    value, bound = _eta_sum(s, digits)
+    factor = Fraction(1 << (s - 1), (1 << (s - 1)) - 1)
+    return _to_fixed(value * factor, bound * factor, digits)
 
 
 def reference_eta(s: int, digits: int, extra_depth: int = 0) -> FixedDecimal:
@@ -96,20 +108,22 @@ def reference_beta(s: int, digits: int, extra_depth: int = 0) -> FixedDecimal:
     """beta(s) = sum (-1)^m / (2m+1)^s by the same certified acceleration."""
     if s < 2:
         raise ValueError("s must be >= 2")
-    depth = acceleration_depth(digits + 3) + extra_depth
-    if depth > 40_000:
-        raise ResourceLimitError(f"acceleration depth {depth} beyond supported range")
-    value, bound = accelerated_alternating(lambda j: Fraction(1, (2 * j + 1) ** s), depth)
+    value, bound = _accelerated_sum(lambda j: Fraction(1, (2 * j + 1) ** s), digits, extra_depth)
     return _to_fixed(value, bound, digits)
 
 
 def reference_zeta_odd(k: int, digits: int) -> FixedDecimal:
-    """zeta(2k+1) from the eta reference via the exact factor 2^(2k)/(2^(2k)-1)."""
+    """zeta(2k+1) from the accelerated eta(2k+1) sum."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    value, bound = _eta_sum(2 * k + 1, digits)
-    factor = Fraction(1 << (2 * k), (1 << (2 * k)) - 1)
-    return _to_fixed(value * factor, bound * factor, digits)
+    return _zeta_from_eta(2 * k + 1, digits)
+
+
+def reference_zeta_even(n: int, digits: int) -> FixedDecimal:
+    """zeta(2n) from the accelerated eta(2n) sum, independent of the Bernoulli closed form."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _zeta_from_eta(2 * n, digits)
 
 
 def reference_ln2(digits: int) -> FixedDecimal:
@@ -146,42 +160,6 @@ def reference_pi(digits: int) -> FixedDecimal:
             return _to_fixed(total, 2 * nxt, digits)
         u = nxt
         n += 1
-
-
-def pochhammer(s: int, count: int) -> int:
-    """Rising product s (s+1) ... (s+count-1); empty product is 1."""
-    return prod(range(s, s + count))
-
-
-def reference_zeta_even(n: int, digits: int) -> FixedDecimal:
-    """zeta(2n) by direct summation with an Euler-Maclaurin tail, all exact.
-
-    zeta(s) = sum_{m<M} m^-s + M^(1-s)/(s-1) + M^-s/2
-              + sum_j B_2j/(2j)! * s(s+1)...(s+2j-2) * M^(1-s-2j) + R,
-    with |R| below the first omitted correction term (x^-s is completely
-    monotone), doubled here for comfort.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    s = 2 * n
-    cutoff = max(30, digits)
-    total = sum(Fraction(1, m**s) for m in range(1, cutoff))
-    total += Fraction(1, (s - 1) * cutoff ** (s - 1))
-    total += Fraction(1, 2 * cutoff**s)
-    threshold = Fraction(1, 10 ** (digits + 4))
-    for j in range(1, 80):
-        t = (
-            bernoulli(2 * j)
-            * pochhammer(s, 2 * j - 1)
-            / (factorial(2 * j) * Fraction(cutoff ** (s + 2 * j - 1)))
-        )
-        if abs(t) < threshold:
-            return _to_fixed(total, 2 * abs(t), digits)
-        total += t
-    raise ResourceLimitError(
-        f"Euler-Maclaurin tail for zeta({s}) did not reach 10^-{digits + 4} "
-        f"with base point {cutoff}"
-    )
 
 
 def reference_for(name: str, digits: int) -> FixedDecimal:

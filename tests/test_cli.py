@@ -165,3 +165,22 @@ def test_coeffs_past_int_str_limit():
     assert lines[800].startswith("1,800,")
     assert len(lines[800].rpartition(",")[2]) > limit
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_ratio_past_tangent_ceiling_is_resource_error():
+    # the column is sized once, so the ceiling is hit before any coefficient is built
+    code, out, err = invoke(["ratio", "--k", "1", "--n", "5000"])
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert "tangent index 5001" in err
+
+
+def test_wrong_cached_value_is_not_trusted(tmp_path, cold_store):
+    from oddzeta import exact
+
+    exact.tangent_coeff(200)
+    values = list(exact._tangents)
+    values[1] = 3  # T_2 is 2
+    exact._save_cache(str(tmp_path / "tangent.tsv"), values)
+    exact._tangents.clear()
+    code, out, _ = invoke(["--cache-dir", str(tmp_path), "constant", "catalan", "--digits", "15"])
+    assert (code, out) == (EXIT_OK, "0.915965594177219\n")

@@ -11,6 +11,7 @@ from oddzeta.coeffs import (
     build_table,
     d_coeff,
     e_coeff,
+    e_column,
     f_ratio,
     table_to_csv,
     table_to_json,
@@ -78,27 +79,24 @@ def test_coefficients_canonical_form(n, k):
 
 
 def test_build_table_single_cell():
-    table = build_table(1, 1)
-    assert table.k_max == 1 and table.n_max == 1
-    assert table.e(1, 1) == Fraction(1, 4)
-    assert table.d1(1) == Fraction(1, 4)
+    assert build_table(1, 1) == ((Fraction(1, 4),),)
 
 
 def test_build_table_matches_point_queries():
     table = build_table(3, 2)
-    assert table.e(2, 3) == e_coeff(2, 3)
+    assert table[2][1] == e_coeff(2, 3)
     for k in range(1, 4):
         for n in range(1, 3):
-            assert table.e(n, k) == e_coeff(n, k)
+            assert table[k - 1][n - 1] == e_coeff(n, k)
 
 
 def test_build_table_deterministic_and_immutable():
     a = build_table(4, 10)
     b = build_table(4, 10)
     assert a == b
-    assert isinstance(a.entries, tuple)
-    with pytest.raises(AttributeError):
-        a.n_max = 99
+    assert isinstance(a, tuple) and all(isinstance(column, tuple) for column in a)
+    with pytest.raises(TypeError):
+        a[0] = ()
 
 
 def test_build_table_full_grid_matches_steps():
@@ -106,22 +104,20 @@ def test_build_table_full_grid_matches_steps():
     for k in range(2, 6):
         step = E_STEPWISE[k]
         for n in range(1, 51):
-            assert table.e(n, k) == step(n)
+            assert table[k - 1][n - 1] == step(n)
 
 
 def test_build_table_reads_shared_store():
     # overlapping tables (as for D and D + 2 digits) share the stored rationals
     small, large = build_table(3, 20), build_table(3, 30)
-    assert all(a is b for a, b in zip(small.entries[2], large.entries[2]))
-    assert small.d_base is small.entries[0]
+    assert all(a is b for a, b in zip(small[2], large[2]))
+    assert all(a is b for a, b in zip(e_column(3, 30), large[2]))
 
 
 def test_table_bounds_checked():
-    table = build_table(2, 3)
-    with pytest.raises(IndexError):
-        table.e(4, 1)
-    with pytest.raises(IndexError):
-        table.e(1, 3)
+    # the table holds exactly k_max columns of n_max rows, however far the store has grown
+    e_column(2, 40)
+    assert [len(column) for column in build_table(2, 3)] == [3, 3]
 
 
 def test_table_cell_ceiling():
@@ -160,3 +156,5 @@ def test_argument_validation():
             d_coeff(*bad)
         with pytest.raises(ValueError):
             e_coeff(*bad)
+        with pytest.raises(ValueError):
+            e_column(bad[1], bad[0])

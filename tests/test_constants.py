@@ -42,12 +42,20 @@ def test_zeta_even_closed_values():
     assert lo <= exact_hi and exact_lo <= hi
 
 
-def test_beta_even_delegates_to_series(table_k7):
-    direct = sum_series(table_k7, 2, 15)
+def test_beta_even_delegates_to_series():
+    direct = sum_series(2, 15)
     wrapped = beta_even(1, 15)
     assert wrapped.value == direct.value
     assert wrapped.terms_used == direct.terms_used
-    assert alt_harmonic(15).value == sum_series(table_k7, 1, 15).value
+    assert alt_harmonic(15).value == sum_series(1, 15).value
+
+
+def test_constant_builds_only_the_columns_it_sums(cold_store):
+    # beta(10) sums column 10, whose recurrence reads only the odd columns below it
+    from oddzeta import coeffs
+
+    compute_constant("beta_even(5)", 30)
+    assert sorted(coeffs._columns) == [1, 3, 5, 7, 9, 10]
 
 
 def test_alt_harmonic_thirty_digits_vs_log_oracle():

@@ -101,10 +101,25 @@ def test_cache_roundtrip(tmp_path, fresh_tangents, monkeypatch):
 
 def test_cache_holds_values_past_int_str_limit(tmp_path):
     path = str(tmp_path / "tangent.tsv")
-    values = [1, 2, 16, 10**5000 + 7]  # the last has more than 4300 decimal digits
+    tangent_coeff(840)
+    values = exact_module._tangents[:840]
+    assert values[-1] > 10**4300  # past the default int-to-str digit limit
     exact_module._save_cache(path, values)
     assert exact_module._load_cache(path) == values
     assert [p.name for p in tmp_path.iterdir()] == ["tangent.tsv"]
+
+
+@pytest.mark.parametrize("wrong", [1, 2, 100, 200])
+def test_cache_prefix_ends_before_a_wrong_value(tmp_path, wrong):
+    # every line is well formed; the tan' = 1 + tan^2 check alone rejects the value
+    path = str(tmp_path / "tangent.tsv")
+    tangent_coeff(200)
+    values = exact_module._tangents[:200]
+    exact_module._save_cache(path, values)
+    assert exact_module._load_cache(path) == values
+    values[wrong - 1] += 1
+    exact_module._save_cache(path, values)
+    assert exact_module._load_cache(path) == values[: wrong - 1]
 
 
 @pytest.mark.parametrize("failure", [OSError, RuntimeError])

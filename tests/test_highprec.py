@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oddzeta.coeffs import CoefficientTable, build_table
-from oddzeta.errors import InsufficientTableError, TailRatioError
+from oddzeta.errors import TailRatioError
 from oddzeta.highprec import (
     FixedDecimal,
     compute_pi,
@@ -141,14 +140,14 @@ def test_estimate_terms_monotone(digits, k):
     assert estimate_terms(digits + 10, k) > estimate_terms(digits, k)
 
 
-def test_sum_series_values(table_k7):
-    assert sum_series(table_k7, 1, 15).value.to_decimal() == "0.693147180559945"
-    assert sum_series(table_k7, 2, 15).value.to_decimal() == "0.915965594177219"
-    assert sum_series(table_k7, 3, 15).value.to_decimal() == "0.901542677369696"
+def test_sum_series_values():
+    assert sum_series(1, 15).value.to_decimal() == "0.693147180559945"
+    assert sum_series(2, 15).value.to_decimal() == "0.915965594177219"
+    assert sum_series(3, 15).value.to_decimal() == "0.901542677369696"
 
 
-def test_sum_series_reports_tail_and_terms(table_k7):
-    result = sum_series(table_k7, 2, 20)
+def test_sum_series_reports_tail_and_terms():
+    result = sum_series(2, 20)
     assert result.k == 2
     assert result.terms_used >= 5
     assert result.tail_bound.mantissa >= 0
@@ -156,28 +155,20 @@ def test_sum_series_reports_tail_and_terms(table_k7):
     assert result.value.err_ulp >= 1
 
 
-def test_sum_series_doubling_agreement(table_k7):
+def test_sum_series_doubling_agreement():
     for k in (1, 2, 3):
-        low = sum_series(table_k7, k, 15).value
-        high = sum_series(table_k7, k, 30).value.rescale(15)
+        low = sum_series(k, 15).value
+        high = sum_series(k, 30).value.rescale(15)
         assert abs(low.mantissa - high.mantissa) <= 100  # first 13 digits agree
 
 
-def test_sum_series_insufficient_table():
-    small = build_table(2, 10)
-    with pytest.raises(InsufficientTableError):
-        sum_series(small, 2, 30)
-    with pytest.raises(InsufficientTableError):
-        sum_series(small, 3, 5)
+def test_sum_series_tail_ratio_guard(monkeypatch):
+    # a synthetic column whose entries stop decaying must trip the runtime check
+    from oddzeta import highprec
 
-
-def test_sum_series_tail_ratio_guard():
-    # a synthetic table whose entries stop decaying must trip the runtime check
-    rows = 60
-    constant = tuple(Fraction(1, 7) for _ in range(rows))
-    fake = CoefficientTable(k_max=1, n_max=rows, entries=(constant,), d_base=constant)
+    monkeypatch.setattr(highprec, "e_column", lambda k, rows: [Fraction(1, 7)] * rows)
     with pytest.raises(TailRatioError):
-        sum_series(fake, 1, 5)
+        sum_series(1, 5)
 
 
 def test_term_ratio_sequence_near_quarter():
@@ -187,10 +178,17 @@ def test_term_ratio_sequence_near_quarter():
         assert Fraction(2, 10) < value < Fraction(3, 10)
 
 
-def test_validation_errors(table_k7):
+def test_term_ratio_sequence_builds_tangents_once(cold_store):
+    term_ratio_sequence(1, 300)
+    assert cold_store == [301]
+
+
+def test_validation_errors():
     with pytest.raises(ValueError):
         compute_pi(0)
     with pytest.raises(ValueError):
         estimate_terms(0, 1)
     with pytest.raises(ValueError):
-        sum_series(table_k7, 0, 10)
+        sum_series(0, 10)
+    with pytest.raises(ValueError):
+        sum_series(1, 0)

@@ -74,7 +74,7 @@ def test_accelerated_alternating_bound_is_sound():
 
 
 def test_reference_zeta_even_against_closed_form():
-    # zeta(2) = pi^2/6: direct summation must land on the same digits
+    # zeta(2) = pi^2/6: the accelerated eta(2) sum must land on the same digits
     z2 = reference_zeta_even(1, 30)
     p = reference_pi(40)
     assert abs(z2.as_fraction() - p.as_fraction() ** 2 / 6) < Fraction(1, 10**29)
@@ -140,8 +140,8 @@ def test_default_battery_sorted_and_supported():
 
 
 def test_zeta_even_series_matches_bernoulli_form():
-    # the Bernoulli closed form feeds the production path; the direct
-    # summation oracle must agree at every checked argument
+    # the Bernoulli closed form feeds the production path; the eta-sum
+    # oracle must agree at every checked argument
     from oddzeta.constants import zeta_even_closed
 
     for n in (1, 2, 3):

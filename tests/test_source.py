@@ -16,3 +16,14 @@ def test_no_assert_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_oracle_shares_no_generation_code():
+    # the oracle must not confirm the production coefficients with their own source
+    source = Path(oddzeta.__file__).parent / "oracle.py"
+    modules = {
+        node.module
+        for node in ast.walk(ast.parse(source.read_text()))
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert modules.isdisjoint({"exact", "coeffs", "oddzeta.exact", "oddzeta.coeffs"})
