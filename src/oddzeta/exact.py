@@ -17,7 +17,7 @@ from math import factorial
 
 from .errors import ResourceLimitError
 
-__all__ = ["CACHE_DIR_ENV", "bernoulli", "cache_dir", "tangent_coeff"]
+__all__ = ["CACHE_DIR_ENV", "bernoulli", "cache_dir", "tangent_coeff", "tangent_number"]
 
 #: Environment variable naming the directory that holds the on-disk tangent-number cache.
 CACHE_DIR_ENV = "ODDZETA_CACHE_DIR"
@@ -118,8 +118,10 @@ def _save_cache(path: str, values: list[int]) -> None:
         pass  # the cache only saves time; an unwritable directory costs a recompute
 
 
-def _tangent(n: int) -> int:
+def tangent_number(n: int) -> int:
     """T_n from the shared list, growing it (from the disk cache if that holds enough)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > MAX_TANGENT_INDEX:
         raise ResourceLimitError(
             f"tangent index {n} exceeds configured maximum {MAX_TANGENT_INDEX}"
@@ -140,9 +142,7 @@ def _tangent(n: int) -> int:
 
 def tangent_coeff(n: int) -> Fraction:
     """Maclaurin coefficient c_n = T_n / (2n-1)! of tan x = sum_{n>=1} c_n x^(2n-1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Fraction(_tangent(n), factorial(2 * n - 1))
+    return Fraction(tangent_number(n), factorial(2 * n - 1))
 
 
 def bernoulli(m: int) -> Fraction:
@@ -161,4 +161,4 @@ def bernoulli(m: int) -> Fraction:
     if m % 2:
         return Fraction(0)
     four = 1 << m  # 4^n with n = m/2
-    return Fraction((-1) ** (m // 2 + 1) * m * _tangent(m // 2), four * (four - 1))
+    return Fraction((-1) ** (m // 2 + 1) * m * tangent_number(m // 2), four * (four - 1))

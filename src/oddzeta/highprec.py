@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import e_column
+from .coeffs import denominator_step, e_column, e_denominator
 from .errors import ResourceLimitError, TailRatioError
 
 __all__ = [
@@ -108,11 +108,14 @@ class FixedDecimal:
 
     __mul__ = mul
 
-    def mul_fraction(self, q: Fraction) -> "FixedDecimal":
-        num, den = q.numerator, q.denominator
+    def mul_ratio(self, num: int, den: int) -> "FixedDecimal":
+        """Product with num/den (den > 0); the fraction need not be in lowest terms."""
         m = _divround(self.mantissa * num, den)
         err = _ceil_div(self.err_ulp * abs(num), den) + 1
         return FixedDecimal(m, self.scale, err)
+
+    def mul_fraction(self, q: Fraction) -> "FixedDecimal":
+        return self.mul_ratio(q.numerator, q.denominator)
 
     def pow_int(self, exponent: int) -> "FixedDecimal":
         if exponent < 0:
@@ -224,14 +227,16 @@ def estimate_terms(digits: int, k: int) -> int:
 def sum_series(k: int, digits: int) -> SeriesResult:
     """Evaluate A_k = sum_n E_n(k) (pi/2)^(2n+k-1) to ``digits`` digits.
 
-    Terms are exact rationals, read from column k of the coefficient store
-    grown once to :func:`estimate_terms` rows, times an incrementally
-    maintained fixed-point power of pi/2.  The reported error bound covers
-    per-term rounding plus a geometric tail bound |last| * (1/3) / (1 - 1/3);
-    a runtime check aborts if observed consecutive terms ever decay slower
-    than 1/3 past burn-in.
+    Terms are exact rationals N_n(k) / den(n, k), never reduced by a gcd:
+    the numerators are read from column k of the coefficient store grown
+    once to :func:`estimate_terms` rows, and the denominator is carried row
+    to row beside an incrementally maintained fixed-point power of pi/2.
+    The reported error bound covers per-term rounding plus a geometric tail
+    bound |last| * (1/3) / (1 - 1/3); a runtime check aborts if observed
+    consecutive terms ever decay slower than 1/3 past burn-in.
     """
     column = e_column(k, estimate_terms(digits, k))
+    den = e_denominator(1, k)
     work = digits + GUARD_DIGITS
     hp = half_pi(work)
     step = hp.mul(hp)
@@ -242,8 +247,10 @@ def sum_series(k: int, digits: int) -> SeriesResult:
     noise_floor = 1000
     cutoff = 100
     terms = 0
-    for n, coeff in enumerate(column, 1):
-        term = power.mul_fraction(coeff)
+    for n, num in enumerate(column, 1):
+        # the shared power of two is most of what a reduction would remove; a shift drops it
+        twos = ((num | den) & -(num | den)).bit_length() - 1
+        term = power.mul_ratio(num >> twos, den >> twos)
         total += term.mantissa
         total_err += term.err_ulp
         terms = n
@@ -262,6 +269,7 @@ def sum_series(k: int, digits: int) -> SeriesResult:
         if magnitude <= cutoff and n >= 5:
             break
         power = power.mul(step)
+        den *= denominator_step(n, k)
     tail_ulp = (prev_abs or 0) // 2 + 1
     value = FixedDecimal(total, work, total_err + tail_ulp).rescale(digits)
     return SeriesResult(
@@ -284,7 +292,8 @@ def term_ratio_sequence(k: int, n_count: int, digits: int = 15) -> list[tuple[in
     work = digits + GUARD_DIGITS
     hp = half_pi(work)
     step = hp.mul(hp)
+    # E_(n+1)(k) / E_n(k) = N_(n+1)(k) / (N_n(k) * den(n+1, k) / den(n, k))
     return [
-        (n, step.mul_fraction(abs(column[n] / column[n - 1])).rescale(digits))
-        for n in range(1, n_count + 1)
+        (n, step.mul_ratio(abs(num), abs(prev) * denominator_step(n, k)).rescale(digits))
+        for n, (prev, num) in enumerate(zip(column, column[1:]), 1)
     ]

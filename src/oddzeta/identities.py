@@ -19,8 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .coeffs import d_coeff
+from .coeffs import d_denominator, denominator_step, e_column
 from .constants import alt_harmonic, eta_odd
+from .exact import tangent_number
 from .highprec import (
     GUARD_DIGITS,
     FixedDecimal,
@@ -250,15 +251,20 @@ def _ladder_side(
     th = FixedDecimal(m, scale, err)
     th2 = th.mul(th)
     d_index = 2 * k if identity == "S1" else 2 * k + 1
-    d_coeff(series_terms, d_index)  # grow the store (and the tangent list) once, not once per term
+    eta_digits = digits + 6
+    # one tangent build serves the ladder rows and the largest eta value's column
+    tangent_number(max(series_terms, estimate_terms(eta_digits, 2 * eta_terms - 1)))
+    # D_n(k) = N_n(1) / d_denominator(n, k), the denominator carried row to row
+    den = d_denominator(1, d_index)
     power = th.pow_int(d_index + 1)
     acc = FixedDecimal(0, scale, 0)
     last = None
-    for n in range(1, series_terms + 1):
-        term = power.mul_fraction(d_coeff(n, d_index))
+    for n, num in enumerate(e_column(1, series_terms), 1):
+        term = power.mul_ratio(num, den)
         acc = acc + term
         last = term
         power = power.mul(th2)
+        den *= denominator_step(n, d_index)
     front = Fraction((-1) ** k, 2) if identity == "S1" else Fraction((-1) ** (k + 1), 2)
     acc = acc.mul_fraction(front)
     # geometric bound on the omitted ladder tail: the term ratio is strictly
@@ -275,7 +281,7 @@ def _ladder_side(
         exponent = 2 * (k - r) - offset
         numer = (-1) ** (k - r - offset)
         coeff = Fraction(numer, factorial(exponent))
-        a_val = (eta_odd(r, digits + 6) if r else alt_harmonic(digits + 6)).value
+        a_val = (eta_odd(r, eta_digits) if r else alt_harmonic(eta_digits)).value
         acc = acc + a_val.mul(th.pow_int(exponent)).mul_fraction(coeff)
     return acc
 

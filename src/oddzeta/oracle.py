@@ -36,6 +36,9 @@ __all__ = [
     "verify",
 ]
 
+#: digits past the request at which :func:`verify` evaluates both sides
+VERIFY_EXTRA_DIGITS = 2
+
 # digits gained per acceleration term: log10(3 + sqrt 8) = 0.7655...
 _ACCEL_LOG10_NUM = 765_551
 _ACCEL_LOG10_DEN = 10**6
@@ -234,8 +237,8 @@ def verify(name: str, digits: int) -> VerificationReport:
     reference digit.
     """
     start = time.perf_counter()
-    constant = compute_constant(name, digits + 2)
-    reference = reference_for(name, digits + 2)
+    constant = compute_constant(name, digits + VERIFY_EXTRA_DIGITS)
+    reference = reference_for(name, digits + VERIFY_EXTRA_DIGITS)
     computed_str = constant.value.to_decimal()
     reference_str = reference.to_decimal()
     matched = matched_digit_count(computed_str, reference_str)

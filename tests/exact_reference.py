@@ -10,6 +10,7 @@ integration step.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 
@@ -85,3 +86,22 @@ def e_step5(n: int) -> Fraction:
 
 
 E_STEPWISE = {1: e_step1, 2: e_step2, 3: e_step3, 4: e_step4, 5: e_step5}
+
+
+@lru_cache(maxsize=None)
+def e_recurrence(n: int, k: int) -> Fraction:
+    """E_n(k) by the general recurrence, one reduced ``Fraction`` per operation.
+
+    E_n(1) = D_n(1); with j = k // 2,
+    E_n(k) = (-1)^j/2 D_n(k) + (-1)^(j+1) sum_{r<j} (-1)^r E_n(2r+1) / (k-2r-1)!,
+    divided by 1 - 2^(-k) for odd k.  This is the recurrence the package
+    evaluated before it carried integer numerators.
+    """
+    if k == 1:
+        return d_closed(n, 1)
+    j = k // 2
+    odd_part = sum(
+        (-1) ** r * e_recurrence(n, 2 * r + 1) / factorial(k - 2 * r - 1) for r in range(j)
+    )
+    value = Fraction((-1) ** j, 2) * d_closed(n, k) + (-1) ** (j + 1) * odd_part
+    return value if k % 2 == 0 else value / (1 - Fraction(1, 1 << k))

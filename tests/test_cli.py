@@ -184,3 +184,16 @@ def test_wrong_cached_value_is_not_trusted(tmp_path, cold_store):
     exact._tangents.clear()
     code, out, _ = invoke(["--cache-dir", str(tmp_path), "constant", "catalan", "--digits", "15"])
     assert (code, out) == (EXIT_OK, "0.915965594177219\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identity", "--id", "S2", "--k", "2", "--theta", "1", "--terms", "2000"],
+        ["verify", "--digits", "30"],
+    ],
+)
+def test_command_builds_tangents_once(cold_store, argv):
+    # the ladder and its eta values, or every constant of the battery, read one tangent list
+    assert invoke(argv)[0] == EXIT_OK
+    assert len(cold_store) == 1

@@ -6,7 +6,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from exact_reference import E_STEPWISE, d_closed
+from exact_reference import E_STEPWISE, d_closed, e_recurrence
+from oddzeta import coeffs
 from oddzeta.coeffs import (
     build_table,
     d_coeff,
@@ -50,6 +51,29 @@ def test_general_recurrence_equals_step_formulas(k):
     step = E_STEPWISE[k]
     for n in range(1, 51):
         assert e_coeff(n, k) == step(n)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_integer_store_equals_fraction_recurrence(k):
+    # k <= 12 reaches every odd factor 2^r - 1 of the denominators up to r = 11
+    for n in range(1, 81):
+        assert e_coeff(n, k) == e_recurrence(n, k)
+
+
+def test_column_build_makes_no_fraction(cold_store, monkeypatch):
+    made = []
+    original = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    e_column(10, 242)
+    assert made == []
+    assert sorted(coeffs._columns) == [1, 3, 5, 7, 9, 10]
+    assert all(type(v) is int for column in coeffs._columns.values() for v in column)
+    assert min(len(column) for column in coeffs._columns.values()) == 242
 
 
 def test_e_base_column_equals_ladder_base():
@@ -107,11 +131,18 @@ def test_build_table_full_grid_matches_steps():
             assert table[k - 1][n - 1] == step(n)
 
 
-def test_build_table_reads_shared_store():
-    # overlapping tables (as for D and D + 2 digits) share the stored rationals
-    small, large = build_table(3, 20), build_table(3, 30)
-    assert all(a is b for a, b in zip(small[2], large[2]))
-    assert all(a is b for a, b in zip(e_column(3, 30), large[2]))
+def test_build_table_reads_shared_store(monkeypatch):
+    # overlapping tables (as for D and D + 2 digits) read one store and build nothing twice
+    large = build_table(3, 30)
+    stored = list(coeffs._columns[3])
+
+    def no_growth(n):
+        raise AssertionError(f"the store was grown again, to {n} rows")
+
+    monkeypatch.setattr(coeffs, "tangent_number", no_growth)
+    small = build_table(3, 20)
+    assert small == tuple(column[:20] for column in large)
+    assert all(a is b for a, b in zip(e_column(3, 30), stored))
 
 
 def test_table_bounds_checked():

@@ -163,10 +163,13 @@ def test_sum_series_doubling_agreement():
 
 
 def test_sum_series_tail_ratio_guard(monkeypatch):
-    # a synthetic column whose entries stop decaying must trip the runtime check
+    # a synthetic column whose entries stop decaying (E_n(k) = 1) must trip the runtime check
     from oddzeta import highprec
+    from oddzeta.coeffs import e_denominator
 
-    monkeypatch.setattr(highprec, "e_column", lambda k, rows: [Fraction(1, 7)] * rows)
+    monkeypatch.setattr(
+        highprec, "e_column", lambda k, rows: [e_denominator(n, k) for n in range(1, rows + 1)]
+    )
     with pytest.raises(TailRatioError):
         sum_series(1, 5)
 

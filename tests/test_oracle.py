@@ -4,7 +4,9 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from oddzeta.constants import compute_constant
 from oddzeta.errors import UnknownConstantError
 from oddzeta.highprec import FixedDecimal
 from oddzeta.oracle import (
@@ -148,3 +150,13 @@ def test_zeta_even_series_matches_bernoulli_form():
         closed = zeta_even_closed(n, 25).value
         direct = reference_zeta_even(n, 25)
         assert abs(closed.mantissa - direct.mantissa) <= closed.err_ulp + direct.err_ulp
+
+
+@given(st.integers(min_value=1, max_value=200), st.sampled_from(default_battery()))
+def test_constant_equals_oracle_rounded(digits, name):
+    # the oracle at digits + 5, rounded to digits, lies within 1/2 ulp plus 10^-5 of its
+    # own bound of the true value, so a mantissa distance above err_ulp is a wrong result
+    value = compute_constant(name, digits).value
+    expected = reference_for(name, digits + 5).rescale(digits)
+    assert value.scale == digits
+    assert abs(value.mantissa - expected.mantissa) <= value.err_ulp
