@@ -8,71 +8,65 @@ independent oracles (convergence-accelerated direct summation and classical
 closed forms).
 """
 
-from .coeffs import build_table, d_coeff, e_coeff, f_ratio
-from .constants import (
-    ConstantValue,
-    alt_harmonic,
-    apery,
-    beta_even,
-    catalan,
-    compute_constant,
-    eta_odd,
-    zeta_even_closed,
-    zeta_odd,
+from importlib import import_module
+
+# exported name -> the submodule that defines it; nothing is imported until a
+# name is first read, so that ``import oddzeta.cli`` loads only what a command uses
+_EXPORTS = {
+    "build_table": "coeffs",
+    "d_coeff": "coeffs",
+    "e_coeff": "coeffs",
+    "f_ratio": "coeffs",
+    "ConstantValue": "constants",
+    "alt_harmonic": "constants",
+    "apery": "constants",
+    "beta_even": "constants",
+    "catalan": "constants",
+    "compute_constant": "constants",
+    "eta_odd": "constants",
+    "zeta_even_closed": "constants",
+    "zeta_odd": "constants",
+    "ResourceLimitError": "errors",
+    "TailRatioError": "errors",
+    "UnknownConstantError": "errors",
+    "bernoulli": "exact",
+    "tangent_coeff": "exact",
+    "FixedDecimal": "highprec",
+    "SeriesResult": "highprec",
+    "compute_pi": "highprec",
+    "estimate_terms": "highprec",
+    "sum_series": "highprec",
+    "term_ratio_sequence": "highprec",
+    "IdentityResidual": "identities",
+    "check_identity": "identities",
+    "fourier_lhs": "identities",
+    "rhs_eval": "identities",
+    "VerificationReport": "oracle",
+    "matched_digit_count": "oracle",
+    "reference_beta": "oracle",
+    "reference_eta": "oracle",
+    "verify": "oracle",
+}
+_SUBMODULES = frozenset(
+    ("cli", "coeffs", "constants", "errors", "exact", "highprec", "identities", "oracle")
 )
-from .errors import ResourceLimitError, TailRatioError, UnknownConstantError
-from .exact import bernoulli, tangent_coeff
-from .highprec import (
-    FixedDecimal,
-    SeriesResult,
-    compute_pi,
-    estimate_terms,
-    sum_series,
-    term_ratio_sequence,
-)
-from .identities import IdentityResidual, check_identity, fourier_lhs, rhs_eval
-from .oracle import (
-    VerificationReport,
-    matched_digit_count,
-    reference_beta,
-    reference_eta,
-    verify,
-)
+
+
+def __getattr__(name: str):
+    """Import a submodule, or the submodule an exported name lives in, on first access."""
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConstantValue",
-    "FixedDecimal",
-    "IdentityResidual",
-    "ResourceLimitError",
-    "SeriesResult",
-    "TailRatioError",
-    "UnknownConstantError",
-    "VerificationReport",
-    "alt_harmonic",
-    "apery",
-    "bernoulli",
-    "beta_even",
-    "build_table",
-    "catalan",
-    "check_identity",
-    "compute_constant",
-    "compute_pi",
-    "d_coeff",
-    "e_coeff",
-    "estimate_terms",
-    "eta_odd",
-    "f_ratio",
-    "fourier_lhs",
-    "matched_digit_count",
-    "reference_beta",
-    "reference_eta",
-    "rhs_eval",
-    "sum_series",
-    "tangent_coeff",
-    "term_ratio_sequence",
-    "verify",
-    "zeta_even_closed",
-    "zeta_odd",
-]
+__all__ = sorted(_EXPORTS)

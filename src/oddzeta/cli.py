@@ -16,10 +16,8 @@ byte-deterministic, timing appears only in the JSON ``elapsed_ms`` field.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import identities, oracle
 from .coeffs import build_table, table_to_csv, table_to_json
 from .constants import compute_constant, tangent_index
 from .errors import ResourceLimitError, TailRatioError, UnknownConstantError
@@ -35,6 +33,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+# identities.IDENTITY_TAGS, spelled out so that building the parser does not import identities
+IDENTITY_CHOICES = ("S1", "S2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ratio.add_argument("--format", dest="fmt", choices=("plain", "csv", "json"), default="plain")
 
     p_ident = sub.add_parser("identity", help="Fourier-identity residual")
-    p_ident.add_argument("--id", dest="identity_id", choices=identities.IDENTITY_TAGS, required=True)
+    p_ident.add_argument("--id", dest="identity_id", choices=IDENTITY_CHOICES, required=True)
     p_ident.add_argument("--k", type=int, required=True)
     p_ident.add_argument("--theta", required=True, help='angle in (0, pi); accepts e.g. "1.0" or "pi/2"')
     p_ident.add_argument("--terms", dest="fourier_terms", type=int, default=10_000)
@@ -80,6 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _json_doc(command: str, **fields) -> str:
+    import json
+
     doc = {"schema": JSON_SCHEMA_VERSION, "command": command}
     doc.update(fields)
     return json.dumps(doc, separators=(",", ":"))
@@ -115,6 +118,8 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
     sys.set_int_max_str_digits(0)
     try:
         if args.fmt == "json":
+            import json
+
             print(_json_doc("coeffs", entries=json.loads(table_to_json(table))), file=out)
         elif args.fmt == "plain":
             for k, column in enumerate(table, 1):
@@ -128,6 +133,8 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
+    from . import oracle
+
     names = [args.name] if args.name else oracle.default_battery()
     # one tangent build serves every constant the battery computes; an index past
     # the ceiling is left for the computation that reads it to report
@@ -186,6 +193,8 @@ def _cmd_ratio(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_identity(args: argparse.Namespace, out) -> int:
+    from . import identities
+
     result = identities.check_identity(
         args.identity_id,
         args.k,

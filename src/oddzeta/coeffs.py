@@ -25,7 +25,6 @@ recurrence reads grow with it.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -152,6 +151,8 @@ def table_to_csv(table: tuple[tuple[Fraction, ...], ...]) -> str:
 
 def table_to_json(table: tuple[tuple[Fraction, ...], ...]) -> str:
     """JSON array of ``{k, n, value: "num/den"}`` objects, k-major order."""
+    import json
+
     rows = [
         {"k": k, "n": n, "value": f"{v.numerator}/{v.denominator}"}
         for k, column in enumerate(table, 1)

@@ -9,9 +9,9 @@ the classical Bernoulli closed form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .errors import UnknownConstantError
 from .exact import bernoulli
@@ -37,8 +37,7 @@ CLOSED_FORM_METHOD = "closed-form"
 ZETA_ODD_EXTRA_DIGITS = 2  # zeta(2k+1) sums A_(2k+1) this many digits past the request
 
 
-@dataclass(frozen=True)
-class ConstantValue:
+class ConstantValue(NamedTuple):
     """A computed constant with its provenance.
 
     ``k`` and ``terms_used`` describe the series evaluation; both are None
@@ -92,17 +91,17 @@ def zeta_odd(k: int, digits: int) -> ConstantValue:
         raise ValueError("k must be >= 1")
     inner = _series_constant(f"zeta_odd({k})", 2 * k + 1, digits + ZETA_ODD_EXTRA_DIGITS)
     factor = Fraction(1 << (2 * k), (1 << (2 * k)) - 1)
-    return replace(inner, value=inner.value.mul_fraction(factor).rescale(digits))
+    return inner._replace(value=inner.value.mul_fraction(factor).rescale(digits))
 
 
 def catalan(digits: int) -> ConstantValue:
     """Catalan's constant, beta(2) = A_2."""
-    return replace(beta_even(1, digits), name="catalan")
+    return beta_even(1, digits)._replace(name="catalan")
 
 
 def apery(digits: int) -> ConstantValue:
     """Apery's constant zeta(3) = A_3 / (1 - 2^(-2))."""
-    return replace(zeta_odd(1, digits), name="apery")
+    return zeta_odd(1, digits)._replace(name="apery")
 
 
 def zeta_even_closed(n: int, digits: int) -> ConstantValue:

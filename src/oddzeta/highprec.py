@@ -7,8 +7,8 @@ operation propagates the bound conservatively; bounds only ever grow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coeffs import denominator_step, e_column, e_denominator
 from .errors import ResourceLimitError, TailRatioError
@@ -27,9 +27,8 @@ __all__ = [
 GUARD_DIGITS = 10
 MAX_PI_DIGITS = 100_000
 
-# 1/log10(3) scaled by 10^6; used to size geometric-tail term counts
-_INV_LOG10_3_NUM = 10**6
-_INV_LOG10_3_DEN = 477_121
+# log10(4) scaled by 10^6 and rounded down, so that row counts round up
+_LOG10_4_MICRO = 602_059
 
 
 def _divround(a: int, b: int) -> int:
@@ -42,8 +41,7 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-@dataclass(frozen=True)
-class FixedDecimal:
+class FixedDecimal(NamedTuple):
     """Fixed-point decimal ``mantissa * 10^(-scale)`` with error ``<= err_ulp`` ulp."""
 
     mantissa: int
@@ -200,28 +198,34 @@ def half_pi(scale: int) -> FixedDecimal:
     return FixedDecimal(_divround(p.mantissa, 2), scale, 1)
 
 
-@dataclass(frozen=True)
 class SeriesResult:
     """Truncated evaluation of A_k = sum_n E_n(k) (pi/2)^(2n+k-1)."""
 
-    value: FixedDecimal
-    terms_used: int
-    tail_bound: FixedDecimal
-    k: int
+    # a plain class, not a NamedTuple: perfbench/worker.py counts terms_used by
+    # wrapping __init__, and a NamedTuple has no __init__ of its own to wrap
+    __slots__ = ("value", "terms_used", "tail_bound", "k")
+
+    def __init__(self, value: FixedDecimal, terms_used: int, tail_bound: FixedDecimal, k: int):
+        self.value = value
+        self.terms_used = terms_used
+        self.tail_bound = tail_bound
+        self.k = k
 
 
 def estimate_terms(digits: int, k: int) -> int:
-    """Row count whose geometric tail (ratio <= 1/3) sits below 10^-(digits+guard).
+    """Row count whose geometric tail (ratio 1/4) sits below 10^-(digits+guard).
 
-    The true term ratio approaches 1/4; 1/3 leaves safety margin, and the
-    (pi/2)^(k-1) prefactor adds roughly a fifth of a digit per unit of k.
+    The term ratio tends to 1/4 (E_(n+1)(k) / E_n(k) tends to 1/pi^2, and a
+    row multiplies the power by (pi/2)^2), and the (pi/2)^(k-1) prefactor adds
+    roughly a fifth of a digit per unit of k.  :func:`sum_series` stops on its
+    own cutoff a dozen rows or more before the count returned here.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
     need = digits + GUARD_DIGITS + 1 + (k + 4) // 5
-    return _ceil_div(need * _INV_LOG10_3_NUM, _INV_LOG10_3_DEN) + 5
+    return _ceil_div(need * 10**6, _LOG10_4_MICRO) + 5
 
 
 def sum_series(k: int, digits: int) -> SeriesResult:

@@ -14,10 +14,10 @@ the Fourier truncation error and must shrink as the term count grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .coeffs import d_denominator, denominator_step, e_column
 from .constants import alt_harmonic, eta_odd
@@ -166,14 +166,45 @@ def _fast_pair_half_pi(k: int, fourier_terms: int, scale: int) -> tuple[int, int
     return a_prev, a, b_prev, b
 
 
+def _rotation_pair(k: int, token: str, fourier_terms: int, scale: int) -> tuple[int, int, int, int, int]:
+    """Raw partial sums (a_prev, a, b_prev, b) at a generic theta, and their error in ulp.
+
+    sin and cos of m*theta come from rotating by theta, re-anchored from
+    scratch every ``ANCHOR_INTERVAL`` steps to stop rounding drift from
+    accumulating linearly over long runs.
+    """
+    engine = _AngleEngine(token, scale)
+    one = 10**scale
+    half = one // 2  # one is even, so (x + half) // one rounds exactly like _divround(x, one)
+    s1, c1, e1 = engine.sin_cos(1)
+    s, c = s1, c1
+    a = b = a_prev = b_prev = 0
+    k2 = 2 * k
+    anchor = ANCHOR_INTERVAL
+    for m in range(1, fourier_terms + 1):
+        if m == fourier_terms:
+            a_prev, b_prev = a, b
+        p = m**k2
+        if m & 1:
+            a += s // p
+            b += c // (p * m)
+        else:
+            a -= s // p
+            b -= c // (p * m)
+        nxt = m + 1
+        if nxt % anchor == 0:
+            s, c, _ = engine.sin_cos(nxt)
+        else:
+            s, c = (s * c1 + c * s1 + half) // one, (c * c1 - s * s1 + half) // one
+    # trig drift (<= 3 ulp/step between anchors, e1 from the increment)
+    # enters each term divided by m^(2k); sum_m m^-2 < 2 bounds that part
+    err = 2 * (3 * anchor + e1 + 4) + fourier_terms + 8
+    return a_prev, a, b_prev, b, err
+
+
 @lru_cache(maxsize=16)
 def _fourier_pair(k: int, token: str, fourier_terms: int, digits: int) -> tuple[FixedDecimal, FixedDecimal]:
-    """Smoothed sine-sum and cosine-sum partial sums, one shared pass.
-
-    The sin/cos recurrence is re-anchored from scratch every
-    ``ANCHOR_INTERVAL`` steps to stop rounding drift from accumulating
-    linearly over long runs.
-    """
+    """Smoothed sine-sum and cosine-sum partial sums, one shared pass."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if fourier_terms < 2:
@@ -183,29 +214,7 @@ def _fourier_pair(k: int, token: str, fourier_terms: int, digits: int) -> tuple[
         a_prev, a, b_prev, b = _fast_pair_half_pi(k, fourier_terms, scale)
         err = fourier_terms + 2
     else:
-        engine = _AngleEngine(token, scale)
-        one = 10**scale
-        s1, c1, e1 = engine.sin_cos(1)
-        s, c = s1, c1
-        a = b = a_prev = b_prev = 0
-        sign = 1
-        k2 = 2 * k
-        anchor = ANCHOR_INTERVAL
-        for m in range(1, fourier_terms + 1):
-            if m == fourier_terms:
-                a_prev, b_prev = a, b
-            p = m**k2
-            a += sign * (s // p)
-            b += sign * (c // (p * m))
-            nxt = m + 1
-            if nxt % anchor == 0:
-                s, c, _ = engine.sin_cos(nxt)
-            else:
-                s, c = _divround(s * c1 + c * s1, one), _divround(c * c1 - s * s1, one)
-            sign = -sign
-        # trig drift (<= 3 ulp/step between anchors, e1 from the increment)
-        # enters each term divided by m^(2k); sum_m m^-2 < 2 bounds that part
-        err = 2 * (3 * anchor + e1 + 4) + fourier_terms + 8
+        a_prev, a, b_prev, b, err = _rotation_pair(k, token, fourier_terms, scale)
     lhs_a = FixedDecimal(_divround(a_prev + a, 2), scale, err)
     lhs_b = FixedDecimal(_divround(b_prev + b, 2), scale, err)
     return lhs_a, lhs_b
@@ -286,8 +295,7 @@ def _ladder_side(
     return acc
 
 
-@dataclass(frozen=True)
-class IdentityResidual:
+class IdentityResidual(NamedTuple):
     """|Fourier partial sum - ladder series| for one (identity, k, theta) check."""
 
     identity: str

@@ -12,10 +12,9 @@ itself.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .constants import compute_constant, parse_constant_name, valid_name_summary
 from .errors import ResourceLimitError, UnknownConstantError
@@ -185,8 +184,7 @@ def reference_for(name: str, digits: int) -> FixedDecimal:
     raise UnknownConstantError(f"unknown constant {name!r}; valid: {valid_name_summary()}")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one production-vs-reference comparison; never raises on mismatch."""
 
     name: str
@@ -273,4 +271,6 @@ def default_battery() -> list[str]:
 
 
 def reports_to_json(reports: list[VerificationReport]) -> str:
+    import json
+
     return json.dumps([r.to_json_dict() for r in reports], separators=(",", ":"))

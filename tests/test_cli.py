@@ -79,13 +79,19 @@ def test_verify_single_name_json():
 
 
 def test_verify_exit_code_on_failure(monkeypatch):
-    from oddzeta import cli as cli_module
+    from oddzeta import oracle
     from oddzeta.oracle import VerificationReport
 
     fake = VerificationReport("catalan", "0.9", "0.8", 0, 5, 0.0)
-    monkeypatch.setattr(cli_module.oracle, "verify", lambda name, digits: fake)
+    monkeypatch.setattr(oracle, "verify", lambda name, digits: fake)
     code, _, _ = invoke(["verify", "--name", "catalan", "--digits", "10"])
     assert code == EXIT_VERIFY_FAILED
+
+
+def test_identity_choices_are_the_identity_tags():
+    from oddzeta import cli, identities
+
+    assert cli.IDENTITY_CHOICES == identities.IDENTITY_TAGS
 
 
 def test_ratio_csv():

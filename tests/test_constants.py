@@ -17,7 +17,7 @@ from oddzeta.constants import (
     zeta_odd,
 )
 from oddzeta.errors import UnknownConstantError
-from oddzeta.highprec import sum_series
+from oddzeta.highprec import FixedDecimal, sum_series
 
 
 def test_fifteen_digit_values():
@@ -49,6 +49,17 @@ def test_beta_even_delegates_to_series():
     assert wrapped.value == direct.value
     assert wrapped.terms_used == direct.terms_used
     assert alt_harmonic(15).value == sum_series(1, 15).value
+
+
+def test_value_records_are_immutable():
+    value = catalan(10)
+    with pytest.raises(AttributeError):
+        value.name = "other"
+    renamed = value._replace(name="other")
+    assert (renamed.name, value.name, renamed.value) == ("other", "catalan", value.value)
+    assert FixedDecimal(7, 2) == FixedDecimal(mantissa=7, scale=2, err_ulp=0)
+    assert hash(FixedDecimal(7, 2)) == hash(FixedDecimal(mantissa=7, scale=2))
+    assert repr(FixedDecimal(7, 2)) == "FixedDecimal(mantissa=7, scale=2, err_ulp=0)"
 
 
 def test_constant_builds_only_the_columns_it_sums(cold_store):

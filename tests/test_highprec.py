@@ -146,6 +146,13 @@ def test_sum_series_values():
     assert sum_series(3, 15).value.to_decimal() == "0.901542677369696"
 
 
+@pytest.mark.parametrize("k", [*range(1, 13), 15, 20, 21, 30])
+def test_sum_series_stops_before_its_column_ends(k):
+    # rows are sized from the 1/4 term ratio; the cutoff must still end the loop, not the column
+    for digits in (1, 2, 5, 10, 30, 57, 100, 300):
+        assert sum_series(k, digits).terms_used < estimate_terms(digits, k)
+
+
 def test_sum_series_reports_tail_and_terms():
     result = sum_series(2, 20)
     assert result.k == 2

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oddzeta.constants import beta_even, eta_odd
+from oddzeta.highprec import _divround
 from oddzeta.identities import (
+    ANCHOR_INTERVAL,
+    _AngleEngine,
+    _rotation_pair,
     canonical_theta_token,
     check_identity,
     eta_from_half_pi_identity,
@@ -140,6 +144,40 @@ def test_residual_record_fields():
     assert result.fourier_terms == 2_000
     assert result.series_terms == 40
     assert float(result.theta.as_fraction()) == pytest.approx(1.5707963267948966)
+
+
+def rotation_pair_reference(k, token, fourier_terms, scale):
+    """The rotation loop with a sign multiply and two _divround calls per step."""
+    engine = _AngleEngine(token, scale)
+    one = 10**scale
+    s1, c1, e1 = engine.sin_cos(1)
+    s, c = s1, c1
+    a = b = a_prev = b_prev = 0
+    sign = 1
+    for m in range(1, fourier_terms + 1):
+        if m == fourier_terms:
+            a_prev, b_prev = a, b
+        p = m ** (2 * k)
+        a += sign * (s // p)
+        b += sign * (c // (p * m))
+        if (m + 1) % ANCHOR_INTERVAL == 0:
+            s, c, _ = engine.sin_cos(m + 1)
+        else:
+            s, c = _divround(s * c1 + c * s1, one), _divround(c * c1 - s * s1, one)
+        sign = -sign
+    err = 2 * (3 * ANCHOR_INTERVAL + e1 + 4) + fourier_terms + 8
+    return a_prev, a, b_prev, b, err
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("token", ["1", "3", "1/2"])
+def test_rotation_pair_equals_reference_loop(k, token):
+    assert _rotation_pair(k, token, 3_001, 30) == rotation_pair_reference(k, token, 3_001, 30)
+
+
+def test_rotation_pair_equals_reference_loop_across_an_anchor():
+    terms = ANCHOR_INTERVAL + 3
+    assert _rotation_pair(1, "1", terms, 20) == rotation_pair_reference(1, "1", terms, 20)
 
 
 def test_sweep_csv_format():
