@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .coeffs import build_table, table_to_csv, table_to_json
+from .coeffs import build_table, table_entries, table_to_csv
 from .constants import compute_constant, tangent_index
 from .errors import ResourceLimitError, TailRatioError, UnknownConstantError
 from .exact import MAX_TANGENT_INDEX, cache_dir, tangent_number
@@ -118,9 +118,7 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
     sys.set_int_max_str_digits(0)
     try:
         if args.fmt == "json":
-            import json
-
-            print(_json_doc("coeffs", entries=json.loads(table_to_json(table))), file=out)
+            print(_json_doc("coeffs", entries=table_entries(table)), file=out)
         elif args.fmt == "plain":
             for k, column in enumerate(table, 1):
                 for n, v in enumerate(column, 1):

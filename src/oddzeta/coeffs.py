@@ -40,6 +40,7 @@ __all__ = [
     "e_column",
     "e_denominator",
     "f_ratio",
+    "table_entries",
     "table_to_csv",
     "table_to_json",
 ]
@@ -149,13 +150,17 @@ def table_to_csv(table: tuple[tuple[Fraction, ...], ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_to_json(table: tuple[tuple[Fraction, ...], ...]) -> str:
-    """JSON array of ``{k, n, value: "num/den"}`` objects, k-major order."""
-    import json
-
-    rows = [
+def table_entries(table: tuple[tuple[Fraction, ...], ...]) -> list[dict]:
+    """``{k, n, value: "num/den"}`` objects, k-major order."""
+    return [
         {"k": k, "n": n, "value": f"{v.numerator}/{v.denominator}"}
         for k, column in enumerate(table, 1)
         for n, v in enumerate(column, 1)
     ]
-    return json.dumps(rows, indent=None, separators=(",", ":"))
+
+
+def table_to_json(table: tuple[tuple[Fraction, ...], ...]) -> str:
+    """JSON array of :func:`table_entries`."""
+    import json
+
+    return json.dumps(table_entries(table), indent=None, separators=(",", ":"))

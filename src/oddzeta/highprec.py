@@ -228,37 +228,49 @@ def estimate_terms(digits: int, k: int) -> int:
     return _ceil_div(need * 10**6, _LOG10_4_MICRO) + 5
 
 
+def _series_terms(power: FixedDecimal, step: FixedDecimal, column, den: int, index: int):
+    """Yield (mantissa, err_ulp) of power * step^(n-1) * column[n-1] / den_n for n = 1, 2, ...
+
+    ``power`` and ``step`` share one scale, and den_(n+1) = den_n * denominator_step(n, index).
+    The integers are those :meth:`FixedDecimal.mul_ratio` and :meth:`FixedDecimal.mul`
+    would give, computed by their formulas without a ``FixedDecimal`` per row.
+    """
+    unit = 10**power.scale
+    pm, _, pe = power
+    sm, _, se = step
+    for n, num in enumerate(column, 1):
+        # the shared power of two is most of what a reduction would remove; a shift drops it
+        twos = ((num | den) & -(num | den)).bit_length() - 1
+        num_odd, den_odd = num >> twos, den >> twos
+        yield _divround(pm * num_odd, den_odd), _ceil_div(pe * abs(num_odd), den_odd) + 1
+        pe = _ceil_div(abs(pm) * se + abs(sm) * pe + pe * se, unit) + 1
+        pm = _divround(pm * sm, unit)
+        den *= denominator_step(n, index)
+
+
 def sum_series(k: int, digits: int) -> SeriesResult:
     """Evaluate A_k = sum_n E_n(k) (pi/2)^(2n+k-1) to ``digits`` digits.
 
     Terms are exact rationals N_n(k) / den(n, k), never reduced by a gcd:
     the numerators are read from column k of the coefficient store grown
-    once to :func:`estimate_terms` rows, and the denominator is carried row
-    to row beside an incrementally maintained fixed-point power of pi/2.
+    once to :func:`estimate_terms` rows, and :func:`_series_terms` carries the
+    denominator and the fixed-point power of pi/2 row to row on plain integers.
     The reported error bound covers per-term rounding plus a geometric tail
     bound |last| * (1/3) / (1 - 1/3); a runtime check aborts if observed
     consecutive terms ever decay slower than 1/3 past burn-in.
     """
     column = e_column(k, estimate_terms(digits, k))
-    den = e_denominator(1, k)
     work = digits + GUARD_DIGITS
     hp = half_pi(work)
-    step = hp.mul(hp)
-    power = hp.pow_int(k + 1)
-    total = 0
-    total_err = 0
+    terms = _series_terms(hp.pow_int(k + 1), hp.mul(hp), column, e_denominator(1, k), k)
+    total = total_err = n = 0
     prev_abs: int | None = None
     noise_floor = 1000
     cutoff = 100
-    terms = 0
-    for n, num in enumerate(column, 1):
-        # the shared power of two is most of what a reduction would remove; a shift drops it
-        twos = ((num | den) & -(num | den)).bit_length() - 1
-        term = power.mul_ratio(num >> twos, den >> twos)
-        total += term.mantissa
-        total_err += term.err_ulp
-        terms = n
-        magnitude = abs(term.mantissa)
+    for n, (mantissa, err) in enumerate(terms, 1):
+        total += mantissa
+        total_err += err
+        magnitude = abs(mantissa)
         if (
             prev_abs is not None
             and n > 5
@@ -272,13 +284,11 @@ def sum_series(k: int, digits: int) -> SeriesResult:
         prev_abs = magnitude
         if magnitude <= cutoff and n >= 5:
             break
-        power = power.mul(step)
-        den *= denominator_step(n, k)
     tail_ulp = (prev_abs or 0) // 2 + 1
     value = FixedDecimal(total, work, total_err + tail_ulp).rescale(digits)
     return SeriesResult(
         value=value,
-        terms_used=terms,
+        terms_used=n,
         tail_bound=FixedDecimal(tail_ulp, work, 0),
         k=k,
     )

@@ -19,13 +19,14 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
-from .coeffs import d_denominator, denominator_step, e_column
+from .coeffs import d_denominator, e_column
 from .constants import alt_harmonic, eta_odd
 from .exact import tangent_number
 from .highprec import (
     GUARD_DIGITS,
     FixedDecimal,
     _divround,
+    _series_terms,
     compute_pi,
     estimate_terms,
 )
@@ -264,16 +265,14 @@ def _ladder_side(
     # one tangent build serves the ladder rows and the largest eta value's column
     tangent_number(max(series_terms, estimate_terms(eta_digits, 2 * eta_terms - 1)))
     # D_n(k) = N_n(1) / d_denominator(n, k), the denominator carried row to row
-    den = d_denominator(1, d_index)
-    power = th.pow_int(d_index + 1)
-    acc = FixedDecimal(0, scale, 0)
-    last = None
-    for n, num in enumerate(e_column(1, series_terms), 1):
-        term = power.mul_ratio(num, den)
-        acc = acc + term
-        last = term
-        power = power.mul(th2)
-        den *= denominator_step(n, d_index)
+    terms = _series_terms(
+        th.pow_int(d_index + 1), th2, e_column(1, series_terms), d_denominator(1, d_index), d_index
+    )
+    total = total_err = last = 0
+    for last, err in terms:
+        total += last
+        total_err += err
+    acc = FixedDecimal(total, scale, total_err)
     front = Fraction((-1) ** k, 2) if identity == "S1" else Fraction((-1) ** (k + 1), 2)
     acc = acc.mul_fraction(front)
     # geometric bound on the omitted ladder tail: the term ratio is strictly
@@ -283,7 +282,7 @@ def _ladder_side(
         raise ValueError(
             f"theta={token} is too close to pi for a usable ladder tail bound"
         )
-    tail_ulp = int(abs(last.mantissa) * rho / (2 * (1 - rho))) + 1
+    tail_ulp = int(abs(last) * rho / (2 * (1 - rho))) + 1
     acc = FixedDecimal(acc.mantissa, acc.scale, acc.err_ulp + tail_ulp)
     offset = 1 if identity == "S1" else 0
     for r in range(eta_terms):

@@ -5,15 +5,18 @@ series machinery: Chebyshev-polynomial convergence acceleration (Cohen,
 Rodriguez Villegas and Zagier, Experimental Math. 9, 2000) for the
 alternating eta/beta sums, with zeta at every argument s >= 2 following
 from eta(s) by an exact factor, an atanh series for ln 2, and a transformed
-arctangent series for pi.  Only the raw fixed-point/rational primitives are
-shared with the production path, so a bug there cannot silently confirm
-itself.
+arctangent series for pi.  The acceleration keeps its Chebyshev weights as
+integers and sums the weighted terms over one common denominator, so each
+accelerated sum forms a single ``Fraction`` at the end.  Only the raw
+fixed-point/rational primitives are shared with the production path, so a
+bug there cannot silently confirm itself.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .constants import compute_constant, parse_constant_name, valid_name_summary
@@ -53,21 +56,27 @@ def accelerated_alternating(term, depth: int) -> tuple[Fraction, Fraction]:
     ``term(j)`` must be a totally monotone sequence of positive rationals
     (moments of a positive measure on [0, 1]); then the returned bound
     ``4 * term(0) / d_depth`` with d_depth ~ (3 + sqrt 8)^depth is valid.
-    Everything is exact rational arithmetic, so the bound is the only error.
+    Everything is exact, so the bound is the only error: the weights are
+    integers, summed against the terms over their common denominator.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
     d_prev, d = 1, 3
     for _ in range(depth - 1):
         d_prev, d = d, 6 * d - d_prev
-    b = Fraction(-1)
-    c = Fraction(-d)
-    s = Fraction(0)
-    for j in range(depth):
+    terms = [term(j) for j in range(depth)]
+    common = lcm(*(t.denominator for t in terms))
+    b = -1
+    c = -d
+    s = 0
+    for j, t in enumerate(terms):
         c = b - c
-        s += c * term(j)
-        b *= Fraction(2 * (j + depth) * (j - depth), (2 * j + 1) * (j + 1))
-    return s / d, 4 * term(0) / d
+        s += c * t.numerator * (common // t.denominator)
+        b, rest = divmod(b * 2 * (j + depth) * (j - depth), (2 * j + 1) * (j + 1))
+        if rest:
+            raise ArithmeticError(f"Chebyshev weight b_{j + 1} at depth {depth} is not an integer")
+    first = terms[0]
+    return Fraction(s, common * d), Fraction(4 * first.numerator, first.denominator * d)
 
 
 def _to_fixed(value: Fraction, bound: Fraction, digits: int) -> FixedDecimal:
@@ -269,8 +278,3 @@ def default_battery() -> list[str]:
         ]
     )
 
-
-def reports_to_json(reports: list[VerificationReport]) -> str:
-    import json
-
-    return json.dumps([r.to_json_dict() for r in reports], separators=(",", ":"))

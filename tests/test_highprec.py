@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oddzeta.coeffs import denominator_step, e_column, e_denominator
 from oddzeta.errors import TailRatioError
 from oddzeta.highprec import (
+    GUARD_DIGITS,
     FixedDecimal,
     compute_pi,
     estimate_terms,
@@ -151,6 +153,67 @@ def test_sum_series_stops_before_its_column_ends(k):
     # rows are sized from the 1/4 term ratio; the cutoff must still end the loop, not the column
     for digits in (1, 2, 5, 10, 30, 57, 100, 300):
         assert sum_series(k, digits).terms_used < estimate_terms(digits, k)
+
+
+def sum_series_reference(k, digits):
+    """(value, terms_used, tail_bound) by the loop that builds FixedDecimals for every term.
+
+    The summation as the package ran it before its loop moved to plain integers.
+    """
+    column = e_column(k, estimate_terms(digits, k))
+    den = e_denominator(1, k)
+    work = digits + GUARD_DIGITS
+    hp = half_pi(work)
+    step = hp.mul(hp)
+    power = hp.pow_int(k + 1)
+    total = total_err = terms = 0
+    prev_abs = None
+    for n, num in enumerate(column, 1):
+        twos = ((num | den) & -(num | den)).bit_length() - 1
+        term = power.mul_ratio(num >> twos, den >> twos)
+        total += term.mantissa
+        total_err += term.err_ulp
+        terms = n
+        magnitude = abs(term.mantissa)
+        if prev_abs is not None and n > 5 and prev_abs > 1000:
+            assert 3 * magnitude <= prev_abs + 8
+        prev_abs = magnitude
+        if magnitude <= 100 and n >= 5:
+            break
+        power = power.mul(step)
+        den *= denominator_step(n, k)
+    tail_ulp = (prev_abs or 0) // 2 + 1
+    value = FixedDecimal(total, work, total_err + tail_ulp).rescale(digits)
+    return value, terms, FixedDecimal(tail_ulp, work, 0)
+
+
+@pytest.mark.parametrize("k", [*range(1, 13), 15, 20, 21, 30])
+def test_sum_series_equals_fixed_decimal_loop(k):
+    for digits in (1, 2, 5, 30, 57, 100, 300):
+        result = sum_series(k, digits)
+        assert (result.value, result.terms_used, result.tail_bound) == sum_series_reference(
+            k, digits
+        )
+
+
+def test_sum_series_builds_constant_fixed_decimals(monkeypatch):
+    made = []
+    original = FixedDecimal.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    counts = []
+    for digits in (30, 200):
+        sum_series(3, digits)  # grow the column outside the count
+        monkeypatch.setattr(FixedDecimal, "__new__", spy)
+        terms = sum_series(3, digits).terms_used
+        monkeypatch.undo()
+        counts.append(len(made))
+        made.clear()
+    assert terms > 300
+    assert counts[0] == counts[1] < 20
 
 
 def test_sum_series_reports_tail_and_terms():

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oddzeta.coeffs import d_denominator, denominator_step, e_column
 from oddzeta.constants import beta_even, eta_odd
-from oddzeta.highprec import _divround
+from oddzeta.highprec import FixedDecimal, _divround, _series_terms
 from oddzeta.identities import (
     ANCHOR_INTERVAL,
     _AngleEngine,
@@ -67,6 +68,27 @@ def test_rhs_cosine_theta_to_zero_limit():
     rhs = rhs_eval("S2", 1, Fraction(1, 10**6), 10, digits=20)
     eta = eta_odd(1, 20).value
     assert abs((rhs - eta).as_fraction()) < Fraction(1, 10**11)
+
+
+@pytest.mark.parametrize("d_index", [2, 3, 6, 7])
+def test_ladder_terms_equal_method_calls(d_index):
+    # the D-sum loop as it ran with one mul_ratio, one addition and one mul per row
+    th = FixedDecimal(123_456_789_012_345_678_901_234_567, 27, 1)
+    th2 = th.mul(th)
+    power = th.pow_int(d_index + 1)
+    column = e_column(1, 120)
+    den = d_denominator(1, d_index)
+    acc = FixedDecimal(0, 27, 0)
+    terms = []
+    for n, num in enumerate(column, 1):
+        term = power.mul_ratio(num, den)
+        acc = acc + term
+        terms.append((term.mantissa, term.err_ulp))
+        power = power.mul(th2)
+        den *= denominator_step(n, d_index)
+    start = th.pow_int(d_index + 1)
+    assert list(_series_terms(start, th2, column, d_denominator(1, d_index), d_index)) == terms
+    assert (acc.mantissa, acc.err_ulp) == tuple(map(sum, zip(*terms)))
 
 
 def test_rhs_stability_in_series_terms():

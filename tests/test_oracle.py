@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from exact_reference import accelerated_alternating_fractions
+from oddzeta import oracle as oracle_module
 from oddzeta.constants import compute_constant
 from oddzeta.errors import UnknownConstantError
 from oddzeta.highprec import FixedDecimal
@@ -75,6 +77,49 @@ def test_accelerated_alternating_bound_is_sound():
     assert abs(value - truth) < bound
 
 
+ALTERNATING_FAMILIES = {
+    "eta": lambda s: lambda j: Fraction(1, (j + 1) ** s),
+    "beta": lambda s: lambda j: Fraction(1, (2 * j + 1) ** s),
+}
+
+
+@pytest.mark.parametrize("depth", [2, 3, 10, 50, 277, 600])
+@pytest.mark.parametrize("family", sorted(ALTERNATING_FAMILIES))
+def test_integer_weights_equal_fraction_loop(family, depth):
+    for s in range(1, 9):
+        term = ALTERNATING_FAMILIES[family](s)
+        assert accelerated_alternating(term, depth) == accelerated_alternating_fractions(
+            term, depth
+        )
+
+
+def test_reference_strings_equal_fraction_loop(monkeypatch):
+    levels = (1, 2, 3, 4, 5, 8, 12, 17, 32, 42, 102, 202)
+    points = [(name, digits) for name in default_battery() for digits in levels]
+    now = [reference_for(name, digits) for name, digits in points]
+    monkeypatch.setattr(oracle_module, "accelerated_alternating", accelerated_alternating_fractions)
+    assert now == [reference_for(name, digits) for name, digits in points]
+
+
+def test_acceleration_makes_constant_fractions(monkeypatch):
+    made = []
+    original = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    counts = []
+    for depth in (10, 600):
+        terms = [Fraction(1, (j + 1) ** 3) for j in range(depth)]
+        monkeypatch.setattr(Fraction, "__new__", spy)
+        accelerated_alternating(terms.__getitem__, depth)
+        monkeypatch.undo()
+        counts.append(len(made))
+        made.clear()
+    assert counts[0] == counts[1] <= 2
+
+
 def test_reference_zeta_even_against_closed_form():
     # zeta(2) = pi^2/6: the accelerated eta(2) sum must land on the same digits
     z2 = reference_zeta_even(1, 30)
@@ -126,8 +171,6 @@ def test_verify_report_fields_and_json():
 
 
 def test_verify_never_raises_on_mismatch(monkeypatch):
-    from oddzeta import oracle as oracle_module
-
     fake = FixedDecimal(5, 1, 0)  # deliberately wrong reference (0.5)
     monkeypatch.setattr(oracle_module, "reference_for", lambda name, digits: fake)
     report = oracle_module.verify("catalan", 10)
