@@ -30,7 +30,6 @@ _EXPORTS = {
     "TailRatioError": "errors",
     "UnknownConstantError": "errors",
     "bernoulli": "exact",
-    "tangent_coeff": "exact",
     "FixedDecimal": "highprec",
     "SeriesResult": "highprec",
     "compute_pi": "highprec",

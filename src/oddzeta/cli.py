@@ -19,9 +19,9 @@ import argparse
 import sys
 
 from .coeffs import build_table, table_entries, table_to_csv
-from .constants import compute_constant, tangent_index
+from .constants import compute_constant
 from .errors import ResourceLimitError, TailRatioError, UnknownConstantError
-from .exact import MAX_TANGENT_INDEX, cache_dir, tangent_number
+from .exact import cache_dir
 from .highprec import term_ratio_sequence
 
 __all__ = ["build_parser", "main", "run"]
@@ -134,11 +134,6 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     from . import oracle
 
     names = [args.name] if args.name else oracle.default_battery()
-    # one tangent build serves every constant the battery computes; an index past
-    # the ceiling is left for the computation that reads it to report
-    need = max(tangent_index(name, args.digits + oracle.VERIFY_EXTRA_DIGITS) for name in names)
-    if need <= MAX_TANGENT_INDEX:
-        tangent_number(need)
     reports = [oracle.verify(name, args.digits) for name in names]
     all_ok = all(r.matched_digits >= args.digits for r in reports)
     if args.fmt == "plain":

@@ -73,7 +73,9 @@ def _column(k: int, rows: int) -> list[int]:
     column = _columns.setdefault(k, [])
     have = len(column)
     if have < rows:
-        tangent_number(rows)  # grow the tangent list once, not once per row
+        # reaching the last row first checks the index ceiling before any work is
+        # done, and writes the disk cache once per column, not once per row
+        tangent_number(rows)
         j = k // 2
         odd = [_column(2 * r + 1, rows) for r in range(j)]
         base = _odd_product(k - k % 2)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import UnknownConstantError
 from .exact import bernoulli
-from .highprec import FixedDecimal, GUARD_DIGITS, compute_pi, estimate_terms, sum_series
+from .highprec import FixedDecimal, GUARD_DIGITS, compute_pi, sum_series
 
 __all__ = [
     "ConstantValue",
@@ -26,7 +26,6 @@ __all__ = [
     "compute_constant",
     "eta_odd",
     "parse_constant_name",
-    "tangent_index",
     "valid_name_summary",
     "zeta_even_closed",
     "zeta_odd",
@@ -156,26 +155,6 @@ def parse_constant_name(name: str) -> tuple[str, int | None]:
     raise UnknownConstantError(
         f"unknown constant {name!r}; valid identifiers: {valid_name_summary()}"
     )
-
-
-def tangent_index(name: str, digits: int) -> int:
-    """Largest tangent index T_n that ``compute_constant(name, digits)`` reads.
-
-    A series constant reads rows 1..estimate_terms of its column A_k, and
-    zeta_even(n) reads T_n for B_2n.  Growing the tangent list to the largest
-    of these first lets one build serve several constants.
-    """
-    base, param = parse_constant_name(name)
-    if base == "zeta_even":
-        return param
-    if base == "beta_even":
-        k = 2 * param
-    elif base in ("eta_odd", "zeta_odd"):
-        k = 2 * param + 1
-    else:
-        k = {"alt_harmonic": 1, "catalan": 2, "apery": 3}[base]
-    extra = ZETA_ODD_EXTRA_DIGITS if base in ("apery", "zeta_odd") else 0
-    return estimate_terms(digits + extra, k)
 
 
 def compute_constant(name: str, digits: int) -> ConstantValue:

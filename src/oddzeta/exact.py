@@ -1,9 +1,10 @@
-"""Exact integer tangent numbers, tangent series coefficients and Bernoulli numbers.
+"""Exact integer tangent numbers and Bernoulli numbers.
 
 Every coefficient downstream is a rational function of the tangent numbers
 T_n (tan x = sum_n T_n x^(2n-1) / (2n-1)!).  They are integers and are
 generated with integer arithmetic only, so equality assertions are exact and
-no rounding enters before the final fixed-point evaluation stage.
+no rounding enters before the final fixed-point evaluation stage.  The shared
+list grows one index at a time, so no index is computed twice in a process.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import os
 import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
-from math import factorial
 
 from .errors import ResourceLimitError
 
-__all__ = ["CACHE_DIR_ENV", "bernoulli", "cache_dir", "tangent_coeff", "tangent_number"]
+__all__ = ["CACHE_DIR_ENV", "bernoulli", "cache_dir", "tangent_number"]
 
 #: Environment variable naming the directory that holds the on-disk tangent-number cache.
 CACHE_DIR_ENV = "ODDZETA_CACHE_DIR"
@@ -29,25 +29,34 @@ _CHECK_PRIME = (1 << 61) - 1
 
 # T_1, T_2, ... shared by the whole process; it only grows, stored entries never change
 _tangents: list[int] = []
+# h_1, ..., h_J of the last index J that _step computed; J <= len(_tangents), since a
+# list seeded from the disk cache can run ahead of the step
+_step_column: list[int] = []
 _cache_dir: str | None = None
 
 
-def _tangent_numbers(count: int) -> list[int]:
-    """[T_1, ..., T_count] by Brent & Harvey's integer TangentNumbers algorithm.
+def _step() -> int:
+    """T_(J+1), from the column h_k = t_k[J] (k = 1..J) of the last computed index J.
 
-    O(count^2) additions and multiplications by small integers (R. P. Brent and
-    D. Harvey, *Fast computation of Bernoulli, Tangent and Secant numbers*,
-    arXiv:1108.0286).  The algorithm is not incremental: a longer list is
-    computed from scratch.
+    Brent & Harvey's TangentNumbers (R. P. Brent and D. Harvey, *Fast
+    computation of Bernoulli, Tangent and Secant numbers*, arXiv:1108.0286)
+    sets t[j] = (j-1)! and then runs passes k = 2..N of
+    t[j] = (j-k) t[j-1] + (j-k+2) t[j] over j = k..N.  Position J+1 after pass k
+    reads only position J after pass k and itself after pass k-1, so with
+    g_1 = J h_1 and g_k = (J+1-k) h_k + (J+3-k) g_(k-1) for k = 2..J, the last
+    pass gives T_(J+1) = 2 g_J, and [g_1, ..., g_J, T_(J+1)] is the column of
+    J+1: O(J) multiplications by small integers per index.
     """
-    t = [0] * (count + 1)
-    t[1] = 1
-    for k in range(2, count + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, count + 1):
-        for j in range(k, count + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[1:]
+    h = _step_column
+    j = len(h)
+    if not j:
+        h.append(1)  # T_1 = 1 starts the column
+        return 1
+    g = h[0] = j * h[0]
+    for i in range(1, j):
+        g = h[i] = (j - i) * h[i] + (j + 2 - i) * g
+    h.append(2 * g)
+    return h[j]
 
 
 @contextmanager
@@ -119,30 +128,32 @@ def _save_cache(path: str, values: list[int]) -> None:
 
 
 def tangent_number(n: int) -> int:
-    """T_n from the shared list, growing it (from the disk cache if that holds enough)."""
+    """T_n from the shared list, stepped up to index n.
+
+    The disk cache is read only to seed an empty list: reading and checking
+    it costs several times what writing it does.  Every growth of the list
+    rewrites the file.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > MAX_TANGENT_INDEX:
         raise ResourceLimitError(
             f"tangent index {n} exceeds configured maximum {MAX_TANGENT_INDEX}"
         )
-    have = len(_tangents)
-    if n > have:
-        path = _cache_path()
-        values = _load_cache(path) if path else []
-        if len(values) < n or values[:have] != _tangents:
-            # grow by at most a quarter past the request: rising requests recompute
-            # O(log n) times and the list never exceeds 5/4 of the largest request
-            values = _tangent_numbers(min(max(n, have * 5 // 4), MAX_TANGENT_INDEX))
-            if path:
-                _save_cache(path, values)
-        _tangents.extend(values[have:MAX_TANGENT_INDEX])
+    if n <= len(_tangents):
+        return _tangents[n - 1]
+    path = _cache_path()
+    if path and not _tangents:
+        _tangents.extend(_load_cache(path)[:MAX_TANGENT_INDEX])
+        if n <= len(_tangents):
+            return _tangents[n - 1]
+    while len(_tangents) < n:
+        value = _step()
+        if len(_step_column) > len(_tangents):  # past a seeded list
+            _tangents.append(value)
+    if path:
+        _save_cache(path, _tangents)
     return _tangents[n - 1]
-
-
-def tangent_coeff(n: int) -> Fraction:
-    """Maclaurin coefficient c_n = T_n / (2n-1)! of tan x = sum_{n>=1} c_n x^(2n-1)."""
-    return Fraction(tangent_number(n), factorial(2 * n - 1))
 
 
 def bernoulli(m: int) -> Fraction:

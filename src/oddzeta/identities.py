@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 from .coeffs import d_denominator, e_column
 from .constants import alt_harmonic, eta_odd
-from .exact import tangent_number
 from .highprec import (
     GUARD_DIGITS,
     FixedDecimal,
@@ -262,8 +261,6 @@ def _ladder_side(
     th2 = th.mul(th)
     d_index = 2 * k if identity == "S1" else 2 * k + 1
     eta_digits = digits + 6
-    # one tangent build serves the ladder rows and the largest eta value's column
-    tangent_number(max(series_terms, estimate_terms(eta_digits, 2 * eta_terms - 1)))
     # D_n(k) = N_n(1) / d_denominator(n, k), the denominator carried row to row
     terms = _series_terms(
         th.pow_int(d_index + 1), th2, e_column(1, series_terms), d_denominator(1, d_index), d_index

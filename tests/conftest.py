@@ -9,17 +9,23 @@ settings.load_profile("suite")
 
 @pytest.fixture
 def cold_store(monkeypatch):
-    """Empty tangent list and coefficient store for one test, without a disk cache.
+    """The state of a new process for one test: empty tangent list, step column and
+    coefficient store, and no disk cache from the environment.
 
-    Returns the list of tangent-list builds (one count per build) made during
-    the test; the shared list and store are restored afterwards.
+    Returns the tangent indices the step computes during the test, in order;
+    the shared state is restored afterwards.
     """
     monkeypatch.setattr(exact, "_tangents", [])
+    monkeypatch.setattr(exact, "_step_column", [])
     monkeypatch.setattr(coeffs, "_columns", {})
     monkeypatch.delenv(exact.CACHE_DIR_ENV, raising=False)
-    builds = []
-    compute = exact._tangent_numbers
-    monkeypatch.setattr(
-        exact, "_tangent_numbers", lambda count: builds.append(count) or compute(count)
-    )
-    return builds
+    steps = []
+    step = exact._step
+
+    def spy():
+        value = step()
+        steps.append(len(exact._step_column))
+        return value
+
+    monkeypatch.setattr(exact, "_step", spy)
+    return steps

@@ -56,6 +56,11 @@ def tan_coeff(n: int) -> Fraction:
     return _TAN_CACHE[0][n - 1]
 
 
+def tan_number(n: int) -> int:
+    """Tangent number T_n = c_n (2n-1)!, from the derivative recurrence."""
+    return int(tan_coeff(n) * factorial(2 * n - 1))
+
+
 def d_closed(n: int, k: int) -> Fraction:
     """Ladder coefficient from the closed-form rising product."""
     product = 1

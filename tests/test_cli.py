@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from exact_reference import tan_number
 from oddzeta.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -144,12 +145,9 @@ def test_plain_output_deterministic():
     assert first == second
 
 
-def test_cache_dir_flag(tmp_path, monkeypatch):
+def test_cache_dir_flag(tmp_path, cold_store):
     from oddzeta import exact
-    from oddzeta.exact import CACHE_DIR_ENV
 
-    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-    monkeypatch.setattr(exact, "_tangents", [])
     environ = dict(os.environ)
     code, out, _ = invoke(
         ["--cache-dir", str(tmp_path), "constant", "zeta_even(1)", "--digits", "10"]
@@ -183,23 +181,8 @@ def test_ratio_past_tangent_ceiling_is_resource_error():
 def test_wrong_cached_value_is_not_trusted(tmp_path, cold_store):
     from oddzeta import exact
 
-    exact.tangent_coeff(200)
-    values = list(exact._tangents)
+    values = [tan_number(n) for n in range(1, 201)]
     values[1] = 3  # T_2 is 2
     exact._save_cache(str(tmp_path / "tangent.tsv"), values)
-    exact._tangents.clear()
     code, out, _ = invoke(["--cache-dir", str(tmp_path), "constant", "catalan", "--digits", "15"])
     assert (code, out) == (EXIT_OK, "0.915965594177219\n")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["identity", "--id", "S2", "--k", "2", "--theta", "1", "--terms", "2000"],
-        ["verify", "--digits", "30"],
-    ],
-)
-def test_command_builds_tangents_once(cold_store, argv):
-    # the ladder and its eta values, or every constant of the battery, read one tangent list
-    assert invoke(argv)[0] == EXIT_OK
-    assert len(cold_store) == 1

@@ -12,7 +12,6 @@ from oddzeta.constants import (
     compute_constant,
     eta_odd,
     parse_constant_name,
-    tangent_index,
     zeta_even_closed,
     zeta_odd,
 )
@@ -68,19 +67,6 @@ def test_constant_builds_only_the_columns_it_sums(cold_store):
 
     compute_constant("beta_even(5)", 30)
     assert sorted(coeffs._columns) == [1, 3, 5, 7, 9, 10]
-
-
-@pytest.mark.parametrize("digits", [30, 57])
-def test_tangent_index_is_what_a_constant_reads(cold_store, monkeypatch, digits):
-    # a cold list grows to exactly the largest index asked for
-    from oddzeta import coeffs, exact
-    from oddzeta.oracle import default_battery
-
-    for name in [*default_battery(), "beta_even(5)", "zeta_even(9)"]:
-        monkeypatch.setattr(exact, "_tangents", [])
-        monkeypatch.setattr(coeffs, "_columns", {})
-        compute_constant(name, digits)
-        assert len(exact._tangents) == tangent_index(name, digits), name
 
 
 def test_alt_harmonic_thirty_digits_vs_log_oracle():

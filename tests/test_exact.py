@@ -1,28 +1,52 @@
 """Tangent numbers, tangent coefficients, Bernoulli numbers, and the on-disk cache."""
 
+import io
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from exact_reference import tan_coeff, tan_fraction
+from exact_reference import tan_fraction, tan_number
+from oddzeta import coeffs, oracle
 from oddzeta import exact as exact_module
+from oddzeta.cli import EXIT_OK, run
 from oddzeta.errors import ResourceLimitError
 from oddzeta.exact import (
     CACHE_DIR_ENV,
     MAX_TANGENT_INDEX,
     bernoulli,
     cache_dir,
-    tangent_coeff,
+    tangent_number,
 )
+from oddzeta.highprec import term_ratio_sequence
+from oddzeta.identities import rhs_eval
 
 
-@pytest.fixture
-def fresh_tangents(monkeypatch):
-    """An empty tangent list for one test; the shared one is restored afterwards."""
+def tangent_coeff(n):
+    """Maclaurin coefficient c_n = T_n / (2n-1)! of tan x = sum_{n>=1} c_n x^(2n-1)."""
+    return Fraction(tangent_number(n), factorial(2 * n - 1))
+
+
+def invoke(*argv):
+    """Exit code of one CLI command, its output discarded."""
+    return run(list(argv), out=io.StringIO(), err=io.StringIO())
+
+
+def command(*argv):
+    """An entry point that runs one CLI command, which must succeed."""
+
+    def entry():
+        assert invoke(*argv) == EXIT_OK
+
+    return entry
+
+
+def reset_store(monkeypatch):
+    """Empty tangent list, step column and coefficient store, as a new process has."""
     monkeypatch.setattr(exact_module, "_tangents", [])
-    return exact_module
+    monkeypatch.setattr(exact_module, "_step_column", [])
+    monkeypatch.setattr(coeffs, "_columns", {})
 
 
 def test_bernoulli_base_values():
@@ -57,22 +81,45 @@ def test_bernoulli_canonical_form(m):
 
 
 def test_table_extension_is_append_only():
-    tangent_coeff(10)
+    tangent_number(10)
     before = list(exact_module._tangents)
-    tangent_coeff(len(before) + 40)
+    tangent_number(len(before) + 40)
     assert exact_module._tangents[: len(before)] == before
 
 
-def test_growth_never_passes_five_quarters_of_request(fresh_tangents, monkeypatch):
-    builds = []
-    compute = fresh_tangents._tangent_numbers
-    monkeypatch.setattr(
-        fresh_tangents, "_tangent_numbers", lambda count: builds.append(count) or compute(count)
-    )
-    for n in range(1, 201):
-        tangent_coeff(n)
-        assert len(fresh_tangents._tangents) <= n * 5 // 4
-    assert builds == sorted(set(builds)) and len(builds) <= 25
+def warm_verify_warm_up():
+    for d in (30, 100, 200):
+        for name in oracle.default_battery():
+            oracle.verify(name, d)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(command("verify", "--digits", "30"), id="verify"),
+        pytest.param(
+            command("identity", "--id", "S2", "--k", "2", "--theta", "1", "--terms", "2000"),
+            id="identity",
+        ),
+        pytest.param(lambda: rhs_eval("S1", 3, "3", 200), id="rhs_eval"),
+        pytest.param(lambda: term_ratio_sequence(1, 300), id="term_ratio_sequence"),
+        pytest.param(
+            lambda: [exact_module.tangent_number(n) for n in range(1, 201)], id="tangent_number"
+        ),
+        pytest.param(warm_verify_warm_up, id="warm_verify"),
+    ],
+)
+def test_no_tangent_index_is_computed_twice(cold_store, monkeypatch, entry):
+    # exact and coeffs are the only modules that ask for a tangent index
+    requests = []
+    for module in (exact_module, coeffs):
+        ask = module.tangent_number
+        monkeypatch.setattr(
+            module, "tangent_number", lambda n, ask=ask: requests.append(n) or ask(n)
+        )
+    entry()
+    assert cold_store == list(range(1, len(exact_module._tangents) + 1))
+    assert len(exact_module._tangents) == max(requests)
 
 
 def test_resource_limit_on_index(monkeypatch):
@@ -85,23 +132,58 @@ def test_resource_limit_on_index(monkeypatch):
             bernoulli(m)
 
 
-def test_cache_roundtrip(tmp_path, fresh_tangents, monkeypatch):
+def test_cache_roundtrip(tmp_path, cold_store, monkeypatch):
     with cache_dir(str(tmp_path)):
-        assert tangent_coeff(12) == tan_coeff(12)
+        assert tangent_number(12) == tan_number(12)
     lines = (tmp_path / "tangent.tsv").read_text().splitlines()
     assert lines[:4] == ["1\t1", "2\t2", "3\t10", "4\t110"]  # 16 and 272 in hex
     assert all("\t" in line and " " not in line for line in lines)
-    saved = list(fresh_tangents._tangents)
-    monkeypatch.setattr(fresh_tangents, "_tangents", [])
-    monkeypatch.setattr(fresh_tangents, "_tangent_numbers", None)  # reload, never recompute
+    saved = list(exact_module._tangents)
+    reset_store(monkeypatch)
+    monkeypatch.setattr(exact_module, "_step", None)  # reload, never compute
     with cache_dir(str(tmp_path)):
-        assert tangent_coeff(12) == tan_coeff(12)
-    assert fresh_tangents._tangents == saved
+        assert tangent_number(12) == tan_number(12)
+    assert exact_module._tangents == saved
+
+
+def count_loads(monkeypatch):
+    """The paths ``_load_cache`` reads from now on, one entry per read."""
+    loads = []
+    load = exact_module._load_cache
+    monkeypatch.setattr(exact_module, "_load_cache", lambda path: loads.append(path) or load(path))
+    return loads
+
+
+def test_short_cache_seeds_the_list_and_the_step_catches_up(tmp_path, cold_store, monkeypatch):
+    path = str(tmp_path / "tangent.tsv")
+    exact_module._save_cache(path, [tan_number(n) for n in range(1, 51)])
+    loads = count_loads(monkeypatch)
+    assert invoke("--cache-dir", str(tmp_path), "verify", "--digits", "30") == EXIT_OK
+    grown = list(exact_module._tangents)
+    assert loads == [path] and len(grown) > 50
+    # the step ran from its own last index, so every index was computed once
+    assert cold_store == list(range(1, len(grown) + 1))
+    assert exact_module._load_cache(path) == grown
+    reset_store(monkeypatch)
+    assert invoke("verify", "--digits", "30") == EXIT_OK
+    assert exact_module._tangents == grown
+
+
+def test_cache_holding_enough_is_read_once_and_steps_nothing(tmp_path, cold_store, monkeypatch):
+    argv = ("--cache-dir", str(tmp_path), "constant", "apery", "--digits", "100")
+    assert invoke(*argv) == EXIT_OK
+    computed = len(cold_store)
+    assert computed == len(exact_module._tangents)
+    reset_store(monkeypatch)
+    loads = count_loads(monkeypatch)
+    assert invoke(*argv) == EXIT_OK
+    assert len(cold_store) == computed
+    assert loads == [str(tmp_path / "tangent.tsv")]
 
 
 def test_cache_holds_values_past_int_str_limit(tmp_path):
     path = str(tmp_path / "tangent.tsv")
-    tangent_coeff(840)
+    tangent_number(840)
     values = exact_module._tangents[:840]
     assert values[-1] > 10**4300  # past the default int-to-str digit limit
     exact_module._save_cache(path, values)
@@ -113,7 +195,7 @@ def test_cache_holds_values_past_int_str_limit(tmp_path):
 def test_cache_prefix_ends_before_a_wrong_value(tmp_path, wrong):
     # every line is well formed; the tan' = 1 + tan^2 check alone rejects the value
     path = str(tmp_path / "tangent.tsv")
-    tangent_coeff(200)
+    tangent_number(200)
     values = exact_module._tangents[:200]
     exact_module._save_cache(path, values)
     assert exact_module._load_cache(path) == values
@@ -137,12 +219,12 @@ def test_failed_cache_save_leaves_no_temp_file(tmp_path, monkeypatch, failure):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_corrupt_cache_is_ignored(tmp_path, fresh_tangents):
+def test_corrupt_cache_is_ignored(tmp_path, cold_store):
     path = tmp_path / "tangent.tsv"
     path.write_text("1\t1\n2\tnot-hex\n3\t10\n")
     with cache_dir(str(tmp_path)):
-        assert tangent_coeff(3) == Fraction(2, 15)
-    assert fresh_tangents._tangents[:3] == [1, 2, 16]
+        assert tangent_number(3) == 16
+    assert exact_module._tangents[:3] == [1, 2, 16]
     # only the canonical prefix of a file is trusted
     for text, prefix in [
         ("1\t1\n2\t02\n", [1]),
@@ -154,7 +236,7 @@ def test_corrupt_cache_is_ignored(tmp_path, fresh_tangents):
         assert exact_module._load_cache(str(path)) == prefix
 
 
-def test_env_cache_dir_used_by_default_table(tmp_path, fresh_tangents, monkeypatch):
+def test_env_cache_dir_used_by_default_table(tmp_path, cold_store, monkeypatch):
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
     assert bernoulli(8) == Fraction(-1, 30)
     assert (tmp_path / "tangent.tsv").exists()
@@ -169,11 +251,11 @@ def test_tangent_coeff_small_values():
 
 def test_tangent_coeff_matches_derivative_recurrence():
     for n in range(1, 101):
-        assert tangent_coeff(n) == tan_coeff(n)
+        assert tangent_number(n) == tan_number(n)
 
 
 def test_tangent_coeffs_positive():
-    assert all(tangent_coeff(n) > 0 for n in range(1, 31))
+    assert all(tangent_number(n) > 0 for n in range(1, 31))
 
 
 def test_tangent_partial_sum_matches_direct_tangent():
@@ -185,11 +267,11 @@ def test_tangent_partial_sum_matches_direct_tangent():
 
 def test_tangent_coeff_rejects_bad_index():
     with pytest.raises(ValueError):
-        tangent_coeff(0)
+        tangent_number(0)
 
 
 def test_tangent_coeff_propagates_resource_limit(monkeypatch):
     monkeypatch.setattr(exact_module, "MAX_TANGENT_INDEX", 5)
-    assert tangent_coeff(5) == Fraction(62, 2835)
+    assert tangent_number(5) == tan_number(5)
     with pytest.raises(ResourceLimitError):
-        tangent_coeff(6)
+        tangent_number(6)

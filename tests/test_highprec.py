@@ -251,11 +251,6 @@ def test_term_ratio_sequence_near_quarter():
         assert Fraction(2, 10) < value < Fraction(3, 10)
 
 
-def test_term_ratio_sequence_builds_tangents_once(cold_store):
-    term_ratio_sequence(1, 300)
-    assert cold_store == [301]
-
-
 def test_validation_errors():
     with pytest.raises(ValueError):
         compute_pi(0)

@@ -224,8 +224,3 @@ def test_identity_validation():
         fourier_lhs("S1", 1, "1", 1)
     with pytest.raises(ValueError):
         rhs_eval("S1", 1, "1", 0)
-
-
-def test_rhs_eval_builds_tangents_once(cold_store):
-    rhs_eval("S1", 3, "3", 200)
-    assert len(cold_store) == 1

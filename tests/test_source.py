@@ -37,6 +37,23 @@ def test_oracle_shares_no_generation_code():
     assert modules.isdisjoint({"exact", "coeffs", "oddzeta.exact", "oddzeta.coeffs"})
 
 
+def test_only_exact_and_coeffs_size_the_tangent_list():
+    # the list grows one index at a time as coefficients are read, so a module that
+    # asks for an index ahead of its use only duplicates what exact and coeffs know
+    package = Path(oddzeta.__file__).parent
+    sizing = {"tangent_number", "MAX_TANGENT_INDEX"}
+    found = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in package.glob("*.py")
+        if path.stem not in ("exact", "coeffs")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Name) and node.id in sizing)
+        or (isinstance(node, ast.Attribute) and node.attr in sizing)
+        or (isinstance(node, ast.alias) and node.name in sizing)
+    )
+    assert found == []
+
+
 def run_fresh(script: str) -> list[str]:
     """stdout lines of ``script`` run in a new interpreter that imports this package."""
     src = str(Path(oddzeta.__file__).parent.parent)
