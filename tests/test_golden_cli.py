@@ -47,6 +47,17 @@ COMMANDS = [
     ["ratio", "--k", "2", "--n", "20"],
     ["identity", "--id", "S1", "--k", "1", "--theta", "pi/2", "--terms", "2000"],
     ["identity", "--id", "S2", "--k", "1", "--theta", "1", "--terms", "2000"],
+    # theta = 3 sits near pi, where 400 ladder terms keep the ladder tail below
+    # the Fourier truncation, so the printed residual reads the Fourier pass
+    *(
+        ["identity", "--id", identity, "--k", str(k), "--theta", theta, "--terms", "10000",
+         *(["--series-terms", "400"] if theta == "3" else [])]
+        for identity in ("S1", "S2")
+        for k in (1, 2, 3)
+        for theta in ("1/2", "2", "3", "pi/3")
+    ),
+    ["identity", "--id", "S2", "--k", "2", "--theta", "1/2", "--terms", "10000", "--format", "csv"],
+    ["identity", "--id", "S1", "--k", "3", "--theta", "2", "--terms", "10000", "--format", "json"],
     ["constant", "bogus"],
     ["constant", "catalan", "--digits", "2000"],
 ]
