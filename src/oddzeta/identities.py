@@ -7,7 +7,10 @@ Two identity shapes are checked at arbitrary angles 0 < theta < pi:
 * ``S2(k)``: the analogous cosine sum with exponent 2k+1.
 
 The Fourier side converges slowly and is evaluated with a smoothed partial
-sum (average of the last two partial sums); the ladder side converges
+sum (average of the last two partial sums) of the requested series only.  At
+a generic theta its sin or cos(m theta) come from the three-term recurrence
+in binary fixed point, re-anchored every ``ANCHOR_INTERVAL`` terms; at pi/2
+only the odd (S1) or even (S2) m are summed.  The ladder side converges
 geometrically and is held at full working precision, so the residual tracks
 the Fourier truncation error and must shrink as the term count grows.
 """
@@ -15,7 +18,6 @@ the Fourier truncation error and must shrink as the term count grows.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
@@ -24,6 +26,7 @@ from .constants import alt_harmonic, eta_odd
 from .highprec import (
     GUARD_DIGITS,
     FixedDecimal,
+    _ceil_div,
     _divround,
     _series_terms,
     compute_pi,
@@ -47,6 +50,8 @@ __all__ = [
 IDENTITY_TAGS = ("S1", "S2")
 ANCHOR_INTERVAL = 10_000
 _EXTRA_SCALE = 8  # headroom digits for angle reduction and anchor recomputation
+# binary digits beyond the decimal scale: they absorb the n^2 drift of a block
+_GUARD_BITS = 2 * ANCHOR_INTERVAL.bit_length() + 4
 
 # safe strict lower bound for pi; rational theta must stay below it
 _PI_LOWER = Fraction(314159265, 10**8)
@@ -127,7 +132,6 @@ class _AngleEngine:
     """
 
     def __init__(self, token: str, scale: int):
-        self.scale = scale
         self.hi_scale = scale + _EXTRA_SCALE
         self.shift = 10**_EXTRA_SCALE
         self.theta_hi, self.theta_err = _theta_mantissa(token, self.hi_scale)
@@ -147,77 +151,69 @@ class _AngleEngine:
         return _divround(s, down), _divround(c, down), err // down + 2
 
 
-def _fast_pair_half_pi(k: int, fourier_terms: int, scale: int) -> tuple[int, int, int, int]:
-    """Raw partial sums at theta = pi/2, where sin/cos take exact values in {0, +-1}."""
-    one = 10**scale
-    k2 = 2 * k
-    a = b = a_prev = b_prev = 0
-    for m in range(1, fourier_terms + 1):
-        if m == fourier_terms:
-            a_prev, b_prev = a, b
-        if m & 1:
-            j = (m - 1) // 2
-            t = one // m**k2
-            a += t if j % 2 == 0 else -t
-        else:
-            j = m // 2
-            t = one // m ** (k2 + 1)
-            b += -t if j % 2 == 0 else t
-    return a_prev, a, b_prev, b
+def _alternating_trig(token: str, scale: int, terms: int, cosine: bool):
+    """(bits, values, drift) for z_m = (-1)^(m+1) sin(m theta), or cos, m = 1..terms.
 
-
-def _rotation_pair(k: int, token: str, fourier_terms: int, scale: int) -> tuple[int, int, int, int, int]:
-    """Raw partial sums (a_prev, a, b_prev, b) at a generic theta, and their error in ulp.
-
-    sin and cos of m*theta come from rotating by theta, re-anchored from
-    scratch every ``ANCHOR_INTERVAL`` steps to stop rounding drift from
-    accumulating linearly over long runs.
+    ``values`` yields z_m * 2^bits as integers from the three-term recurrence
+    z_(m+1) = -2 cos(theta) z_m - z_(m-1), one multiply and one shift per
+    step, re-anchored from the angle engine every ``ANCHOR_INTERVAL`` values.
+    ``drift`` bounds every value's error in units of 2^-bits.
     """
-    engine = _AngleEngine(token, scale)
+    bits = (10**scale).bit_length() + _GUARD_BITS
+    digits = len(str(1 << bits))  # decimal anchors at least as fine as 2^-bits
+    unit = 10**digits
+    engine = _AngleEngine(token, digits)
+
+    def anchor(m: int) -> tuple[int, int]:
+        s, c, e = engine.sin_cos(m)
+        x = _divround((c if cosine else s) << bits, unit)
+        return (x if m & 1 else -x), _ceil_div(e << bits, unit) + 1
+
+    _, c1, e1 = engine.sin_cos(1)
+    coef, e_coef = _divround(-2 * c1 << bits, unit), _ceil_div(2 * e1 << bits, unit) + 1
+    anchors = [(anchor(lo - 1), anchor(lo)) for lo in range(1, terms + 1, ANCHOR_INTERVAL)]
+    e_anchor = max(e for pair in anchors for _, e in pair)
+    # Within a block of n values the error obeys the same recurrence with local
+    # error <= 1/2 (the shift) + e_coef |z| 2^-bits, so with |U_j(cos)| <= j+1
+    # it stays below n (e0 + e1) + n^2 (1/2 + e_coef); the n^2/2 the sum gives
+    # leaves room for |z| slightly above 2^bits.
+    n = min(ANCHOR_INTERVAL, terms)
+    drift = 2 * n * e_anchor + _ceil_div(n * n * (2 * e_coef + 1), 2)
+    half = 1 << (bits - 1)
+
+    def values():
+        for lo, ((prev, _), (z, _)) in zip(range(1, terms + 1, ANCHOR_INTERVAL), anchors):
+            for _ in range(min(ANCHOR_INTERVAL, terms + 1 - lo)):
+                yield z
+                prev, z = z, ((coef * z + half) >> bits) - prev
+
+    return bits, values(), drift
+
+
+def _generic_sum(exponent: int, token: str, terms: int, scale: int) -> tuple[int, int, int]:
+    """(twice the smoothed sum, its unit, err) of sum_m z_m / m^exponent at a generic theta."""
+    bits, values, drift = _alternating_trig(token, scale, terms, cosine=exponent % 2 == 1)
+    total = 0
+    for m, z in enumerate(values, 1):
+        last = z // m**exponent
+        total += last
+    # each value's drift enters divided by m^exponent, and sum_m m^-2 < 2;
+    # each floor division adds one more unit
+    return 2 * total - last, 1 << bits, 2 * drift + terms
+
+
+def _half_pi_sum(exponent: int, terms: int, scale: int) -> tuple[int, int, int]:
+    """The :func:`_generic_sum` triple at theta = pi/2, where only odd (sine) or
+    even (cosine) m contribute, each with an exact +-1."""
     one = 10**scale
-    half = one // 2  # one is even, so (x + half) // one rounds exactly like _divround(x, one)
-    s1, c1, e1 = engine.sin_cos(1)
-    s, c = s1, c1
-    a = b = a_prev = b_prev = 0
-    k2 = 2 * k
-    anchor = ANCHOR_INTERVAL
-    for m in range(1, fourier_terms + 1):
-        if m == fourier_terms:
-            a_prev, b_prev = a, b
-        p = m**k2
-        if m & 1:
-            a += s // p
-            b += c // (p * m)
-        else:
-            a -= s // p
-            b -= c // (p * m)
-        nxt = m + 1
-        if nxt % anchor == 0:
-            s, c, _ = engine.sin_cos(nxt)
-        else:
-            s, c = (s * c1 + c * s1 + half) // one, (c * c1 - s * s1 + half) // one
-    # trig drift (<= 3 ulp/step between anchors, e1 from the increment)
-    # enters each term divided by m^(2k); sum_m m^-2 < 2 bounds that part
-    err = 2 * (3 * anchor + e1 + 4) + fourier_terms + 8
-    return a_prev, a, b_prev, b, err
-
-
-@lru_cache(maxsize=16)
-def _fourier_pair(k: int, token: str, fourier_terms: int, digits: int) -> tuple[FixedDecimal, FixedDecimal]:
-    """Smoothed sine-sum and cosine-sum partial sums, one shared pass."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if fourier_terms < 2:
-        raise ValueError("fourier_terms must be >= 2")
-    scale = digits + GUARD_DIGITS
-    if token == "pi/2":
-        a_prev, a, b_prev, b = _fast_pair_half_pi(k, fourier_terms, scale)
-        err = fourier_terms + 2
-    else:
-        a_prev, a, b_prev, b, err = _rotation_pair(k, token, fourier_terms, scale)
-    lhs_a = FixedDecimal(_divround(a_prev + a, 2), scale, err)
-    lhs_b = FixedDecimal(_divround(b_prev + b, 2), scale, err)
-    return lhs_a, lhs_b
+    total = last = 0
+    sign = 1
+    for m in range(exponent % 2 + 1, terms + 1, 2):
+        last = sign * (one // m**exponent)
+        total += last
+        sign = -sign
+    # the smoothing drops half the term at m = terms, which is zero unless summed
+    return 2 * total - (last if m == terms else 0), one, (terms + 1) // 2
 
 
 def _check_identity_tag(identity: str) -> None:
@@ -228,10 +224,20 @@ def _check_identity_tag(identity: str) -> None:
 def fourier_lhs(identity: str, k: int, theta, fourier_terms: int, digits: int = 30) -> FixedDecimal:
     """Smoothed partial sum of the alternating sine (S1) or cosine (S2) series."""
     _check_identity_tag(identity)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if fourier_terms < 2:
+        raise ValueError("fourier_terms must be >= 2")
     token = canonical_theta_token(theta)
     _theta_mantissa(token, 8)  # range-check eagerly
-    pair = _fourier_pair(k, token, fourier_terms, digits)
-    return pair[0] if identity == "S1" else pair[1]
+    scale = digits + GUARD_DIGITS
+    exponent = 2 * k if identity == "S1" else 2 * k + 1
+    if token == "pi/2":
+        twice, unit, err = _half_pi_sum(exponent, fourier_terms, scale)
+    else:
+        twice, unit, err = _generic_sum(exponent, token, fourier_terms, scale)
+    one = 10**scale
+    return FixedDecimal(_divround(twice * one, 2 * unit), scale, _ceil_div(err * one, unit) + 1)
 
 
 def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) -> FixedDecimal:
@@ -352,26 +358,15 @@ def tan_half_residual(theta, fourier_terms: int, digits: int = 15) -> FixedDecim
     if fourier_terms < 2:
         raise ValueError("fourier_terms must be >= 2")
     scale = digits + GUARD_DIGITS
-    engine = _AngleEngine(token, scale)
     one = 10**scale
-    s1, c1, _ = engine.sin_cos(1)
-    s, c = s1, c1
-    running = 0
-    acc = 0
-    sign = 1
-    for m in range(1, fourier_terms + 1):
-        running += sign * s
+    bits, values, drift = _alternating_trig(token, scale, fourier_terms, cosine=False)
+    running = acc = 0
+    for z in values:
+        running += z
         acc += running
-        nxt = m + 1
-        if nxt % ANCHOR_INTERVAL == 0:
-            s, c, _ = engine.sin_cos(nxt)
-        else:
-            s, c = _divround(s * c1 + c * s1, one), _divround(c * c1 - s * s1, one)
-        sign = -sign
-    # Cesaro-mean error: every partial sum accumulates the full trig drift
-    # (up to ~4 ulp per step between anchors), undivided by any m power
-    mean_err = (2 * min(ANCHOR_INTERVAL, fourier_terms) + 6) * fourier_terms
-    mean = FixedDecimal(_divround(acc, fourier_terms), scale, mean_err)
+    # every partial sum carries at most fourier_terms * drift, and so does their mean
+    mean_err = _ceil_div(fourier_terms * drift * one, 1 << bits) + 1
+    mean = FixedDecimal(_divround(acc * one, fourier_terms << bits), scale, mean_err)
     half_m, half_err = _theta_mantissa(token, scale)
     sh, ch, errh = _sin_cos_fixed(_divround(half_m, 2), scale, half_err + 1)
     t_m = _divround(sh * one, ch)

@@ -53,11 +53,12 @@ def acceleration_depth(digits: int) -> int:
 def accelerated_alternating(term, depth: int) -> tuple[Fraction, Fraction]:
     """Chebyshev-accelerated value of sum_{j>=0} (-1)^j term(j), with error bound.
 
-    ``term(j)`` must be a totally monotone sequence of positive rationals
-    (moments of a positive measure on [0, 1]); then the returned bound
-    ``4 * term(0) / d_depth`` with d_depth ~ (3 + sqrt 8)^depth is valid.
-    Everything is exact, so the bound is the only error: the weights are
-    integers, summed against the terms over their common denominator.
+    ``term(j)`` returns a positive rational as an integer pair ``(numerator,
+    denominator)``, and the sequence must be totally monotone (moments of a
+    positive measure on [0, 1]); then the returned bound ``4 * term(0) /
+    d_depth`` with d_depth ~ (3 + sqrt 8)^depth is valid.  Everything is
+    exact, so the bound is the only error: the weights are integers, summed
+    against the terms over their common denominator.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
@@ -65,18 +66,18 @@ def accelerated_alternating(term, depth: int) -> tuple[Fraction, Fraction]:
     for _ in range(depth - 1):
         d_prev, d = d, 6 * d - d_prev
     terms = [term(j) for j in range(depth)]
-    common = lcm(*(t.denominator for t in terms))
+    common = lcm(*(den for _, den in terms))
     b = -1
     c = -d
     s = 0
-    for j, t in enumerate(terms):
+    for j, (num, den) in enumerate(terms):
         c = b - c
-        s += c * t.numerator * (common // t.denominator)
+        s += c * num * (common // den)
         b, rest = divmod(b * 2 * (j + depth) * (j - depth), (2 * j + 1) * (j + 1))
         if rest:
             raise ArithmeticError(f"Chebyshev weight b_{j + 1} at depth {depth} is not an integer")
-    first = terms[0]
-    return Fraction(s, common * d), Fraction(4 * first.numerator, first.denominator * d)
+    num, den = terms[0]
+    return Fraction(s, common * d), Fraction(4 * num, den * d)
 
 
 def _to_fixed(value: Fraction, bound: Fraction, digits: int) -> FixedDecimal:
@@ -97,7 +98,7 @@ def _accelerated_sum(term, digits: int, extra_depth: int = 0) -> tuple[Fraction,
 
 def _eta_sum(s: int, digits: int, extra_depth: int = 0) -> tuple[Fraction, Fraction]:
     """(value, bound) of the accelerated eta(s) sum, deep enough for ``digits``."""
-    return _accelerated_sum(lambda j: Fraction(1, (j + 1) ** s), digits, extra_depth)
+    return _accelerated_sum(lambda j: (1, (j + 1) ** s), digits, extra_depth)
 
 
 def _zeta_from_eta(s: int, digits: int) -> FixedDecimal:
@@ -119,7 +120,7 @@ def reference_beta(s: int, digits: int, extra_depth: int = 0) -> FixedDecimal:
     """beta(s) = sum (-1)^m / (2m+1)^s by the same certified acceleration."""
     if s < 2:
         raise ValueError("s must be >= 2")
-    value, bound = _accelerated_sum(lambda j: Fraction(1, (2 * j + 1) ** s), digits, extra_depth)
+    value, bound = _accelerated_sum(lambda j: (1, (2 * j + 1) ** s), digits, extra_depth)
     return _to_fixed(value, bound, digits)
 
 

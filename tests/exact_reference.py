@@ -116,7 +116,8 @@ def accelerated_alternating_fractions(term, depth: int) -> tuple[Fraction, Fract
     """Cohen-Rodriguez Villegas-Zagier acceleration with one reduced ``Fraction`` per step.
 
     The loop as the package ran it before its weights were kept as integers:
-    returns (value, bound) of sum_j (-1)^j term(j) at the given depth.
+    returns (value, bound) of sum_j (-1)^j term(j) at the given depth, where
+    ``term(j)`` is a ``(numerator, denominator)`` pair.
     """
     d_prev, d = 1, 3
     for _ in range(depth - 1):
@@ -126,6 +127,6 @@ def accelerated_alternating_fractions(term, depth: int) -> tuple[Fraction, Fract
     s = Fraction(0)
     for j in range(depth):
         c = b - c
-        s += c * term(j)
+        s += c * Fraction(*term(j))
         b *= Fraction(2 * (j + depth) * (j - depth), (2 * j + 1) * (j + 1))
-    return s / d, 4 * term(0) / d
+    return s / d, 4 * Fraction(*term(0)) / d

@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from exact_reference import tan_fraction
 from oddzeta.coeffs import d_denominator, denominator_step, e_column
 from oddzeta.constants import beta_even, eta_odd
-from oddzeta.highprec import FixedDecimal, _divround, _series_terms
+from oddzeta.highprec import GUARD_DIGITS, FixedDecimal, _divround, _series_terms
 from oddzeta.identities import (
     ANCHOR_INTERVAL,
     _AngleEngine,
-    _rotation_pair,
     canonical_theta_token,
     check_identity,
     eta_from_half_pi_identity,
@@ -168,38 +168,105 @@ def test_residual_record_fields():
     assert float(result.theta.as_fraction()) == pytest.approx(1.5707963267948966)
 
 
-def rotation_pair_reference(k, token, fourier_terms, scale):
-    """The rotation loop with a sign multiply and two _divround calls per step."""
+def rotation_pair_reference(k, token, counts, scale):
+    """The decimal rotation loop, with a sign multiply and two _divround calls per step.
+
+    Yields (count, a_prev, a, b_prev, b, err) at each term count in ``counts``:
+    the sine and cosine partial sums to count - 1 and count, and their error
+    bound in ulp.
+    """
     engine = _AngleEngine(token, scale)
     one = 10**scale
     s1, c1, e1 = engine.sin_cos(1)
     s, c = s1, c1
     a = b = a_prev = b_prev = 0
     sign = 1
-    for m in range(1, fourier_terms + 1):
-        if m == fourier_terms:
-            a_prev, b_prev = a, b
+    for m in range(1, max(counts) + 1):
+        a_prev, b_prev = a, b
         p = m ** (2 * k)
         a += sign * (s // p)
         b += sign * (c // (p * m))
+        if m in counts:
+            yield m, a_prev, a, b_prev, b, 2 * (3 * ANCHOR_INTERVAL + e1 + 4) + m + 8
         if (m + 1) % ANCHOR_INTERVAL == 0:
             s, c, _ = engine.sin_cos(m + 1)
         else:
             s, c = _divround(s * c1 + c * s1, one), _divround(c * c1 - s * s1, one)
         sign = -sign
-    err = 2 * (3 * ANCHOR_INTERVAL + e1 + 4) + fourier_terms + 8
-    return a_prev, a, b_prev, b, err
+
+
+BOUND_COUNTS = (2, ANCHOR_INTERVAL - 1, ANCHOR_INTERVAL, ANCHOR_INTERVAL + 3, 3 * ANCHOR_INTERVAL)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("token", ["1", "3", "1/2"])
-def test_rotation_pair_equals_reference_loop(k, token):
-    assert _rotation_pair(k, token, 3_001, 30) == rotation_pair_reference(k, token, 3_001, 30)
+@pytest.mark.parametrize("token", ["1/2", "1", "3", "1/1000000", "314159264/100000000"])
+def test_fourier_sum_within_bound_of_rotation_loop(k, token):
+    # the rotation loop 15 digits finer is the reference; its own bound is
+    # below 10^-9 ulp at the tested scale, and the new bound must be a few ulp
+    digits, extra = 20, 15
+    scale = digits + GUARD_DIGITS
+    ulp, ref_ulp = Fraction(1, 10**scale), Fraction(1, 10 ** (scale + extra))
+    for count, a_prev, a, b_prev, b, err in rotation_pair_reference(
+        k, token, BOUND_COUNTS, scale + extra
+    ):
+        for identity, reference in (("S1", a_prev + a), ("S2", b_prev + b)):
+            lhs = fourier_lhs(identity, k, token, count, digits)
+            gap = abs(lhs.as_fraction() - reference * ref_ulp / 2)
+            assert gap <= lhs.err_ulp * ulp + (err + 1) * ref_ulp, (identity, count)
+            assert lhs.err_ulp <= 3, (identity, count)
 
 
-def test_rotation_pair_equals_reference_loop_across_an_anchor():
-    terms = ANCHOR_INTERVAL + 3
-    assert _rotation_pair(1, "1", terms, 20) == rotation_pair_reference(1, "1", terms, 20)
+def half_pi_pair_reference(k, fourier_terms, scale):
+    """Both raw partial-sum pairs at pi/2 from one loop over every m."""
+    one = 10**scale
+    a = b = a_prev = b_prev = 0
+    for m in range(1, fourier_terms + 1):
+        a_prev, b_prev = a, b
+        if m & 1:
+            t = one // m ** (2 * k)
+            a += t if (m - 1) // 2 % 2 == 0 else -t
+        else:
+            t = one // m ** (2 * k + 1)
+            b += -t if m // 2 % 2 == 0 else t
+    return a_prev, a, b_prev, b
+
+
+@pytest.mark.parametrize("terms", [2, 3, 1_000, 1_001])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_half_pi_single_sums_equal_pair_halves(k, terms):
+    a_prev, a, b_prev, b = half_pi_pair_reference(k, terms, 20 + GUARD_DIGITS)
+    assert fourier_lhs("S1", k, "pi/2", terms, 20).mantissa == _divround(a_prev + a, 2)
+    assert fourier_lhs("S2", k, "pi/2", terms, 20).mantissa == _divround(b_prev + b, 2)
+
+
+def cesaro_reference(token, fourier_terms, scale):
+    """The (C, 1) mean of the alternating sine partial sums on the rotation loop, and its bound."""
+    engine = _AngleEngine(token, scale)
+    one = 10**scale
+    s1, c1, _ = engine.sin_cos(1)
+    s, c = s1, c1
+    running = acc = 0
+    sign = 1
+    for m in range(1, fourier_terms + 1):
+        running += sign * s
+        acc += running
+        if (m + 1) % ANCHOR_INTERVAL == 0:
+            s, c, _ = engine.sin_cos(m + 1)
+        else:
+            s, c = _divround(s * c1 + c * s1, one), _divround(c * c1 - s * s1, one)
+        sign = -sign
+    err = (2 * min(ANCHOR_INTERVAL, fourier_terms) + 6) * fourier_terms
+    return Fraction(acc, fourier_terms * one), Fraction(err + 1, one)
+
+
+def test_tan_half_residual_within_bound_of_rotation_loop():
+    token, terms, digits = "1", ANCHOR_INTERVAL + 3, 15
+    scale = digits + GUARD_DIGITS
+    mean, bound = cesaro_reference(token, terms, scale + 15)
+    reference = abs(mean - tan_fraction(Fraction(1, 2)) / 2)
+    residual = tan_half_residual(token, terms, digits)
+    gap = abs(residual.as_fraction() - reference)
+    assert gap <= Fraction(residual.err_ulp, 10**scale) + bound
 
 
 def test_sweep_csv_format():

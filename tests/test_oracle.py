@@ -71,15 +71,15 @@ def test_acceleration_depth_doubling_stability(fn, arg):
 
 def test_accelerated_alternating_bound_is_sound():
     # eta(2) has the independent closed form pi^2/12 to pin the truth
-    value, bound = accelerated_alternating(lambda j: Fraction(1, (j + 1) ** 2), 25)
+    value, bound = accelerated_alternating(lambda j: (1, (j + 1) ** 2), 25)
     p = reference_pi(40)
     truth = p.as_fraction() ** 2 / 12
     assert abs(value - truth) < bound
 
 
 ALTERNATING_FAMILIES = {
-    "eta": lambda s: lambda j: Fraction(1, (j + 1) ** s),
-    "beta": lambda s: lambda j: Fraction(1, (2 * j + 1) ** s),
+    "eta": lambda s: lambda j: (1, (j + 1) ** s),
+    "beta": lambda s: lambda j: (1, (2 * j + 1) ** s),
 }
 
 
@@ -111,13 +111,32 @@ def test_acceleration_makes_constant_fractions(monkeypatch):
 
     counts = []
     for depth in (10, 600):
-        terms = [Fraction(1, (j + 1) ** 3) for j in range(depth)]
+        terms = [(1, (j + 1) ** 3) for j in range(depth)]
         monkeypatch.setattr(Fraction, "__new__", spy)
         accelerated_alternating(terms.__getitem__, depth)
         monkeypatch.undo()
         counts.append(len(made))
         made.clear()
     assert counts[0] == counts[1] <= 2
+
+
+@pytest.mark.parametrize("fn,arg", [(reference_eta, 3), (reference_beta, 2), (reference_zeta_even, 1)])
+def test_references_make_no_fraction_per_term(monkeypatch, fn, arg):
+    made = []
+    original = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    counts = []
+    for digits in (10, 300):
+        monkeypatch.setattr(Fraction, "__new__", spy)
+        fn(arg, digits)
+        monkeypatch.undo()
+        counts.append(len(made))
+        made.clear()
+    assert counts[0] == counts[1]
 
 
 def test_reference_zeta_even_against_closed_form():

@@ -54,6 +54,21 @@ def test_only_exact_and_coeffs_size_the_tangent_list():
     assert found == []
 
 
+def test_no_lru_cache_in_package():
+    # every result is computed once per call or kept in one explicit store;
+    # a memo cache would only hide a duplicate pass
+    package = Path(oddzeta.__file__).parent
+    found = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Name) and node.id == "lru_cache")
+        or (isinstance(node, ast.Attribute) and node.attr == "lru_cache")
+        or (isinstance(node, ast.alias) and node.name == "lru_cache")
+    )
+    assert found == []
+
+
 def run_fresh(script: str) -> list[str]:
     """stdout lines of ``script`` run in a new interpreter that imports this package."""
     src = str(Path(oddzeta.__file__).parent.parent)
