@@ -173,6 +173,7 @@ def _alternating_trig(token: str, scale: int, terms: int, cosine: bool):
     coef, e_coef = _divround(-2 * c1 << bits, unit), _ceil_div(2 * e1 << bits, unit) + 1
     anchors = [(anchor(lo - 1), anchor(lo)) for lo in range(1, terms + 1, ANCHOR_INTERVAL)]
     e_anchor = max(e for pair in anchors for _, e in pair)
+    # The anchors are read up front so that the bound is known before any value.
     # Within a block of n values the error obeys the same recurrence with local
     # error <= 1/2 (the shift) + e_coef |z| 2^-bits, so with |U_j(cos)| <= j+1
     # it stays below n (e0 + e1) + n^2 (1/2 + e_coef); the n^2/2 the sum gives
