@@ -198,22 +198,32 @@ def rotation_pair_reference(k, token, counts, scale):
 BOUND_COUNTS = (2, ANCHOR_INTERVAL - 1, ANCHOR_INTERVAL, ANCHOR_INTERVAL + 3, 3 * ANCHOR_INTERVAL)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("token", ["1/2", "1", "3", "1/1000000", "314159264/100000000"])
-def test_fourier_sum_within_bound_of_rotation_loop(k, token):
+def assert_within_bound_of_rotation_loop(k, token, counts):
     # the rotation loop 15 digits finer is the reference; its own bound is
     # below 10^-9 ulp at the tested scale, and the new bound must be a few ulp
     digits, extra = 20, 15
     scale = digits + GUARD_DIGITS
     ulp, ref_ulp = Fraction(1, 10**scale), Fraction(1, 10 ** (scale + extra))
     for count, a_prev, a, b_prev, b, err in rotation_pair_reference(
-        k, token, BOUND_COUNTS, scale + extra
+        k, token, counts, scale + extra
     ):
         for identity, reference in (("S1", a_prev + a), ("S2", b_prev + b)):
             lhs = fourier_lhs(identity, k, token, count, digits)
             gap = abs(lhs.as_fraction() - reference * ref_ulp / 2)
             assert gap <= lhs.err_ulp * ulp + (err + 1) * ref_ulp, (identity, count)
             assert lhs.err_ulp <= 3, (identity, count)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("token", ["1/2", "1", "3", "1/1000000", "314159264/100000000"])
+def test_fourier_sum_within_bound_of_rotation_loop(k, token):
+    assert_within_bound_of_rotation_loop(k, token, BOUND_COUNTS)
+
+
+def test_fourier_sum_within_bound_of_rotation_loop_across_an_anchor():
+    # every count from two before the first re-anchor to three after it
+    counts = range(ANCHOR_INTERVAL - 2, ANCHOR_INTERVAL + 4)
+    assert_within_bound_of_rotation_loop(1, "1", set(counts))
 
 
 def half_pi_pair_reference(k, fourier_terms, scale):
