@@ -47,6 +47,9 @@ COMMANDS = [
     ["ratio", "--k", "2", "--n", "20"],
     ["identity", "--id", "S1", "--k", "1", "--theta", "pi/2", "--terms", "2000"],
     ["identity", "--id", "S2", "--k", "1", "--theta", "1", "--terms", "2000"],
+    # the benchmark's longest generic-angle runs
+    ["identity", "--id", "S1", "--k", "1", "--theta", "1", "--terms", "100000"],
+    ["identity", "--id", "S2", "--k", "1", "--theta", "2", "--terms", "100000"],
     # theta = 3 sits near pi, where 400 ladder terms keep the ladder tail below
     # the Fourier truncation, so the printed residual reads the Fourier pass
     *(
