@@ -42,7 +42,6 @@ __all__ = [
     "f_ratio",
     "table_entries",
     "table_to_csv",
-    "table_to_json",
 ]
 
 MAX_TABLE_CELLS = 2_000_000
@@ -159,10 +158,3 @@ def table_entries(table: tuple[tuple[Fraction, ...], ...]) -> list[dict]:
         for k, column in enumerate(table, 1)
         for n, v in enumerate(column, 1)
     ]
-
-
-def table_to_json(table: tuple[tuple[Fraction, ...], ...]) -> str:
-    """JSON array of :func:`table_entries`."""
-    import json
-
-    return json.dumps(table_entries(table), indent=None, separators=(",", ":"))

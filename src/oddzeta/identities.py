@@ -9,10 +9,12 @@ Two identity shapes are checked at arbitrary angles 0 < theta < pi:
 The Fourier side converges slowly and is evaluated with a smoothed partial
 sum (average of the last two partial sums) of the requested series only.  At
 a generic theta its sin or cos(m theta) come from the three-term recurrence
-in binary fixed point, re-anchored every ``ANCHOR_INTERVAL`` terms; at pi/2
-only the odd (S1) or even (S2) m are summed.  The ladder side converges
-geometrically and is held at full working precision, so the residual tracks
-the Fourier truncation error and must shrink as the term count grows.
+in binary fixed point, run from m = 0 in one block: its drift bound is
+quadratic in the term count and holds for any count, so guard bits sized
+from that count keep it a few ulp without re-anchoring.  At pi/2 only the
+odd (S1) or even (S2) m are summed.  The ladder side converges geometrically
+and is held at full working precision, so the residual tracks the Fourier
+truncation error and must shrink as the term count grows.
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ __all__ = [
 ]
 
 IDENTITY_TAGS = ("S1", "S2")
-ANCHOR_INTERVAL = 10_000
-_EXTRA_SCALE = 8  # headroom digits for angle reduction and anchor recomputation
-# binary digits beyond the decimal scale: they absorb the n^2 drift of a block
-_GUARD_BITS = 2 * ANCHOR_INTERVAL.bit_length() + 4
 
 # safe strict lower bound for pi; rational theta must stay below it
 _PI_LOWER = Fraction(314159265, 10**8)
@@ -123,70 +121,39 @@ def _sin_cos_fixed(xm: int, scale: int, x_err: int = 0) -> tuple[int, int, int]:
     return total_s, total_c, err
 
 
-class _AngleEngine:
-    """Shared machinery for sin/cos of m*theta at high precision.
-
-    Values are produced at ``scale``; internally angles are reduced modulo
-    2 pi at ``scale + _EXTRA_SCALE`` so that multiplication by m and the
-    reduction quotient cost far less than one output ulp.
-    """
-
-    def __init__(self, token: str, scale: int):
-        self.hi_scale = scale + _EXTRA_SCALE
-        self.shift = 10**_EXTRA_SCALE
-        self.theta_hi, self.theta_err = _theta_mantissa(token, self.hi_scale)
-        self.pi_hi = compute_pi(self.hi_scale).mantissa
-
-    def sin_cos(self, m: int) -> tuple[int, int, int]:
-        """(sin, cos, err_ulp) of m*theta at ``scale``, via range reduction."""
-        u = m * self.theta_hi
-        two_pi = 2 * self.pi_hi
-        q = u // two_pi
-        rem = u - q * two_pi
-        if rem > self.pi_hi:
-            rem -= two_pi
-        angle_err = m * self.theta_err + 2 * q + 2
-        s, c, err = _sin_cos_fixed(rem, self.hi_scale, angle_err)
-        down = self.shift
-        return _divround(s, down), _divround(c, down), err // down + 2
-
-
 def _alternating_trig(token: str, scale: int, terms: int, cosine: bool):
     """(bits, values, drift) for z_m = (-1)^(m+1) sin(m theta), or cos, m = 1..terms.
 
     ``values`` yields z_m * 2^bits as integers from the three-term recurrence
     z_(m+1) = -2 cos(theta) z_m - z_(m-1), one multiply and one shift per
-    step, re-anchored from the angle engine every ``ANCHOR_INTERVAL`` values.
-    ``drift`` bounds every value's error in units of 2^-bits.
+    step, started from the exact z_0 (0 for sine, -1 for cosine) and a Taylor
+    z_1.  ``drift`` bounds every value's error in units of 2^-bits.
+
+    The error obeys the same recurrence with local error <= 1/2 (the shift)
+    + e_coef |z| 2^-bits, so with |U_j(cos)| <= j+1 it stays below
+    n e_1 + n^2 (1/2 + e_coef) after n values; the n^2/2 the sum gives leaves
+    room for |z| slightly above 2^bits.  The bound holds for any n, so guard
+    bits of twice the term count's bit length keep it a few output ulp for
+    the whole run, with no re-anchoring.
     """
-    bits = (10**scale).bit_length() + _GUARD_BITS
-    digits = len(str(1 << bits))  # decimal anchors at least as fine as 2^-bits
+    bits = (10**scale).bit_length() + 2 * terms.bit_length() + 4
+    # Taylor values at 10^-digits < 2^-bits / 1000 (log10 2 < 0.30103): their
+    # error rounds away when they are converted to binary
+    digits = _ceil_div(bits * 30103, 100_000) + 3
     unit = 10**digits
-    engine = _AngleEngine(token, digits)
-
-    def anchor(m: int) -> tuple[int, int]:
-        s, c, e = engine.sin_cos(m)
-        x = _divround((c if cosine else s) << bits, unit)
-        return (x if m & 1 else -x), _ceil_div(e << bits, unit) + 1
-
-    _, c1, e1 = engine.sin_cos(1)
-    coef, e_coef = _divround(-2 * c1 << bits, unit), _ceil_div(2 * e1 << bits, unit) + 1
-    anchors = [(anchor(lo - 1), anchor(lo)) for lo in range(1, terms + 1, ANCHOR_INTERVAL)]
-    e_anchor = max(e for pair in anchors for _, e in pair)
-    # The anchors are read up front so that the bound is known before any value.
-    # Within a block of n values the error obeys the same recurrence with local
-    # error <= 1/2 (the shift) + e_coef |z| 2^-bits, so with |U_j(cos)| <= j+1
-    # it stays below n (e0 + e1) + n^2 (1/2 + e_coef); the n^2/2 the sum gives
-    # leaves room for |z| slightly above 2^bits.
-    n = min(ANCHOR_INTERVAL, terms)
-    drift = 2 * n * e_anchor + _ceil_div(n * n * (2 * e_coef + 1), 2)
+    theta, theta_err = _theta_mantissa(token, digits)
+    s, c, e = _sin_cos_fixed(theta, digits, theta_err)
+    z1 = _divround((c if cosine else s) << bits, unit)
+    coef = _divround(-2 * c << bits, unit)
+    e1, e_coef = _ceil_div(e << bits, unit) + 1, _ceil_div(2 * e << bits, unit) + 1
+    drift = terms * e1 + _ceil_div(terms * terms * (2 * e_coef + 1), 2)
     half = 1 << (bits - 1)
 
     def values():
-        for lo, ((prev, _), (z, _)) in zip(range(1, terms + 1, ANCHOR_INTERVAL), anchors):
-            for _ in range(min(ANCHOR_INTERVAL, terms + 1 - lo)):
-                yield z
-                prev, z = z, ((coef * z + half) >> bits) - prev
+        prev, z = -(1 << bits) if cosine else 0, z1
+        for _ in range(terms):
+            yield z
+            prev, z = z, ((coef * z + half) >> bits) - prev
 
     return bits, values(), drift
 
@@ -206,7 +173,9 @@ def _generic_sum(exponent: int, token: str, terms: int, scale: int) -> tuple[int
 def _half_pi_sum(exponent: int, terms: int, scale: int) -> tuple[int, int, int]:
     """The :func:`_generic_sum` triple at theta = pi/2, where only odd (sine) or
     even (cosine) m contribute, each with an exact +-1."""
-    one = 10**scale
+    # one floor per summed term, (terms + 1) // 2 in all, below 2^-2 output ulp
+    bits = (10**scale).bit_length() + terms.bit_length() + 2
+    one = 1 << bits
     total = last = 0
     sign = 1
     for m in range(exponent % 2 + 1, terms + 1, 2):
@@ -230,7 +199,6 @@ def fourier_lhs(identity: str, k: int, theta, fourier_terms: int, digits: int = 
     if fourier_terms < 2:
         raise ValueError("fourier_terms must be >= 2")
     token = canonical_theta_token(theta)
-    _theta_mantissa(token, 8)  # range-check eagerly
     scale = digits + GUARD_DIGITS
     exponent = 2 * k if identity == "S1" else 2 * k + 1
     if token == "pi/2":

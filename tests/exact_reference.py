@@ -5,6 +5,11 @@ tangent coefficients come from the derivative recurrence (not Bernoulli
 numbers), ladder coefficients from the closed-form product (not the
 recurrence), and the step formulas are written out literally, one per
 integration step.
+
+The one exception is :class:`AngleEngine`, the reference for the Fourier
+pass: it takes sin and cos of m*theta straight from the angle, reduced
+modulo 2 pi, where the package runs a three-term recurrence over m, and it
+reuses the package's Machin pi and Taylor sin/cos at a single angle.
 """
 
 from __future__ import annotations
@@ -12,6 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+
+from oddzeta.highprec import _divround, compute_pi
+from oddzeta.identities import _sin_cos_fixed, _theta_mantissa
+
+ANCHOR_INTERVAL = 10_000  # terms between two AngleEngine anchors in the rotation references
+EXTRA_SCALE = 8  # headroom digits for angle reduction and anchor recomputation
 
 
 def tan_taylor_coeffs(count: int) -> list[Fraction]:
@@ -130,3 +141,31 @@ def accelerated_alternating_fractions(term, depth: int) -> tuple[Fraction, Fract
         s += c * Fraction(*term(j))
         b *= Fraction(2 * (j + depth) * (j - depth), (2 * j + 1) * (j + 1))
     return s / d, 4 * Fraction(*term(0)) / d
+
+
+class AngleEngine:
+    """sin/cos of m*theta at high precision for any m.
+
+    Values are produced at ``scale``; internally angles are reduced modulo
+    2 pi at ``scale + EXTRA_SCALE`` so that multiplication by m and the
+    reduction quotient cost far less than one output ulp.
+    """
+
+    def __init__(self, token: str, scale: int):
+        self.hi_scale = scale + EXTRA_SCALE
+        self.shift = 10**EXTRA_SCALE
+        self.theta_hi, self.theta_err = _theta_mantissa(token, self.hi_scale)
+        self.pi_hi = compute_pi(self.hi_scale).mantissa
+
+    def sin_cos(self, m: int) -> tuple[int, int, int]:
+        """(sin, cos, err_ulp) of m*theta at ``scale``, via range reduction."""
+        u = m * self.theta_hi
+        two_pi = 2 * self.pi_hi
+        q = u // two_pi
+        rem = u - q * two_pi
+        if rem > self.pi_hi:
+            rem -= two_pi
+        angle_err = m * self.theta_err + 2 * q + 2
+        s, c, err = _sin_cos_fixed(rem, self.hi_scale, angle_err)
+        down = self.shift
+        return _divround(s, down), _divround(c, down), err // down + 2

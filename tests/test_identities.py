@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from exact_reference import tan_fraction
+from exact_reference import ANCHOR_INTERVAL, AngleEngine, tan_fraction
+from oddzeta import identities
 from oddzeta.coeffs import d_denominator, denominator_step, e_column
 from oddzeta.constants import beta_even, eta_odd
 from oddzeta.highprec import GUARD_DIGITS, FixedDecimal, _divround, _series_terms
 from oddzeta.identities import (
-    ANCHOR_INTERVAL,
-    _AngleEngine,
     canonical_theta_token,
     check_identity,
     eta_from_half_pi_identity,
@@ -175,7 +174,7 @@ def rotation_pair_reference(k, token, counts, scale):
     the sine and cosine partial sums to count - 1 and count, and their error
     bound in ulp.
     """
-    engine = _AngleEngine(token, scale)
+    engine = AngleEngine(token, scale)
     one = 10**scale
     s1, c1, e1 = engine.sin_cos(1)
     s, c = s1, c1
@@ -195,7 +194,7 @@ def rotation_pair_reference(k, token, counts, scale):
         sign = -sign
 
 
-BOUND_COUNTS = (2, ANCHOR_INTERVAL - 1, ANCHOR_INTERVAL, ANCHOR_INTERVAL + 3, 3 * ANCHOR_INTERVAL)
+BOUND_COUNTS = (2, 9_999, 10_000, 10_003, 30_000)
 
 
 def assert_within_bound_of_rotation_loop(k, token, counts):
@@ -217,13 +216,30 @@ def assert_within_bound_of_rotation_loop(k, token, counts):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("token", ["1/2", "1", "3", "1/1000000", "314159264/100000000"])
 def test_fourier_sum_within_bound_of_rotation_loop(k, token):
-    assert_within_bound_of_rotation_loop(k, token, BOUND_COUNTS)
+    # 10^5 terms, the benchmark's longest generic run, at one angle
+    counts = BOUND_COUNTS + (100_000,) if token == "1" else BOUND_COUNTS
+    assert_within_bound_of_rotation_loop(k, token, counts)
 
 
-def test_fourier_sum_within_bound_of_rotation_loop_across_an_anchor():
-    # every count from two before the first re-anchor to three after it
-    counts = range(ANCHOR_INTERVAL - 2, ANCHOR_INTERVAL + 4)
-    assert_within_bound_of_rotation_loop(1, "1", set(counts))
+def test_generic_angle_takes_one_taylor_sin_cos(monkeypatch):
+    # the recurrence starts from the exact z_0 and one Taylor z_1, and a
+    # rational angle needs no pi
+    calls = []
+    sin_cos, pi = identities._sin_cos_fixed, identities.compute_pi
+    monkeypatch.setattr(
+        identities, "_sin_cos_fixed", lambda *a: calls.append("sin_cos") or sin_cos(*a)
+    )
+    monkeypatch.setattr(identities, "compute_pi", lambda *a: calls.append("pi") or pi(*a))
+    for identity in ("S1", "S2"):
+        fourier_lhs(identity, 1, "1", 25_000, digits=20)
+    assert calls == ["sin_cos"] * 2
+
+
+def test_generic_angle_past_the_int_to_str_limit():
+    # the binary and decimal scales of 4400 digits lie past the 4300-digit
+    # default limit on int-to-str conversion
+    assert fourier_lhs("S1", 1, "1", 10, 4400).err_ulp <= 3
+    assert tan_half_residual("1", 10, 4400).as_fraction() < 1
 
 
 def half_pi_pair_reference(k, fourier_terms, scale):
@@ -241,17 +257,25 @@ def half_pi_pair_reference(k, fourier_terms, scale):
     return a_prev, a, b_prev, b
 
 
-@pytest.mark.parametrize("terms", [2, 3, 1_000, 1_001])
+@pytest.mark.parametrize("terms", [2, 3, 1_000, 1_001, 100_000])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_half_pi_single_sums_equal_pair_halves(k, terms):
-    a_prev, a, b_prev, b = half_pi_pair_reference(k, terms, 20 + GUARD_DIGITS)
-    assert fourier_lhs("S1", k, "pi/2", terms, 20).mantissa == _divround(a_prev + a, 2)
-    assert fourier_lhs("S2", k, "pi/2", terms, 20).mantissa == _divround(b_prev + b, 2)
+    # the pair loop 15 digits finer is the reference; its floors cost it at
+    # most terms / 2 of its own ulp, far below one ulp of the sums tested
+    digits, extra = 20, 15
+    scale = digits + GUARD_DIGITS
+    ulp, ref_ulp = Fraction(1, 10**scale), Fraction(1, 10 ** (scale + extra))
+    a_prev, a, b_prev, b = half_pi_pair_reference(k, terms, scale + extra)
+    for identity, reference in (("S1", a_prev + a), ("S2", b_prev + b)):
+        lhs = fourier_lhs(identity, k, "pi/2", terms, digits)
+        gap = abs(lhs.as_fraction() - reference * ref_ulp / 2)
+        assert gap <= lhs.err_ulp * ulp + terms * ref_ulp, (identity, terms)
+        assert lhs.err_ulp <= 3, (identity, terms)
 
 
 def cesaro_reference(token, fourier_terms, scale):
     """The (C, 1) mean of the alternating sine partial sums on the rotation loop, and its bound."""
-    engine = _AngleEngine(token, scale)
+    engine = AngleEngine(token, scale)
     one = 10**scale
     s1, c1, _ = engine.sin_cos(1)
     s, c = s1, c1
@@ -270,7 +294,7 @@ def cesaro_reference(token, fourier_terms, scale):
 
 
 def test_tan_half_residual_within_bound_of_rotation_loop():
-    token, terms, digits = "1", ANCHOR_INTERVAL + 3, 15
+    token, terms, digits = "1", 10_003, 15
     scale = digits + GUARD_DIGITS
     mean, bound = cesaro_reference(token, terms, scale + 15)
     reference = abs(mean - tan_fraction(Fraction(1, 2)) / 2)
