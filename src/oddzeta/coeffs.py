@@ -25,11 +25,14 @@ recurrence reads grow with it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial, prod
+from typing import TYPE_CHECKING
 
 from .errors import ResourceLimitError
 from .exact import tangent_number
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "build_table",
@@ -107,12 +110,16 @@ def denominator_step(n: int, k: int) -> int:
 
 def d_coeff(n: int, k: int) -> Fraction:
     """Ladder coefficient D_n(k) = c_n / (2^(2n-1) * (2n)(2n+1)...(2n+k-1))."""
+    from fractions import Fraction
+
     _check_n_k(n, k)
     return Fraction(_column(1, n)[n - 1], d_denominator(n, k))
 
 
 def e_coeff(n: int, k: int) -> Fraction:
     """Series coefficient E_n(k) of (pi/2)^(2n+k-1) in the expansion of A_k."""
+    from fractions import Fraction
+
     _check_n_k(n, k)
     return Fraction(_column(k, n)[n - 1], e_denominator(n, k))
 
@@ -131,6 +138,8 @@ def e_column(k: int, rows: int) -> list[int]:
 
 def build_table(k_max: int, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
     """Columns 1..k_max of the store, each cut to rows 1..n_max: ``table[k-1][n-1]`` is E_n(k)."""
+    from fractions import Fraction
+
     _check_n_k(n_max, k_max)
     if k_max * n_max > MAX_TABLE_CELLS:
         raise ResourceLimitError(

@@ -9,7 +9,6 @@ the classical Bernoulli closed form.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
@@ -83,14 +82,14 @@ def alt_harmonic(digits: int) -> ConstantValue:
 def zeta_odd(k: int, digits: int) -> ConstantValue:
     """zeta(2k+1) = A_(2k+1) / (1 - 2^(-2k)).
 
-    The divisor is applied as the exact rational 2^(2k)/(2^(2k)-1) on the
+    The divisor is applied as the exact ratio 4^k/(4^k-1) on the
     working-precision sum, before the final rounding step.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     inner = _series_constant(f"zeta_odd({k})", 2 * k + 1, digits + ZETA_ODD_EXTRA_DIGITS)
-    factor = Fraction(1 << (2 * k), (1 << (2 * k)) - 1)
-    return inner._replace(value=inner.value.mul_fraction(factor).rescale(digits))
+    four = 1 << (2 * k)
+    return inner._replace(value=inner.value.mul_ratio(four, four - 1).rescale(digits))
 
 
 def catalan(digits: int) -> ConstantValue:
@@ -108,6 +107,8 @@ def zeta_even_closed(n: int, digits: int) -> ConstantValue:
 
     Computed as an exact rational multiplier times pi^(2n), rounded once.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("n must be >= 1")
     multiplier = bernoulli(2 * n) * (-1) ** (n + 1) * (1 << (2 * n - 1))

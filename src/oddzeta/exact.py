@@ -13,9 +13,12 @@ import operator
 import os
 import tempfile
 from contextlib import contextmanager
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import ResourceLimitError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["CACHE_DIR_ENV", "bernoulli", "cache_dir", "tangent_number"]
 
@@ -161,6 +164,8 @@ def bernoulli(m: int) -> Fraction:
 
     B_2n = (-1)^(n+1) * 2n * T_n / (4^n (4^n - 1)); odd indices above 1 vanish.
     """
+    from fractions import Fraction  # imported on use: most `constant` commands build none
+
     if m < 0:
         raise ValueError("Bernoulli index must be >= 0")
     if m > 2 * MAX_TANGENT_INDEX:

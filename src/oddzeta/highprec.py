@@ -7,11 +7,13 @@ operation propagates the bound conservatively; bounds only ever grow.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .coeffs import denominator_step, e_column, e_denominator
 from .errors import ResourceLimitError, TailRatioError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "GUARD_DIGITS",
@@ -59,9 +61,13 @@ class FixedDecimal(NamedTuple):
 
     def as_fraction(self) -> Fraction:
         """Midpoint of the enclosure (ignores err_ulp)."""
+        from fractions import Fraction
+
         return Fraction(self.mantissa, 10**self.scale)
 
     def bounds(self) -> tuple[Fraction, Fraction]:
+        from fractions import Fraction
+
         ulp = Fraction(1, 10**self.scale)
         mid = self.as_fraction()
         return mid - self.err_ulp * ulp, mid + self.err_ulp * ulp
@@ -228,23 +234,51 @@ def estimate_terms(digits: int, k: int) -> int:
     return _ceil_div(need * 10**6, _LOG10_4_MICRO) + 5
 
 
+def _cut_mul_ratio(pm: int, pe: int, num: int, den: int) -> tuple[int, int]:
+    """``FixedDecimal(pm, scale, pe).mul_ratio(num, den)`` as a (mantissa, err_ulp) pair, pm >= 0.
+
+    Both integers come out equal to the exact ones, from operands cut to the size
+    of pm.  Write num = n' 2^t + a and den = d' 2^t + b with 0 <= a, b < 2^t,
+    where t leaves d' 64 bits longer than pm, so that d' > pm 2^63.  Then
+    |num/den - n'/d'| < (d' + |n'|) / d'^2, so X = pm num 2^32 / den lies
+    strictly between q - e and q + e, with q = floor(pm n' 2^32 / d') and the
+    certified slack e = floor((|n'| // d' + 2) / 2^31) + 2.  If both ends round
+    to the same integer, so does X (Ziv's rounding test).  And |num| / den <
+    (|n'| + 1) / d', so pe (|n'| + 1) <= d' puts pe |num| / den below 1, where
+    its ceiling is 1 unless it is 0.  When either test fails, about once in 2^30
+    calls for the mantissa, or when den is no longer than pm, the exact
+    division decides.
+    """
+    shift = den.bit_length() - pm.bit_length() - 64
+    if shift > 0:
+        n, d = num >> shift, den >> shift
+        q = (pm * n << 32) // d
+        e = ((abs(n) // d + 2) >> 31) + 2
+        low = (q - e + (1 << 31)) >> 32
+        if low == (q + e + (1 << 31)) >> 32 and pe * (abs(n) + 1) <= d:
+            return low, 2 if pe and num else 1
+    return _divround(pm * num, den), _ceil_div(pe * abs(num), den) + 1
+
+
 def _series_terms(power: FixedDecimal, step: FixedDecimal, column, den: int, index: int):
     """Yield (mantissa, err_ulp) of power * step^(n-1) * column[n-1] / den_n for n = 1, 2, ...
 
     ``power`` and ``step`` share one scale, and den_(n+1) = den_n * denominator_step(n, index).
     The integers are those :meth:`FixedDecimal.mul_ratio` and :meth:`FixedDecimal.mul`
-    would give, computed by their formulas without a ``FixedDecimal`` per row.
+    would give, computed by their formulas without a ``FixedDecimal`` per row.  The
+    exact N_n and den_n grow to several times the length of the power's mantissa,
+    so each term's product with N_n / den_n is taken by :func:`_cut_mul_ratio`
+    from their leading bits: a certified slack around the cut quotient shows the
+    rounding is the exact one, and where it cannot, the exact division runs.
     """
     unit = 10**power.scale
     pm, _, pe = power
     sm, _, se = step
     for n, num in enumerate(column, 1):
-        # the shared power of two is most of what a reduction would remove; a shift drops it
-        twos = ((num | den) & -(num | den)).bit_length() - 1
-        num_odd, den_odd = num >> twos, den >> twos
-        yield _divround(pm * num_odd, den_odd), _ceil_div(pe * abs(num_odd), den_odd) + 1
-        pe = _ceil_div(abs(pm) * se + abs(sm) * pe + pe * se, unit) + 1
-        pm = _divround(pm * sm, unit)
+        yield _cut_mul_ratio(pm, pe, num, den)
+        pe = -(-(abs(pm) * se + abs(sm) * pe + pe * se) // unit) + 1
+        pm, rest = divmod(pm * sm, unit)
+        pm += 2 * rest >= unit
         den *= denominator_step(n, index)
 
 

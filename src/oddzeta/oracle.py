@@ -6,17 +6,17 @@ Rodriguez Villegas and Zagier, Experimental Math. 9, 2000) for the
 alternating eta/beta sums, with zeta at every argument s >= 2 following
 from eta(s) by an exact factor, an atanh series for ln 2, and a transformed
 arctangent series for pi.  The acceleration keeps its Chebyshev weights as
-integers and sums the weighted terms over one common denominator, so each
-accelerated sum forms a single ``Fraction`` at the end.  Only the raw
-fixed-point/rational primitives are shared with the production path, so a
-bug there cannot silently confirm itself.
+integers and merges the weighted terms pairwise, x/p + y/q = (xq + yp)/(pq),
+into one numerator over one denominator, so each accelerated sum forms a
+single ``Fraction`` at the end.  Only the raw fixed-point/rational
+primitives are shared with the production path, so a bug there cannot
+silently confirm itself.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from .constants import compute_constant, parse_constant_name, valid_name_summary
@@ -57,8 +57,9 @@ def accelerated_alternating(term, depth: int) -> tuple[Fraction, Fraction]:
     denominator)``, and the sequence must be totally monotone (moments of a
     positive measure on [0, 1]); then the returned bound ``4 * term(0) /
     d_depth`` with d_depth ~ (3 + sqrt 8)^depth is valid.  Everything is
-    exact, so the bound is the only error: the weights are integers, summed
-    against the terms over their common denominator.
+    exact, so the bound is the only error: the weights are integers, and the
+    weighted terms are merged two at a time, then the merged pairs two at a
+    time, so that each product joins operands of like size.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
@@ -66,16 +67,19 @@ def accelerated_alternating(term, depth: int) -> tuple[Fraction, Fraction]:
     for _ in range(depth - 1):
         d_prev, d = d, 6 * d - d_prev
     terms = [term(j) for j in range(depth)]
-    common = lcm(*(den for _, den in terms))
     b = -1
     c = -d
-    s = 0
+    pairs = []
     for j, (num, den) in enumerate(terms):
         c = b - c
-        s += c * num * (common // den)
+        pairs.append((c * num, den))
         b, rest = divmod(b * 2 * (j + depth) * (j - depth), (2 * j + 1) * (j + 1))
         if rest:
             raise ArithmeticError(f"Chebyshev weight b_{j + 1} at depth {depth} is not an integer")
+    while len(pairs) > 1:
+        merged = [(x * q + y * p, p * q) for (x, p), (y, q) in zip(pairs[::2], pairs[1::2])]
+        pairs = merged + pairs[len(merged) * 2 :]
+    [(s, common)] = pairs
     num, den = terms[0]
     return Fraction(s, common * d), Fraction(4 * num, den * d)
 

@@ -4,12 +4,11 @@ Nothing here shares code with the package beyond ``fractions.Fraction``:
 tangent coefficients come from the derivative recurrence (not Bernoulli
 numbers), ladder coefficients from the closed-form product (not the
 recurrence), and the step formulas are written out literally, one per
-integration step.
-
-The one exception is :class:`AngleEngine`, the reference for the Fourier
-pass: it takes sin and cos of m*theta straight from the angle, reduced
-modulo 2 pi, where the package runs a three-term recurrence over m, and it
-reuses the package's Machin pi and Taylor sin/cos at a single angle.
+integration step.  :class:`AngleEngine`, the reference for the Fourier pass,
+takes sin and cos of m*theta straight from the angle, reduced modulo 2 pi,
+where the package runs a three-term recurrence over m; its pi is Machin's
+formula summed on exact rationals, and its sin and cos are Taylor sums on
+integers, both written out here.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-
-from oddzeta.highprec import _divround, compute_pi
-from oddzeta.identities import _sin_cos_fixed, _theta_mantissa
 
 ANCHOR_INTERVAL = 10_000  # terms between two AngleEngine anchors in the rotation references
 EXTRA_SCALE = 8  # headroom digits for angle reduction and anchor recomputation
@@ -143,6 +139,62 @@ def accelerated_alternating_fractions(term, depth: int) -> tuple[Fraction, Fract
     return s / d, 4 * Fraction(*term(0)) / d
 
 
+def round_div(a: int, b: int) -> int:
+    """Nearest integer to a / b for b > 0, halves rounded up."""
+    return (2 * a + b) // (2 * b)
+
+
+def pi_fixed(scale: int) -> int:
+    """pi * 10^scale within one unit: Machin's 16 atan(1/5) - 4 atan(1/239) on exact rationals.
+
+    Each arctangent series alternates with falling terms, so its omitted tail is
+    below its first omitted term, itself below 10^-(scale+3): with the weights
+    16 and 4 the tails cost 0.02 units and the rounding half a unit.
+    """
+    threshold = Fraction(1, 10 ** (scale + 3))
+
+    def arctan_recip(x: int) -> Fraction:
+        total = Fraction(0)
+        j = 0
+        while (term := Fraction(1, (2 * j + 1) * x ** (2 * j + 1))) >= threshold:
+            total += term if j % 2 == 0 else -term
+            j += 1
+        return total
+
+    pi = 16 * arctan_recip(5) - 4 * arctan_recip(239)
+    return round_div(pi.numerator * 10**scale, pi.denominator)
+
+
+def theta_fixed(token: str, scale: int) -> int:
+    """The angle ``pi/<q>`` or ``<rational>`` times 10^scale, within one unit."""
+    if token.startswith("pi/"):
+        return round_div(pi_fixed(scale), int(token[3:]))
+    value = Fraction(token)
+    return round_div(value.numerator * 10**scale, value.denominator)
+
+
+def sin_cos_fixed(xm: int, scale: int) -> tuple[int, int]:
+    """sin and cos of x = xm * 10^-scale for |x| < 4, each within one unit of 10^-scale.
+
+    Taylor sums on integers six digits finer, every term truncated: the
+    truncations and the omitted tail stay below a hundred fine units, so after
+    the final rounding the error is below half a unit plus 10^-4.
+    """
+    guard = 10**6
+    one = 10**scale * guard
+    x = abs(xm) * guard
+    sums = []
+    for term, i in ((x, 1), (one, 0)):
+        total, sign = 0, 1
+        while term:
+            total += sign * term
+            term = term * x * x // (one * one * (i + 1) * (i + 2))
+            sign, i = -sign, i + 2
+        sums.append(round_div(total, guard))
+    s, c = sums
+    return (s if xm >= 0 else -s), c
+
+
 class AngleEngine:
     """sin/cos of m*theta at high precision for any m.
 
@@ -154,8 +206,8 @@ class AngleEngine:
     def __init__(self, token: str, scale: int):
         self.hi_scale = scale + EXTRA_SCALE
         self.shift = 10**EXTRA_SCALE
-        self.theta_hi, self.theta_err = _theta_mantissa(token, self.hi_scale)
-        self.pi_hi = compute_pi(self.hi_scale).mantissa
+        self.theta_hi = theta_fixed(token, self.hi_scale)
+        self.pi_hi = pi_fixed(self.hi_scale)
 
     def sin_cos(self, m: int) -> tuple[int, int, int]:
         """(sin, cos, err_ulp) of m*theta at ``scale``, via range reduction."""
@@ -165,7 +217,9 @@ class AngleEngine:
         rem = u - q * two_pi
         if rem > self.pi_hi:
             rem -= two_pi
-        angle_err = m * self.theta_err + 2 * q + 2
-        s, c, err = _sin_cos_fixed(rem, self.hi_scale, angle_err)
+        # theta is within one unit, so m*theta within m; each of the q multiples of
+        # 2 pi removed is within two; sin and cos move by at most the angle's error
+        err = m + 2 * q + 1
+        s, c = sin_cos_fixed(rem, self.hi_scale)
         down = self.shift
-        return _divround(s, down), _divround(c, down), err // down + 2
+        return round_div(s, down), round_div(c, down), err // down + 2

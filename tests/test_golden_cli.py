@@ -10,6 +10,9 @@ only for an intended output change:
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,6 +83,26 @@ def _golden() -> dict:
 def test_golden_output(argv):
     expected = _golden()[" ".join(argv)]
     assert invoke(argv) == expected
+
+
+# a battery, the longest constant and a generic-angle identity, each run
+# through `python -O -m oddzeta.cli`, which drops assert statements
+OPTIMIZED_COMMANDS = [
+    ["verify", "--digits", "30"],
+    ["constant", "apery", "--digits", "100"],
+    ["identity", "--id", "S2", "--k", "1", "--theta", "1", "--terms", "2000"],
+]
+
+
+@pytest.mark.parametrize("argv", OPTIMIZED_COMMANDS, ids=" ".join)
+def test_golden_output_under_python_O(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env.pop("ODDZETA_CACHE_DIR", None)
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "oddzeta.cli", *argv], env=env, capture_output=True, timeout=120
+    )
+    expected = _golden()[" ".join(argv)]
+    assert (done.returncode, done.stdout.decode()) == (expected["code"], expected["stdout"])
 
 
 if __name__ == "__main__":

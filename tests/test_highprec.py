@@ -3,13 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from oddzeta import highprec
 from oddzeta.coeffs import denominator_step, e_column, e_denominator
 from oddzeta.errors import TailRatioError
 from oddzeta.highprec import (
     GUARD_DIGITS,
     FixedDecimal,
+    _cut_mul_ratio,
     compute_pi,
     estimate_terms,
     half_pi,
@@ -189,11 +191,51 @@ def sum_series_reference(k, digits):
 
 @pytest.mark.parametrize("k", [*range(1, 13), 15, 20, 21, 30])
 def test_sum_series_equals_fixed_decimal_loop(k):
-    for digits in (1, 2, 5, 30, 57, 100, 300):
+    for digits in (1, 2, 5, 30, 57, 100, 300, *((500,) if k <= 2 else ())):
         result = sum_series(k, digits)
         assert (result.value, result.terms_used, result.tail_bound) == sum_series_reference(
             k, digits
         )
+
+
+def of_length(bits):
+    """Integers of exactly ``bits`` bits (0 for no bits)."""
+    return st.integers(min_value=(1 << bits) >> 1, max_value=(1 << bits) - 1)
+
+
+@st.composite
+def cut_operands(draw):
+    """(pm, pe, num, den) with den of 2 to 8000 bits, and num from 40 bits longer than
+    den down to pm's length plus 64 bits shorter, so that pm num / den spans
+    the term sizes of a series, from below one ulp to past pm."""
+    pm_bits = draw(st.integers(min_value=0, max_value=1200))
+    den_bits = draw(st.integers(min_value=2, max_value=8000))
+    num_bits = max(0, den_bits - draw(st.integers(min_value=-40, max_value=pm_bits + 64)))
+    pm = draw(of_length(pm_bits))
+    pe = draw(of_length(draw(st.integers(min_value=0, max_value=pm_bits + 64))))
+    num = draw(of_length(num_bits)) * draw(st.sampled_from((1, -1)))
+    return pm, pe, num, draw(of_length(den_bits))
+
+
+@given(cut_operands())
+@example((5, 7, 0, 1 << 200))  # num = 0: the error term is exactly 0, so err_ulp is 1
+def test_cut_mul_ratio_equals_exact(operands):
+    pm, pe, num, den = operands
+    exact = FixedDecimal(pm, 0, pe).mul_ratio(num, den)
+    assert _cut_mul_ratio(pm, pe, num, den) == (exact.mantissa, exact.err_ulp)
+
+
+def test_cut_mul_ratio_falls_back_on_an_exact_half(monkeypatch):
+    # (2m+1) X / (2X) is m + 1/2 exactly: no slack around the cut quotient
+    # can decide the rounding, so the exact division must run
+    x, m = (1 << 2000) + 12_345, 10**30
+    exact_calls = []
+    divround = highprec._divround
+    monkeypatch.setattr(
+        highprec, "_divround", lambda a, b: exact_calls.append(b) or divround(a, b)
+    )
+    assert _cut_mul_ratio(1, 0, (2 * m + 1) * x, 2 * x) == (m + 1, 1)
+    assert exact_calls == [2 * x]
 
 
 def test_sum_series_builds_constant_fixed_decimals(monkeypatch):

@@ -10,8 +10,16 @@ import pytest
 
 import oddzeta
 
-# modules a `constant` command never uses; importing them would only slow a cold process
-UNUSED_BY_CONSTANT = ("dataclasses", "inspect", "json", "oddzeta.oracle", "oddzeta.identities")
+# modules a series `constant` command never uses; importing them would only slow a cold process
+UNUSED_BY_CONSTANT = (
+    "dataclasses",
+    "decimal",
+    "fractions",
+    "inspect",
+    "json",
+    "oddzeta.oracle",
+    "oddzeta.identities",
+)
 
 
 def test_no_assert_in_package():
