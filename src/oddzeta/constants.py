@@ -3,7 +3,7 @@
 The alternating sums A_k = sum_n E_n(k) (pi/2)^(2n+k-1) give beta(2k) for
 even index and eta(2k+1) for odd index; zeta at odd arguments follows from
 eta via the exact factor 2^(2k)/(2^(2k)-1), and zeta at even arguments has
-the classical Bernoulli closed form.
+the classical Bernoulli closed form, read from the same coefficient store.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import re
 from math import factorial
 from typing import NamedTuple
 
+from .coeffs import e_column
 from .errors import UnknownConstantError
-from .exact import bernoulli
 from .highprec import FixedDecimal, GUARD_DIGITS, compute_pi, sum_series
 
 __all__ = [
@@ -105,16 +105,15 @@ def apery(digits: int) -> ConstantValue:
 def zeta_even_closed(n: int, digits: int) -> ConstantValue:
     """zeta(2n) = B_2n/2 * (2 pi)^(2n) * (-1)^(n+1) / (2n)!.
 
-    Computed as an exact rational multiplier times pi^(2n), rounded once.
+    With B_2n = (-1)^(n+1) 2n T_n / (4^n (4^n - 1)) and column 1's N_n(1) = 2 T_n,
+    the multiplier of pi^(2n) is the exact ratio N_n(1) / (4 (2n-1)! (4^n - 1)),
+    applied once before the final rounding step.
     """
-    from fractions import Fraction
-
     if n < 1:
         raise ValueError("n must be >= 1")
-    multiplier = bernoulli(2 * n) * (-1) ** (n + 1) * (1 << (2 * n - 1))
-    rational = Fraction(multiplier, factorial(2 * n))
-    work = digits + GUARD_DIGITS
-    value = compute_pi(work).pow_int(2 * n).mul_fraction(rational).rescale(digits)
+    four = 1 << (2 * n)
+    ratio = e_column(1, n)[n - 1], 4 * factorial(2 * n - 1) * (four - 1)
+    value = compute_pi(digits + GUARD_DIGITS).pow_int(2 * n).mul_ratio(*ratio).rescale(digits)
     return ConstantValue(name=f"zeta_even({n})", value=value, method=CLOSED_FORM_METHOD)
 
 

@@ -164,7 +164,7 @@ def bernoulli(m: int) -> Fraction:
 
     B_2n = (-1)^(n+1) * 2n * T_n / (4^n (4^n - 1)); odd indices above 1 vanish.
     """
-    from fractions import Fraction  # imported on use: most `constant` commands build none
+    from fractions import Fraction  # imported on use: no `constant` command builds one
 
     if m < 0:
         raise ValueError("Bernoulli index must be >= 0")

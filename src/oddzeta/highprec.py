@@ -54,11 +54,6 @@ class FixedDecimal(NamedTuple):
     def from_int(cls, value: int, scale: int) -> "FixedDecimal":
         return cls(value * 10**scale, scale, 0)
 
-    @classmethod
-    def from_fraction(cls, value: Fraction, scale: int) -> "FixedDecimal":
-        m = _divround(value.numerator * 10**scale, value.denominator)
-        return cls(m, scale, 1)
-
     def as_fraction(self) -> Fraction:
         """Midpoint of the enclosure (ignores err_ulp)."""
         from fractions import Fraction
@@ -117,9 +112,6 @@ class FixedDecimal(NamedTuple):
         m = _divround(self.mantissa * num, den)
         err = _ceil_div(self.err_ulp * abs(num), den) + 1
         return FixedDecimal(m, self.scale, err)
-
-    def mul_fraction(self, q: Fraction) -> "FixedDecimal":
-        return self.mul_ratio(q.numerator, q.denominator)
 
     def pow_int(self, exponent: int) -> "FixedDecimal":
         if exponent < 0:

@@ -53,6 +53,9 @@ IDENTITY_TAGS = ("S1", "S2")
 
 # safe strict lower bound for pi; rational theta must stay below it
 _PI_LOWER = Fraction(314159265, 10**8)
+# most digits a string angle may have, |exponent| counted as digits: its numerator and
+# denominator then stay printable, since Python prints at most 4300 digits of an integer
+MAX_THETA_DIGITS = 4000
 
 
 def canonical_theta_token(theta) -> str:
@@ -64,6 +67,12 @@ def canonical_theta_token(theta) -> str:
             if q < 2:
                 raise ValueError("pi/<q> angles require q >= 2 to stay inside (0, pi)")
             return f"pi/{q}"
+        mantissa, _, exponent = text.lower().partition("e")
+        exponent = exponent.lstrip("+-").replace("_", "").lstrip("0")
+        # read before Fraction builds 10^|exponent|; five digits already pass the limit
+        size = sum(c.isdigit() for c in mantissa) + int(exponent[:5] if exponent.isdigit() else 0)
+        if size > MAX_THETA_DIGITS:
+            raise ValueError(f"theta has more than {MAX_THETA_DIGITS} digits, |exponent| counted")
         return str(Fraction(text))
     if isinstance(theta, Fraction):
         return str(theta)
@@ -244,25 +253,22 @@ def _ladder_side(
     for last, err in terms:
         total += last
         total_err += err
-    acc = FixedDecimal(total, scale, total_err)
-    front = Fraction((-1) ** k, 2) if identity == "S1" else Fraction((-1) ** (k + 1), 2)
-    acc = acc.mul_fraction(front)
+    front = (-1) ** k if identity == "S1" else (-1) ** (k + 1)
+    acc = FixedDecimal(total, scale, total_err).mul_ratio(front, 2)
     # geometric bound on the omitted ladder tail: the term ratio is strictly
-    # below (theta/pi)^2 for every n, bounded here with outward rounding
-    rho = Fraction((m + 2) ** 2, (compute_pi(scale).mantissa - 2) ** 2)
-    if rho >= Fraction(999, 1000):
-        raise ValueError(
-            f"theta={token} is too close to pi for a usable ladder tail bound"
-        )
-    tail_ulp = int(abs(last) * rho / (2 * (1 - rho))) + 1
+    # below (theta/pi)^2 for every n, bounded here by a/b with outward rounding
+    a, b = (m + 2) ** 2, (compute_pi(scale).mantissa - 2) ** 2
+    if 1000 * a >= 999 * b:
+        raise ValueError(f"theta={token} is too close to pi for a usable ladder tail bound")
+    # |last| rho / (2 (1 - rho)) with rho = a/b
+    tail_ulp = abs(last) * a // (2 * (b - a)) + 1
     acc = FixedDecimal(acc.mantissa, acc.scale, acc.err_ulp + tail_ulp)
     offset = 1 if identity == "S1" else 0
     for r in range(eta_terms):
         exponent = 2 * (k - r) - offset
-        numer = (-1) ** (k - r - offset)
-        coeff = Fraction(numer, factorial(exponent))
         a_val = (eta_odd(r, eta_digits) if r else alt_harmonic(eta_digits)).value
-        acc = acc + a_val.mul(th.pow_int(exponent)).mul_fraction(coeff)
+        term = a_val.mul(th.pow_int(exponent))
+        acc += term.mul_ratio((-1) ** (k - r - offset), factorial(exponent))
     return acc
 
 
@@ -313,7 +319,7 @@ def eta_from_half_pi_identity(k: int, digits: int = 30) -> FixedDecimal:
         raise ValueError("k must be >= 1")
     side = _ladder_side("S2", k, "pi/2", estimate_terms(digits, 2 * k + 1), digits, k)
     two_power = 1 << (2 * k + 1)
-    return side.mul_fraction(Fraction(-two_power, two_power - 1)).rescale(digits)
+    return side.mul_ratio(-two_power, two_power - 1).rescale(digits)
 
 
 def tan_half_residual(theta, fourier_terms: int, digits: int = 15) -> FixedDecimal:
@@ -341,7 +347,7 @@ def tan_half_residual(theta, fourier_terms: int, digits: int = 15) -> FixedDecim
     t_m = _divround(sh * one, ch)
     quot_err = (errh * (one + abs(t_m))) // abs(ch) + 2
     tan_half = FixedDecimal(t_m, scale, quot_err)
-    return abs(mean - tan_half.mul_fraction(Fraction(1, 2)))
+    return abs(mean - tan_half.mul_ratio(1, 2))
 
 
 def residual_sweep(

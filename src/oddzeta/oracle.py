@@ -7,10 +7,10 @@ alternating eta/beta sums, with zeta at every argument s >= 2 following
 from eta(s) by an exact factor, an atanh series for ln 2, and a transformed
 arctangent series for pi.  The acceleration keeps its Chebyshev weights as
 integers and merges the weighted terms pairwise, x/p + y/q = (xq + yp)/(pq),
-into one numerator over one denominator, so each accelerated sum forms a
-single ``Fraction`` at the end.  Only the raw fixed-point/rational
-primitives are shared with the production path, so a bug there cannot
-silently confirm itself.
+into one numerator over one denominator, and each accelerated sum is handed
+on as that unreduced integer pair, rounded once with no gcd.  Only the raw
+fixed-point/rational primitives are shared with the production path, so a
+bug there cannot silently confirm itself.
 """
 
 from __future__ import annotations
@@ -50,16 +50,17 @@ def acceleration_depth(digits: int) -> int:
     return _ceil_div(digits * _ACCEL_LOG10_DEN, _ACCEL_LOG10_NUM) + 8
 
 
-def accelerated_alternating(term, depth: int) -> tuple[Fraction, Fraction]:
+def accelerated_alternating(term, depth: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Chebyshev-accelerated value of sum_{j>=0} (-1)^j term(j), with error bound.
 
     ``term(j)`` returns a positive rational as an integer pair ``(numerator,
     denominator)``, and the sequence must be totally monotone (moments of a
-    positive measure on [0, 1]); then the returned bound ``4 * term(0) /
-    d_depth`` with d_depth ~ (3 + sqrt 8)^depth is valid.  Everything is
-    exact, so the bound is the only error: the weights are integers, and the
-    weighted terms are merged two at a time, then the merged pairs two at a
-    time, so that each product joins operands of like size.
+    positive measure on [0, 1]); then the bound ``4 * term(0) / d_depth`` with
+    d_depth ~ (3 + sqrt 8)^depth is valid.  Value and bound come back as
+    unreduced ``(numerator, denominator)`` pairs, denominators positive.
+    Everything is exact, so the bound is the only error: the weights are
+    integers, and the weighted terms are merged two at a time, then the merged
+    pairs two at a time, so that each product joins operands of like size.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
@@ -81,51 +82,50 @@ def accelerated_alternating(term, depth: int) -> tuple[Fraction, Fraction]:
         pairs = merged + pairs[len(merged) * 2 :]
     [(s, common)] = pairs
     num, den = terms[0]
-    return Fraction(s, common * d), Fraction(4 * num, den * d)
+    return (s, common * d), (4 * num, den * d)
 
 
-def _to_fixed(value: Fraction, bound: Fraction, digits: int) -> FixedDecimal:
+def _to_fixed(value: tuple[int, int], bound: tuple[int, int], digits: int) -> FixedDecimal:
+    """Round the (numerator, denominator) pair ``value`` to ``digits``, with ``bound`` its error."""
     unit = 10**digits
-    m = _divround(value.numerator * unit, value.denominator)
+    (vn, vd), (bn, bd) = value, bound
     # true error <= analytic bound + 1/2 ulp of rounding
-    err = _ceil_div(2 * bound.numerator * unit + bound.denominator, 2 * bound.denominator)
-    return FixedDecimal(m, digits, err)
+    return FixedDecimal(_divround(vn * unit, vd), digits, _ceil_div(2 * bn * unit + bd, 2 * bd))
 
 
-def _accelerated_sum(term, digits: int, extra_depth: int = 0) -> tuple[Fraction, Fraction]:
-    """(value, bound) of sum_j (-1)^j term(j), accelerated deep enough for ``digits``."""
+def _accelerated_sum(term, digits: int, extra_depth: int = 0):
+    """(value, bound) pairs of sum_j (-1)^j term(j), accelerated deep enough for ``digits``."""
     depth = acceleration_depth(digits + 3) + extra_depth
     if depth > 40_000:
         raise ResourceLimitError(f"acceleration depth {depth} beyond supported range")
     return accelerated_alternating(term, depth)
 
 
-def _eta_sum(s: int, digits: int, extra_depth: int = 0) -> tuple[Fraction, Fraction]:
-    """(value, bound) of the accelerated eta(s) sum, deep enough for ``digits``."""
+def _eta_sum(s: int, digits: int, extra_depth: int = 0):
+    """(value, bound) pairs of the accelerated eta(s) sum, deep enough for ``digits``."""
     return _accelerated_sum(lambda j: (1, (j + 1) ** s), digits, extra_depth)
 
 
 def _zeta_from_eta(s: int, digits: int) -> FixedDecimal:
     """zeta(s) = eta(s) * 2^(s-1)/(2^(s-1)-1), s >= 2, the factor exact on value and bound."""
-    value, bound = _eta_sum(s, digits)
-    factor = Fraction(1 << (s - 1), (1 << (s - 1)) - 1)
-    return _to_fixed(value * factor, bound * factor, digits)
+    (vn, vd), (bn, bd) = _eta_sum(s, digits)
+    f = 1 << (s - 1)
+    return _to_fixed((vn * f, vd * (f - 1)), (bn * f, bd * (f - 1)), digits)
 
 
 def reference_eta(s: int, digits: int, extra_depth: int = 0) -> FixedDecimal:
     """eta(s) = sum (-1)^(m+1) / m^s by certified alternating-series acceleration."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    value, bound = _eta_sum(s, digits, extra_depth)
-    return _to_fixed(value, bound, digits)
+    return _to_fixed(*_eta_sum(s, digits, extra_depth), digits)
 
 
 def reference_beta(s: int, digits: int, extra_depth: int = 0) -> FixedDecimal:
     """beta(s) = sum (-1)^m / (2m+1)^s by the same certified acceleration."""
     if s < 2:
         raise ValueError("s must be >= 2")
-    value, bound = _accelerated_sum(lambda j: (1, (2 * j + 1) ** s), digits, extra_depth)
-    return _to_fixed(value, bound, digits)
+    pairs = _accelerated_sum(lambda j: (1, (2 * j + 1) ** s), digits, extra_depth)
+    return _to_fixed(*pairs, digits)
 
 
 def reference_zeta_odd(k: int, digits: int) -> FixedDecimal:
@@ -153,7 +153,7 @@ def reference_ln2(digits: int) -> FixedDecimal:
         t = Fraction(2, (2 * j + 1) * 3 ** (2 * j + 1))
         total += t
         if t < threshold:
-            return _to_fixed(total, t / 8, digits)
+            return _to_fixed(total.as_integer_ratio(), (t / 8).as_integer_ratio(), digits)
         j += 1
 
 
@@ -173,7 +173,7 @@ def reference_pi(digits: int) -> FixedDecimal:
         total += u
         nxt = u * Fraction(n + 1, 2 * n + 3)
         if nxt < threshold:
-            return _to_fixed(total, 2 * nxt, digits)
+            return _to_fixed(total.as_integer_ratio(), (2 * nxt).as_integer_ratio(), digits)
         u = nxt
         n += 1
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -124,6 +125,21 @@ def test_bad_theta_usage_error():
     code, _, err = invoke(["identity", "--id", "S1", "--k", "1", "--theta", "9"])
     assert code == EXIT_USAGE
     assert "theta" in err
+
+
+@pytest.mark.parametrize("theta", ["1e-30000000", "1e-5000"])
+def test_huge_theta_exponent_is_rejected_at_once(theta):
+    start = time.perf_counter()
+    code, _, err = invoke(["identity", "--id", "S1", "--k", "1", "--theta", theta, "--terms", "100"])
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_USAGE
+    assert "theta has more than 4000 digits" in err
+
+
+def test_small_theta_within_the_digit_bound_runs():
+    code, out, _ = invoke(["identity", "--id", "S1", "--k", "1", "--theta", "1e-400", "--terms", "100"])
+    assert code == EXIT_OK
+    assert out.startswith("identity=S1 k=1 theta=1/1" + "0" * 400 + " ")
 
 
 @pytest.mark.parametrize("digits", ["0", "2000"])

@@ -42,6 +42,21 @@ def test_zeta_even_closed_values():
     assert lo <= exact_hi and exact_lo <= hi
 
 
+@pytest.mark.parametrize("digits", [1, 30, 301])
+def test_zeta_even_closed_equals_bernoulli_fraction_form(digits):
+    # the multiplier read from column 1 is the Bernoulli one, so every integer agrees
+    from math import factorial
+
+    from oddzeta.exact import bernoulli
+    from oddzeta.highprec import GUARD_DIGITS, compute_pi
+
+    for n in range(1, 41):
+        rational = bernoulli(2 * n) * (-1) ** (n + 1) * (1 << (2 * n - 1)) / factorial(2 * n)
+        power = compute_pi(digits + GUARD_DIGITS).pow_int(2 * n)
+        expected = power.mul_ratio(rational.numerator, rational.denominator).rescale(digits)
+        assert zeta_even_closed(n, digits).value == expected, n
+
+
 def test_beta_even_delegates_to_series():
     direct = sum_series(2, 15)
     wrapped = beta_even(1, 15)

@@ -71,7 +71,8 @@ def test_acceleration_depth_doubling_stability(fn, arg):
 
 def test_accelerated_alternating_bound_is_sound():
     # eta(2) has the independent closed form pi^2/12 to pin the truth
-    value, bound = accelerated_alternating(lambda j: (1, (j + 1) ** 2), 25)
+    pairs = accelerated_alternating(lambda j: (1, (j + 1) ** 2), 25)
+    value, bound = (Fraction(*pair) for pair in pairs)
     p = reference_pi(40)
     truth = p.as_fraction() ** 2 / 12
     assert abs(value - truth) < bound
@@ -88,7 +89,8 @@ ALTERNATING_FAMILIES = {
 def test_integer_weights_equal_fraction_loop(family, depth):
     for s in range(1, 9):
         term = ALTERNATING_FAMILIES[family](s)
-        assert accelerated_alternating(term, depth) == accelerated_alternating_fractions(
+        value, bound = accelerated_alternating(term, depth)
+        assert (Fraction(*value), Fraction(*bound)) == accelerated_alternating_fractions(
             term, depth
         )
 
@@ -97,7 +99,12 @@ def test_reference_strings_equal_fraction_loop(monkeypatch):
     levels = (1, 2, 3, 4, 5, 8, 12, 17, 32, 42, 102, 202)
     points = [(name, digits) for name in default_battery() for digits in levels]
     now = [reference_for(name, digits) for name, digits in points]
-    monkeypatch.setattr(oracle_module, "accelerated_alternating", accelerated_alternating_fractions)
+
+    def fraction_loop(term, depth):
+        # the independent loop's reduced value and bound, handed over as pairs
+        return tuple(q.as_integer_ratio() for q in accelerated_alternating_fractions(term, depth))
+
+    monkeypatch.setattr(oracle_module, "accelerated_alternating", fraction_loop)
     assert now == [reference_for(name, digits) for name, digits in points]
 
 
@@ -117,7 +124,7 @@ def test_acceleration_makes_constant_fractions(monkeypatch):
         monkeypatch.undo()
         counts.append(len(made))
         made.clear()
-    assert counts[0] == counts[1] <= 2
+    assert counts == [0, 0]
 
 
 @pytest.mark.parametrize("fn,arg", [(reference_eta, 3), (reference_beta, 2), (reference_zeta_even, 1)])
@@ -204,8 +211,8 @@ def test_default_battery_sorted_and_supported():
 
 
 def test_zeta_even_series_matches_bernoulli_form():
-    # the Bernoulli closed form feeds the production path; the eta-sum
-    # oracle must agree at every checked argument
+    # the production zeta(2n) is the Bernoulli closed form, evaluated from column 1's
+    # N_n(1) = 2 T_n; the accelerated eta(2n) sum shares neither and must agree
     from oddzeta.constants import zeta_even_closed
 
     for n in (1, 2, 3):

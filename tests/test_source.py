@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import oddzeta
+from oddzeta.constants import compute_constant
 
 # modules a series `constant` command never uses; importing them would only slow a cold process
 UNUSED_BY_CONSTANT = (
@@ -77,6 +78,54 @@ def test_no_lru_cache_in_package():
     assert found == []
 
 
+# where the name Fraction may appear, by module: "import" is a module-level import;
+# the rest are functions that take or return one, parse an angle, or are oracle
+# references built on their own rational loop.  Every computation path applies its
+# exact factors with FixedDecimal.mul_ratio on integer pairs instead.
+FRACTION_PLACES = {
+    "coeffs": {"import", "d_coeff", "e_coeff", "f_ratio", "build_table", "table_to_csv", "table_entries"},
+    "exact": {"import", "bernoulli"},
+    "highprec": {"import", "as_fraction", "bounds"},
+    "identities": {"import", "_PI_LOWER", "canonical_theta_token", "_theta_mantissa"},
+    "oracle": {"import", "reference_ln2", "reference_pi"},
+}
+
+
+def fraction_places(tree: ast.Module):
+    """(place, line) of every use of the name Fraction: place is the enclosing top-level
+    function or method, "import" for a module-level import, the name a module-level
+    assignment binds, or "module"."""
+    for top in tree.body:
+        blocks = top.body if isinstance(top, ast.ClassDef) else [top]
+        for block in blocks:
+            for node in ast.walk(block):
+                if (
+                    (isinstance(node, ast.Name) and node.id == "Fraction")
+                    or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+                    or (isinstance(node, ast.alias) and node.name == "Fraction")
+                ):
+                    if isinstance(block, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield block.name, node.lineno
+                    elif isinstance(node, ast.alias):
+                        yield "import", node.lineno
+                    elif isinstance(block, ast.Assign):
+                        yield ast.unparse(block.targets[0]), node.lineno
+                    else:
+                        yield "module", node.lineno
+
+
+def test_fraction_only_where_allowed():
+    # one way for an exact factor to enter a value: a second ratio path would show here
+    package = Path(oddzeta.__file__).parent
+    found = sorted(
+        f"{path.name}:{line} in {place}"
+        for path in package.glob("*.py")
+        for place, line in fraction_places(ast.parse(path.read_text()))
+        if place not in FRACTION_PLACES.get(path.stem, ())
+    )
+    assert found == []
+
+
 def run_fresh(script: str) -> list[str]:
     """stdout lines of ``script`` run in a new interpreter that imports this package."""
     src = str(Path(oddzeta.__file__).parent.parent)
@@ -88,17 +137,21 @@ def run_fresh(script: str) -> list[str]:
     return done.stdout.splitlines()
 
 
-def test_constant_command_imports_only_what_it_uses():
+@pytest.mark.parametrize(
+    "name",
+    ["catalan", "apery", "alt_harmonic", "beta_even(2)", "eta_odd(1)", "zeta_odd(2)", "zeta_even(3)"],
+)
+def test_constant_command_imports_only_what_it_uses(name):
     lines = run_fresh(
         "import sys\n"
         "before = set(sys.modules)\n"
         "import oddzeta.cli\n"
         "print(sorted(set(sys.modules) - before))\n"
-        "oddzeta.cli.run(['constant', 'catalan', '--digits', '10'])\n"
+        f"oddzeta.cli.run(['constant', {name!r}, '--digits', '10'])\n"
         "print(sorted(set(sys.modules) - before))\n"
     )
     after_import, value, after_run = lines
-    assert value == "0.9159655942"
+    assert value == compute_constant(name, 10).value.to_decimal()
     for loaded in (after_import, after_run):
         assert set(ast.literal_eval(loaded)).isdisjoint(UNUSED_BY_CONSTANT)
 
