@@ -3,6 +3,13 @@
 Values are ``mantissa * 10^(-scale)`` with an integer ``err_ulp`` that is a
 true upper bound on the absolute error in units of the last place.  Every
 operation propagates the bound conservatively; bounds only ever grow.
+
+The series sums yield their terms at such a scale, but carry the power of pi/2
+(or of the ladder's angle) as a binary mantissa with an exponent, cut row by
+row to 64 bits past the current term and bounded the same way.  The power's
+length then falls with the terms' (the decreasing-precision evaluation of a
+series: Brent & Zimmermann, Modern Computer Arithmetic, CUP 2010, ch. 4), and
+no row divides by a power of ten.
 """
 
 from __future__ import annotations
@@ -190,9 +197,11 @@ def compute_pi(digits: int) -> FixedDecimal:
     return result
 
 
-def half_pi(scale: int) -> FixedDecimal:
-    """pi/2 at the given scale with err_ulp <= 1."""
-    p = compute_pi(scale)
+def half_pi(scale: int, pi: FixedDecimal | None = None) -> FixedDecimal:
+    """pi/2 at the given scale with err_ulp <= 1, halved from ``pi`` if the caller holds it."""
+    p = compute_pi(scale) if pi is None else pi
+    if p.scale != scale or p.err_ulp > 1:
+        raise ValueError(f"pi must be given at scale {scale} with err_ulp <= 1")
     return FixedDecimal(_divround(p.mantissa, 2), scale, 1)
 
 
@@ -226,68 +235,94 @@ def estimate_terms(digits: int, k: int) -> int:
     return _ceil_div(need * 10**6, _LOG10_4_MICRO) + 5
 
 
-def _cut_mul_ratio(pm: int, pe: int, num: int, den: int) -> tuple[int, int]:
-    """``FixedDecimal(pm, scale, pe).mul_ratio(num, den)`` as a (mantissa, err_ulp) pair, pm >= 0.
+def _cut_mul_ratio(pm: int, pe: int, num: int, den: int, f: int = 0) -> tuple[int, int]:
+    """``FixedDecimal(pm 2^-f, scale, pe 2^-f).mul_ratio(num, den)`` as (mantissa, err_ulp).
 
-    Both integers come out equal to the exact ones, from operands cut to the size
-    of pm.  Write num = n' 2^t + a and den = d' 2^t + b with 0 <= a, b < 2^t,
-    where t leaves d' 64 bits longer than pm, so that d' > pm 2^63.  Then
-    |num/den - n'/d'| < (d' + |n'|) / d'^2, so X = pm num 2^32 / den lies
-    strictly between q - e and q + e, with q = floor(pm n' 2^32 / d') and the
-    certified slack e = floor((|n'| // d' + 2) / 2^31) + 2.  If both ends round
-    to the same integer, so does X (Ziv's rounding test).  And |num| / den <
-    (|n'| + 1) / d', so pe (|n'| + 1) <= d' puts pe |num| / den below 1, where
-    its ceiling is 1 unless it is 0.  When either test fails, about once in 2^30
-    calls for the mantissa, or when den is no longer than pm, the exact
-    division decides.
+    That is the nearest integer to X = pm num / (den 2^f), and
+    ceil(pe |num| / (den 2^f)) + 1, for pm >= 0 and f of either sign; pm 2^-f need not
+    be an integer.  Both come out equal to the exact ones, from operands cut to the
+    size of pm.  Write num = n' 2^s + r and den = d' 2^c + t with 0 <= r < 2^s and
+    0 <= t < 2^c, where c leaves d' 32 bits longer than pm, so that d' > pm 2^31, and
+    s = c + f - 32.  Then |num/den - n' 2^(s-c) / d'| < 2^(s-c) (d' + |n'|) / d'^2, so
+    X 2^32 lies strictly between q - e and q + e, with q = floor(pm n' / d') and the
+    certified slack e = floor((|n'| // d' + 2) / 2^31) + 2.  If both ends round to the
+    same integer, so does X (Ziv's rounding test).  And |num| / den <
+    (|n'| + 1) 2^(s-c) / d', so pe (|n'| + 1) <= d' 2^32 puts pe |num| / (den 2^f)
+    below 1, where its ceiling is 1 unless it is 0.  When either test fails, about
+    once in 2^30 calls for the mantissa, or when num or den is too short to cut, the
+    exact division decides.
     """
-    shift = den.bit_length() - pm.bit_length() - 64
-    if shift > 0:
-        n, d = num >> shift, den >> shift
-        q = (pm * n << 32) // d
+    cut = den.bit_length() - pm.bit_length() - 32
+    shift = cut + f - 32
+    if cut > 0 and shift > 0:
+        n, d = num >> shift, den >> cut
+        q = pm * n // d
         e = ((abs(n) // d + 2) >> 31) + 2
         low = (q - e + (1 << 31)) >> 32
-        if low == (q + e + (1 << 31)) >> 32 and pe * (abs(n) + 1) <= d:
+        if low == (q + e + (1 << 31)) >> 32 and pe * (abs(n) + 1) <= d << 32:
             return low, 2 if pe and num else 1
+    if f > 0:
+        den <<= f
+    else:
+        pm, pe = pm << -f, pe << -f
     return _divround(pm * num, den), _ceil_div(pe * abs(num), den) + 1
 
 
 def _series_terms(power: FixedDecimal, step: FixedDecimal, column, den: int, index: int):
     """Yield (mantissa, err_ulp) of power * step^(n-1) * column[n-1] / den_n for n = 1, 2, ...
 
-    ``power`` and ``step`` share one scale, and den_(n+1) = den_n * denominator_step(n, index).
-    The integers are those :meth:`FixedDecimal.mul_ratio` and :meth:`FixedDecimal.mul`
-    would give, computed by their formulas without a ``FixedDecimal`` per row.  The
-    exact N_n and den_n grow to several times the length of the power's mantissa,
-    so each term's product with N_n / den_n is taken by :func:`_cut_mul_ratio`
-    from their leading bits: a certified slack around the cut quotient shows the
-    rounding is the exact one, and where it cannot, the exact division runs.
+    ``power`` and ``step`` are non-negative and share one scale, and
+    den_(n+1) = den_n * denominator_step(n, index).  Each pair is the rounded term and
+    its bound at that scale.  The power is carried as a binary mantissa P with an
+    exponent f: its mantissa at the scale is P 2^-f, with error at most pe 2^-f, and
+    f starts at 0.  The step is converted once to S 2^-F, with F fractional bits,
+    64 more than the scale has.  Each row, P S is cut with a rounding right shift to
+    64 bits past the row's term, and never by fewer than F bits, so the power's length
+    falls with the terms' instead of growing to several times theirs, and no row
+    divides by 10^scale.  The bound follows the cut of ``drop`` bits:
+    pe' = ceil((P se + S pe + pe se) / 2^drop) + 1, so it stays rigorous.  In the
+    first rows, where the shift is F, P is the decimal mantissa :meth:`FixedDecimal.mul`
+    gives but for a rounding tie closer than P 2^-F; past them, the cuts move a term
+    by far less than an ulp.  Each term's product with the exact N_n / den_n is taken
+    by :func:`_cut_mul_ratio` from the leading bits of N_n and den_n: a certified
+    slack around the cut quotient shows the rounding is the exact one, and where it
+    cannot, the exact division runs.
     """
     unit = 10**power.scale
-    pm, _, pe = power
-    sm, _, se = step
+    frac = unit.bit_length() + 64
+    s = _divround(step.mantissa << frac, unit)
+    se = _ceil_div(step.err_ulp << frac, unit) + 1
+    p, _, pe = power
+    f = 0
     for n, num in enumerate(column, 1):
-        yield _cut_mul_ratio(pm, pe, num, den)
-        pe = -(-(abs(pm) * se + abs(sm) * pe + pe * se) // unit) + 1
-        pm, rest = divmod(pm * sm, unit)
-        pm += 2 * rest >= unit
+        mantissa, err = _cut_mul_ratio(p, pe, num, den, f)
+        yield mantissa, err
+        ps = p * s
+        drop = ps.bit_length() - mantissa.bit_length() - 64
+        drop = drop if drop > frac else frac
+        pe = -(-(p * se + s * pe + pe * se) >> drop) + 1
+        p = ((ps >> (drop - 1)) + 1) >> 1
+        f += frac - drop
         den *= denominator_step(n, index)
 
 
-def sum_series(k: int, digits: int) -> SeriesResult:
+def sum_series(k: int, digits: int, pi: FixedDecimal | None = None) -> SeriesResult:
     """Evaluate A_k = sum_n E_n(k) (pi/2)^(2n+k-1) to ``digits`` digits.
 
     Terms are exact rationals N_n(k) / den(n, k), never reduced by a gcd:
     the numerators are read from column k of the coefficient store grown
     once to :func:`estimate_terms` rows, and :func:`_series_terms` carries the
-    denominator and the fixed-point power of pi/2 row to row on plain integers.
+    denominator and a binary power of pi/2, cut to what the remaining rows
+    need, row to row on plain integers.
     The reported error bound covers per-term rounding plus a geometric tail
     bound |last| * (1/3) / (1 - 1/3); a runtime check aborts if observed
-    consecutive terms ever decay slower than 1/3 past burn-in.
+    consecutive terms ever decay slower than 1/3 past burn-in.  A caller that
+    sums several series at one precision passes ``pi`` at the working scale
+    ``digits + GUARD_DIGITS``, computed once.
     """
     column = e_column(k, estimate_terms(digits, k))
     work = digits + GUARD_DIGITS
-    hp = half_pi(work)
+    hp = half_pi(work, pi)
     terms = _series_terms(hp.pow_int(k + 1), hp.mul(hp), column, e_denominator(1, k), k)
     total = total_err = n = 0
     prev_abs: int | None = None

@@ -24,7 +24,6 @@ from math import factorial
 from typing import NamedTuple
 
 from .coeffs import d_denominator, e_column
-from .constants import alt_harmonic, eta_odd
 from .highprec import (
     GUARD_DIGITS,
     FixedDecimal,
@@ -33,6 +32,7 @@ from .highprec import (
     _series_terms,
     compute_pi,
     estimate_terms,
+    sum_series,
 )
 
 __all__ = [
@@ -81,19 +81,28 @@ def canonical_theta_token(theta) -> str:
     raise TypeError(f"unsupported theta specification: {theta!r}")
 
 
-def _theta_mantissa(token: str, scale: int) -> tuple[int, int]:
-    """(mantissa, err_ulp) of the angle at the given scale, range-checked."""
+def _theta_mantissa(token: str, scale: int, pi: FixedDecimal | None = None) -> tuple[int, int]:
+    """(mantissa, err_ulp) of the angle at the given scale, range-checked.
+
+    A pi/q angle is divided from ``pi`` at that scale, computed here if the caller has none.
+    An angle whose enclosure at the scale holds 0 is refused: both sides would then
+    vanish and agree whatever they compute.
+    """
     if token.startswith("pi/"):
-        q = int(token[3:])
-        p = compute_pi(scale)
-        return _divround(p.mantissa, q), 1
-    value = Fraction(token)
-    if not 0 < value < _PI_LOWER:
+        m = _divround((compute_pi(scale) if pi is None else pi).mantissa, int(token[3:]))
+    else:
+        value = Fraction(token)
+        if not 0 < value < _PI_LOWER:
+            raise ValueError(
+                f"theta={token} outside the open interval (0, pi); rational angles "
+                f"must stay below {float(_PI_LOWER)}"
+            )
+        m = _divround(value.numerator * 10**scale, value.denominator)
+    if m <= 1:
         raise ValueError(
-            f"theta={token} outside the open interval (0, pi); rational angles "
-            f"must stay below {float(_PI_LOWER)}"
+            f"theta={token} is within 1 ulp of 0 at {scale} working digits; raise --digits"
         )
-    return _divround(value.numerator * 10**scale, value.denominator), 1
+    return m, 1
 
 
 def resolve_theta(theta, digits: int = 30) -> FixedDecimal:
@@ -226,21 +235,30 @@ def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) 
     S2: (-1)^(k+1)/2 * sum_n D_n(2k+1) theta^(2n+2k)
         + sum_{r<=k} (-1)^(k-r) A_(2r+1) theta^(2k-2r) / (2k-2r)!
     """
+    token = canonical_theta_token(theta)
+    return _ladder_side(identity, k, token, series_terms, digits, compute_pi(digits + GUARD_DIGITS))
+
+
+def _ladder_side(
+    identity: str,
+    k: int,
+    token: str,
+    series_terms: int,
+    digits: int,
+    pi: FixedDecimal,
+    eta_terms: int | None = None,
+) -> FixedDecimal:
+    """The :func:`rhs_eval` sum, given ``pi`` at the working scale; with ``eta_terms``,
+    only the eta-polynomial terms r < ``eta_terms``."""
     _check_identity_tag(identity)
     if k < 1:
         raise ValueError("k must be >= 1")
     if series_terms < 1:
         raise ValueError("series_terms must be >= 1")
-    eta_terms = k if identity == "S1" else k + 1
-    return _ladder_side(identity, k, canonical_theta_token(theta), series_terms, digits, eta_terms)
-
-
-def _ladder_side(
-    identity: str, k: int, token: str, series_terms: int, digits: int, eta_terms: int
-) -> FixedDecimal:
-    """The :func:`rhs_eval` sum with only the eta-polynomial terms r < ``eta_terms``."""
+    if eta_terms is None:
+        eta_terms = k if identity == "S1" else k + 1
     scale = digits + GUARD_DIGITS
-    m, err = _theta_mantissa(token, scale)
+    m, err = _theta_mantissa(token, scale, pi)
     th = FixedDecimal(m, scale, err)
     th2 = th.mul(th)
     d_index = 2 * k if identity == "S1" else 2 * k + 1
@@ -257,16 +275,18 @@ def _ladder_side(
     acc = FixedDecimal(total, scale, total_err).mul_ratio(front, 2)
     # geometric bound on the omitted ladder tail: the term ratio is strictly
     # below (theta/pi)^2 for every n, bounded here by a/b with outward rounding
-    a, b = (m + 2) ** 2, (compute_pi(scale).mantissa - 2) ** 2
+    a, b = (m + 2) ** 2, (pi.mantissa - 2) ** 2
     if 1000 * a >= 999 * b:
         raise ValueError(f"theta={token} is too close to pi for a usable ladder tail bound")
     # |last| rho / (2 (1 - rho)) with rho = a/b
     tail_ulp = abs(last) * a // (2 * (b - a)) + 1
     acc = FixedDecimal(acc.mantissa, acc.scale, acc.err_ulp + tail_ulp)
     offset = 1 if identity == "S1" else 0
+    eta_pi = compute_pi(eta_digits + GUARD_DIGITS)
     for r in range(eta_terms):
         exponent = 2 * (k - r) - offset
-        a_val = (eta_odd(r, eta_digits) if r else alt_harmonic(eta_digits)).value
+        # A_(2r+1): ln 2 for r = 0, eta(2r+1) above
+        a_val = sum_series(2 * r + 1, eta_digits, eta_pi).value
         term = a_val.mul(th.pow_int(exponent))
         acc += term.mul_ratio((-1) ** (k - r - offset), factorial(exponent))
     return acc
@@ -292,14 +312,22 @@ def check_identity(
     series_terms: int,
     digits: int = 30,
 ) -> IdentityResidual:
-    """Evaluate both sides and report the absolute residual."""
+    """Evaluate both sides and report the absolute residual.
+
+    The angle, the ladder and its tail bound share one pi at the working scale; the
+    Fourier side's angle, if it needs pi, and the ladder's eta sums each compute it
+    once at their own scales.
+    """
     token = canonical_theta_token(theta)
+    scale = digits + GUARD_DIGITS
+    pi = compute_pi(scale)
+    m, err = _theta_mantissa(token, scale, pi)  # a bad angle fails before either side runs
     lhs = fourier_lhs(identity, k, token, fourier_terms, digits)
-    rhs = rhs_eval(identity, k, token, series_terms, digits)
+    rhs = _ladder_side(identity, k, token, series_terms, digits, pi)
     return IdentityResidual(
         identity=identity,
         k=k,
-        theta=resolve_theta(token, digits),
+        theta=FixedDecimal(m, scale, err),
         theta_token=token,
         fourier_terms=fourier_terms,
         series_terms=series_terms,
@@ -317,7 +345,8 @@ def eta_from_half_pi_identity(k: int, digits: int = 30) -> FixedDecimal:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    side = _ladder_side("S2", k, "pi/2", estimate_terms(digits, 2 * k + 1), digits, k)
+    pi = compute_pi(digits + GUARD_DIGITS)
+    side = _ladder_side("S2", k, "pi/2", estimate_terms(digits, 2 * k + 1), digits, pi, k)
     two_power = 1 << (2 * k + 1)
     return side.mul_ratio(-two_power, two_power - 1).rescale(digits)
 

@@ -16,7 +16,6 @@ bug there cannot silently confirm itself.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from typing import NamedTuple
 
 from .constants import compute_constant, parse_constant_name, valid_name_summary
@@ -144,6 +143,8 @@ def reference_zeta_even(n: int, digits: int) -> FixedDecimal:
 
 def reference_ln2(digits: int) -> FixedDecimal:
     """ln 2 = 2 atanh(1/3) = 2 sum_j 1 / ((2j+1) 3^(2j+1)); tail < term / 8."""
+    from fractions import Fraction  # imported on use: verify never calls this reference
+
     if digits < 1:
         raise ValueError("digits must be >= 1")
     threshold = Fraction(1, 10 ** (digits + 4))
@@ -163,6 +164,8 @@ def reference_pi(digits: int) -> FixedDecimal:
     Positive terms with ratio (n+1)/(2n+3) < 1/2, so the tail after any term
     is below twice the next term.
     """
+    from fractions import Fraction  # imported on use: verify never calls this reference
+
     if digits < 1:
         raise ValueError("digits must be >= 1")
     threshold = Fraction(1, 10 ** (digits + 4))

@@ -136,10 +136,19 @@ def test_huge_theta_exponent_is_rejected_at_once(theta):
     assert "theta has more than 4000 digits" in err
 
 
-def test_small_theta_within_the_digit_bound_runs():
-    code, out, _ = invoke(["identity", "--id", "S1", "--k", "1", "--theta", "1e-400", "--terms", "100"])
+def test_theta_within_one_ulp_of_zero_is_refused():
+    # 1e-400 passes the digit limit but rounds to 0 at the working scale, where both
+    # sides would vanish and agree; more digits resolve it, as 30 digits resolve 1e-20
+    argv = ["identity", "--id", "S1", "--k", "1", "--terms", "100", "--theta"]
+    code, _, err = invoke([*argv, "1e-400"])
+    assert code == EXIT_USAGE
+    assert "raise --digits" in err
+    code, out, _ = invoke([*argv, "1e-400", "--digits", "400"])
     assert code == EXIT_OK
     assert out.startswith("identity=S1 k=1 theta=1/1" + "0" * 400 + " ")
+    code, out, _ = invoke([*argv, "1e-20"])
+    assert code == EXIT_OK
+    assert out.startswith("identity=S1 k=1 theta=1/1" + "0" * 20 + " ")
 
 
 @pytest.mark.parametrize("digits", ["0", "2000"])

@@ -1,6 +1,8 @@
 """Fixed-point arithmetic soundness, pi, and the series summation engine."""
 
 from fractions import Fraction
+from itertools import islice
+from math import ceil, floor
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -130,6 +132,9 @@ def test_pi_precision_monotone(digits):
 
 def test_half_pi():
     assert half_pi(20).to_decimal() == "1.57079632679489661923"
+    assert half_pi(20, compute_pi(20)) == half_pi(20)
+    with pytest.raises(ValueError):
+        half_pi(20, compute_pi(21))  # a caller's pi must be at the scale it is halved to
 
 
 def test_estimate_terms_cases():
@@ -203,24 +208,38 @@ def of_length(bits):
 
 @st.composite
 def cut_operands(draw):
-    """(pm, pe, num, den) with den of 2 to 8000 bits, and num from 40 bits longer than
-    den down to pm's length plus 64 bits shorter, so that pm num / den spans
-    the term sizes of a series, from below one ulp to past pm."""
+    """(pm, pe, num, den, f) with den of 2 to 8000 bits, f from 300 down to as far below 0
+    as den is longer than pm, and num from 40 bits longer than den 2^f down to pm's
+    length plus 64 bits shorter, so that pm num / (den 2^f) spans the term sizes of a
+    series, from below one ulp to past pm, with the power's exponent f on either side
+    of 0, as far as a series power's goes."""
     pm_bits = draw(st.integers(min_value=0, max_value=1200))
     den_bits = draw(st.integers(min_value=2, max_value=8000))
-    num_bits = max(0, den_bits - draw(st.integers(min_value=-40, max_value=pm_bits + 64)))
+    f = draw(st.integers(min_value=min(pm_bits - den_bits, 0), max_value=300))
+    num_bits = max(0, den_bits + f - draw(st.integers(min_value=-40, max_value=pm_bits + 64)))
     pm = draw(of_length(pm_bits))
     pe = draw(of_length(draw(st.integers(min_value=0, max_value=pm_bits + 64))))
     num = draw(of_length(num_bits)) * draw(st.sampled_from((1, -1)))
-    return pm, pe, num, draw(of_length(den_bits))
+    return pm, pe, num, draw(of_length(den_bits)), f
+
+
+def exact_cut_pair(pm, pe, num, den, f):
+    """The nearest integer to pm num / (den 2^f), ties up, and ceil(pe |num| / (den 2^f)) + 1."""
+    scale = Fraction(2) ** -f
+    mantissa = floor(Fraction(pm * num, den) * scale + Fraction(1, 2))
+    return mantissa, ceil(Fraction(pe * abs(num), den) * scale) + 1
 
 
 @given(cut_operands())
-@example((5, 7, 0, 1 << 200))  # num = 0: the error term is exactly 0, so err_ulp is 1
+@example((5, 7, 0, 1 << 200, 0))  # num = 0: the error term is exactly 0, so err_ulp is 1
+@example((3 << 200, 2, 5 << 900, 7 << 1400, -400))  # f < 0, as a series power's is
+@example((3 << 200, 2, 5 << 1400, 7 << 1000, 300))  # f > 0
 def test_cut_mul_ratio_equals_exact(operands):
-    pm, pe, num, den = operands
-    exact = FixedDecimal(pm, 0, pe).mul_ratio(num, den)
-    assert _cut_mul_ratio(pm, pe, num, den) == (exact.mantissa, exact.err_ulp)
+    pm, pe, num, den, f = operands
+    assert _cut_mul_ratio(pm, pe, num, den, f) == exact_cut_pair(pm, pe, num, den, f)
+    if f == 0:  # the FixedDecimal product the cut stands in for
+        exact = FixedDecimal(pm, 0, pe).mul_ratio(num, den)
+        assert _cut_mul_ratio(pm, pe, num, den) == (exact.mantissa, exact.err_ulp)
 
 
 def test_cut_mul_ratio_falls_back_on_an_exact_half(monkeypatch):
@@ -254,6 +273,70 @@ def test_sum_series_builds_constant_fixed_decimals(monkeypatch):
         made.clear()
     assert terms > 300
     assert counts[0] == counts[1] < 20
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_series_terms_equal_fixed_decimal_loop_at_1000_digits(k):
+    # the cut binary power gives every (mantissa, err_ulp) pair of the decimal power
+    digits = 1000
+    column = e_column(k, estimate_terms(digits, k))
+    hp = half_pi(digits + GUARD_DIGITS)
+    step, power, den = hp.mul(hp), hp.pow_int(k + 1), e_denominator(1, k)
+    expected = []
+    for n, num in enumerate(column, 1):
+        term = power.mul_ratio(num, den)
+        expected.append((term.mantissa, term.err_ulp))
+        if abs(term.mantissa) <= 100 and n >= 5:
+            break
+        power = power.mul(step)
+        den *= denominator_step(n, k)
+    terms = highprec._series_terms(hp.pow_int(k + 1), step, column, e_denominator(1, k), k)
+    assert list(islice(terms, len(expected))) == expected
+
+
+@given(
+    st.integers(min_value=0, max_value=10**80),
+    st.integers(min_value=0, max_value=10**32),
+    st.integers(min_value=0, max_value=3),
+    st.lists(st.integers(min_value=-(10**80), max_value=10**80), min_size=1, max_size=40),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=1, max_value=9),
+)
+@example(10**60 + 1, 2 * 10**30 + 1, 0, [1, 10**80, 10**80], 1, 1)  # an exact power, rounded
+def test_series_terms_enclose_the_exact_terms(pm, sm, err, column, den, index):
+    # every yielded bound holds for the midpoints of power and step: N_n / den_n up to
+    # 10^80 magnifies the power's error in the first rows, and the later rows are cut
+    scale = 30
+    power, step = FixedDecimal(pm, scale, err), FixedDecimal(sm, scale, err)
+    unit = 10**scale
+    exact = Fraction(pm)
+    terms = highprec._series_terms(power, step, column, den, index)
+    for n, (num, (mantissa, err_ulp)) in enumerate(zip(column, terms), 1):
+        assert abs(mantissa - exact * Fraction(num, den)) <= err_ulp
+        exact *= Fraction(sm, unit)
+        den *= denominator_step(n, index)
+
+
+def test_series_power_shrinks_with_the_terms(monkeypatch):
+    rows = []
+    cut = highprec._cut_mul_ratio
+
+    def spy(pm, pe, num, den, f=0):
+        pair = cut(pm, pe, num, den, f)
+        rows.append((pm.bit_length(), f, pair[0].bit_length()))
+        return pair
+
+    monkeypatch.setattr(highprec, "_cut_mul_ratio", spy)
+    assert sum_series(3, 300).terms_used == len(rows) > 500
+    # the decimal power would grow from 1033 bits by about 1.3 bits a row
+    assert rows[0][0] == half_pi(310).pow_int(4).mantissa.bit_length() == 1033
+    for (p_bits, f, t_bits), (next_p_bits, next_f, _) in zip(rows, rows[1:]):
+        # cut to 64 bits past the row's term, or grown by one step of at most 2 bits
+        assert next_p_bits <= max(t_bits + 65, p_bits + 2)
+        assert next_f <= f <= 0
+    # the last power is as short as the last terms, its exponent past the decimal power's length
+    assert rows[-1][0] <= rows[-2][2] + 65 < 80
+    assert rows[-1][1] < -1500
 
 
 def test_sum_series_reports_tail_and_terms():

@@ -1,15 +1,16 @@
 """Fourier-identity residuals, specializations, and angle handling."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from exact_reference import ANCHOR_INTERVAL, AngleEngine, tan_fraction
-from oddzeta import identities
+from oddzeta import highprec, identities
 from oddzeta.coeffs import d_denominator, denominator_step, e_column
-from oddzeta.constants import beta_even, eta_odd
-from oddzeta.highprec import GUARD_DIGITS, FixedDecimal, _divround, _series_terms
+from oddzeta.constants import alt_harmonic, beta_even, eta_odd
+from oddzeta.highprec import GUARD_DIGITS, FixedDecimal, _divround, _series_terms, compute_pi
 from oddzeta.identities import (
     canonical_theta_token,
     check_identity,
@@ -88,6 +89,58 @@ def test_ladder_terms_equal_method_calls(d_index):
     start = th.pow_int(d_index + 1)
     assert list(_series_terms(start, th2, column, d_denominator(1, d_index), d_index)) == terms
     assert (acc.mantissa, acc.err_ulp) == tuple(map(sum, zip(*terms)))
+
+
+def ladder_reference(identity, k, theta, series_terms, digits):
+    """:func:`rhs_eval` by FixedDecimal methods: one mul_ratio and one mul per row on the
+    decimal power, and the eta values from the constants module."""
+    th = resolve_theta(theta, digits)
+    th2 = th.mul(th)
+    d_index = 2 * k if identity == "S1" else 2 * k + 1
+    power, den = th.pow_int(d_index + 1), d_denominator(1, d_index)
+    total = FixedDecimal(0, th.scale, 0)
+    for n, num in enumerate(e_column(1, series_terms), 1):
+        last = power.mul_ratio(num, den)
+        total += last
+        power = power.mul(th2)
+        den *= denominator_step(n, d_index)
+    acc = total.mul_ratio((-1) ** k if identity == "S1" else (-1) ** (k + 1), 2)
+    a, b = (th.mantissa + 2) ** 2, (compute_pi(th.scale).mantissa - 2) ** 2
+    acc = acc._replace(err_ulp=acc.err_ulp + abs(last.mantissa) * a // (2 * (b - a)) + 1)
+    offset = 1 if identity == "S1" else 0
+    for r in range(k + 1 - offset):
+        exponent = 2 * (k - r) - offset
+        a_val = (eta_odd(r, digits + 6) if r else alt_harmonic(digits + 6)).value
+        term = a_val.mul(th.pow_int(exponent))
+        acc += term.mul_ratio((-1) ** (k - r - offset), factorial(exponent))
+    return acc
+
+
+@pytest.mark.parametrize("theta", ["1/2", "2", "3", "pi/2"])
+@pytest.mark.parametrize("identity,k", [("S1", 1), ("S1", 2), ("S2", 1), ("S2", 2)])
+def test_rhs_equals_fixed_decimal_ladder(identity, k, theta):
+    # the ladder's power of theta, carried as a cut binary mantissa, changes no output
+    for digits, series_terms in ((30, 80), (100, 200)):
+        expected = ladder_reference(identity, k, theta, series_terms, digits)
+        assert rhs_eval(identity, k, theta, series_terms, digits) == expected
+
+
+def test_one_pi_per_scale_in_an_identity_check(monkeypatch):
+    scales = []
+
+    def spy(digits):
+        scales.append(digits)
+        return compute_pi(digits)
+
+    for module in (highprec, identities):
+        monkeypatch.setattr(module, "compute_pi", spy)
+    rhs_eval("S1", 1, "pi/2", 80, digits=30)
+    assert scales == [40, 46]  # the angle and the tail bound; the eta sums
+    for identity, k, theta in (("S1", 1, "pi/3"), ("S2", 3, "pi/3"), ("S2", 2, "1/2")):
+        scales.clear()
+        check_identity(identity, k, theta, 1000, 80, digits=30)
+        # a rational angle needs no pi on the Fourier side
+        assert sorted(scales) == [40, 46, *([51] if theta == "pi/3" else [])]
 
 
 def test_rhs_stability_in_series_terms():

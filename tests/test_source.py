@@ -87,7 +87,7 @@ FRACTION_PLACES = {
     "exact": {"import", "bernoulli"},
     "highprec": {"import", "as_fraction", "bounds"},
     "identities": {"import", "_PI_LOWER", "canonical_theta_token", "_theta_mantissa"},
-    "oracle": {"import", "reference_ln2", "reference_pi"},
+    "oracle": {"reference_ln2", "reference_pi"},
 }
 
 
@@ -154,6 +154,18 @@ def test_constant_command_imports_only_what_it_uses(name):
     assert value == compute_constant(name, 10).value.to_decimal()
     for loaded in (after_import, after_run):
         assert set(ast.literal_eval(loaded)).isdisjoint(UNUSED_BY_CONSTANT)
+
+
+def test_verify_command_loads_no_fraction_module():
+    # the oracle's sums run on integer pairs; only two references it never calls build a Fraction
+    lines = run_fresh(
+        "import sys\n"
+        "import oddzeta.cli\n"
+        "code = oddzeta.cli.run(['verify', '--digits', '10'])\n"
+        "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    assert lines[-1] == "0 []"
+    assert lines[-2] == "result: ok (required 10 digits)"
 
 
 def test_every_export_resolves_on_first_use():
