@@ -4,12 +4,16 @@ Values are ``mantissa * 10^(-scale)`` with an integer ``err_ulp`` that is a
 true upper bound on the absolute error in units of the last place.  Every
 operation propagates the bound conservatively; bounds only ever grow.
 
-The series sums yield their terms at such a scale, but carry the power of pi/2
-(or of the ladder's angle) as a binary mantissa with an exponent, cut row by
-row to 64 bits past the current term and bounded the same way.  The power's
-length then falls with the terms' (the decreasing-precision evaluation of a
-series: Brent & Zimmermann, Modern Computer Arithmetic, CUP 2010, ch. 4), and
-no row divides by a power of ten.
+The series sums give their terms at such a scale, but carry the power of pi/2
+(or of the ladder's angle) in binary.  In the first rows, about 19 at any
+scale, it is the decimal mantissa and each term divides by the exact
+factorial-size denominator.  From the first row whose term needs fewer bits
+than that mantissa has, the power over its denominator is carried as one binary
+quotient, cut row by row to 64 bits past the current term and divided by the
+small step of the denominator, with its bound carried the same way.  Its length
+then falls with the terms' (the decreasing-precision evaluation of a series:
+Brent & Zimmermann, Modern Computer Arithmetic, CUP 2010, ch. 4), and no row
+past the switch divides by the denominator or by a power of ten.
 """
 
 from __future__ import annotations
@@ -235,75 +239,124 @@ def estimate_terms(digits: int, k: int) -> int:
     return _ceil_div(need * 10**6, _LOG10_4_MICRO) + 5
 
 
-def _cut_mul_ratio(pm: int, pe: int, num: int, den: int, f: int = 0) -> tuple[int, int]:
-    """``FixedDecimal(pm 2^-f, scale, pe 2^-f).mul_ratio(num, den)`` as (mantissa, err_ulp).
+def _cut_mul_ratio(pm: int, pe: int, num: int, den: int) -> tuple[int, int]:
+    """``FixedDecimal(pm, scale, pe).mul_ratio(num, den)`` as a (mantissa, err_ulp) pair, pm >= 0.
 
-    That is the nearest integer to X = pm num / (den 2^f), and
-    ceil(pe |num| / (den 2^f)) + 1, for pm >= 0 and f of either sign; pm 2^-f need not
-    be an integer.  Both come out equal to the exact ones, from operands cut to the
-    size of pm.  Write num = n' 2^s + r and den = d' 2^c + t with 0 <= r < 2^s and
-    0 <= t < 2^c, where c leaves d' 32 bits longer than pm, so that d' > pm 2^31, and
-    s = c + f - 32.  Then |num/den - n' 2^(s-c) / d'| < 2^(s-c) (d' + |n'|) / d'^2, so
-    X 2^32 lies strictly between q - e and q + e, with q = floor(pm n' / d') and the
-    certified slack e = floor((|n'| // d' + 2) / 2^31) + 2.  If both ends round to the
-    same integer, so does X (Ziv's rounding test).  And |num| / den <
-    (|n'| + 1) 2^(s-c) / d', so pe (|n'| + 1) <= d' 2^32 puts pe |num| / (den 2^f)
-    below 1, where its ceiling is 1 unless it is 0.  When either test fails, about
-    once in 2^30 calls for the mantissa, or when num or den is too short to cut, the
-    exact division decides.
+    That is the nearest integer to X = pm num / den, and ceil(pe |num| / den) + 1.
+    Both come out equal to the exact ones, from operands cut to the size of pm.
+    Write num = n' 2^s + r and den = d' 2^c + t with 0 <= r < 2^s and 0 <= t < 2^c,
+    where c leaves d' 32 bits longer than pm, so that d' > pm 2^31, and s = c - 32.
+    Then |num/den - n' 2^-32 / d'| < 2^-32 (d' + |n'|) / d'^2, so X 2^32 lies
+    strictly between q - e and q + e, with q = floor(pm n' / d') and the certified
+    slack e = floor((|n'| // d' + 2) / 2^31) + 2.  If both ends round to the same
+    integer, so does X (Ziv's rounding test).  And |num| / den < (|n'| + 1) 2^-32 / d',
+    so pe (|n'| + 1) <= d' 2^32 puts pe |num| / den below 1, where its ceiling is 1
+    unless it is 0.  When either test fails, about once in 2^30 calls for the
+    mantissa, or when den is too short to cut, the exact division decides.
     """
     cut = den.bit_length() - pm.bit_length() - 32
-    shift = cut + f - 32
-    if cut > 0 and shift > 0:
-        n, d = num >> shift, den >> cut
+    if cut > 32:
+        n, d = num >> (cut - 32), den >> cut
         q = pm * n // d
         e = ((abs(n) // d + 2) >> 31) + 2
         low = (q - e + (1 << 31)) >> 32
         if low == (q + e + (1 << 31)) >> 32 and pe * (abs(n) + 1) <= d << 32:
             return low, 2 if pe and num else 1
-    if f > 0:
-        den <<= f
-    else:
-        pm, pe = pm << -f, pe << -f
     return _divround(pm * num, den), _ceil_div(pe * abs(num), den) + 1
 
 
-def _series_terms(power: FixedDecimal, step: FixedDecimal, column, den: int, index: int):
-    """Yield (mantissa, err_ulp) of power * step^(n-1) * column[n-1] / den_n for n = 1, 2, ...
+def _quotient_term(q: int, qe: int, num: int, f: int) -> tuple[int, int]:
+    """(mantissa, err_ulp) of num q 2^-f, for a quotient q 2^-f with error at most qe 2^-f.
 
-    ``power`` and ``step`` are non-negative and share one scale, and
+    num is cut to 64 bits past q, num = n' 2^c + r with 0 <= r < 2^c, and q n' is
+    rounded off k = f - c bits.  The exact product lies within
+    (qe (|n'| + 1) + [c > 0] q) 2^-k of q n' 2^-k, and the rounding adds 1/2, so with
+    x that bound shifted down k bits, x + 2 bounds the error; a zero num gives 0 and 1.
+    """
+    cut = num.bit_length() - q.bit_length() - 64
+    cut = cut if cut > 0 else 0
+    n = num >> cut
+    shift = f - cut
+    x = qe * (abs(n) + 1) + (q if cut else 0)
+    if shift > 0:
+        return ((q * n >> (shift - 1)) + 1) >> 1, (x >> shift) + 2 if num else 1
+    return q * n << -shift, (x << -shift) + 2 if num else 1
+
+
+def _series_terms(
+    power: FixedDecimal, step: FixedDecimal, column, den: int, index: int, stop: bool = False
+) -> list[tuple[int, int]]:
+    """(mantissa, err_ulp) of power * step^(n-1) * column[n-1] / den_n for n = 1, 2, ...
+
+    ``power`` and ``step`` are non-negative and share one scale, den > 0, and
     den_(n+1) = den_n * denominator_step(n, index).  Each pair is the rounded term and
-    its bound at that scale.  The power is carried as a binary mantissa P with an
-    exponent f: its mantissa at the scale is P 2^-f, with error at most pe 2^-f, and
-    f starts at 0.  The step is converted once to S 2^-F, with F fractional bits,
-    64 more than the scale has.  Each row, P S is cut with a rounding right shift to
-    64 bits past the row's term, and never by fewer than F bits, so the power's length
-    falls with the terms' instead of growing to several times theirs, and no row
-    divides by 10^scale.  The bound follows the cut of ``drop`` bits:
-    pe' = ceil((P se + S pe + pe se) / 2^drop) + 1, so it stays rigorous.  In the
-    first rows, where the shift is F, P is the decimal mantissa :meth:`FixedDecimal.mul`
-    gives but for a rounding tie closer than P 2^-F; past them, the cuts move a term
-    by far less than an ulp.  Each term's product with the exact N_n / den_n is taken
-    by :func:`_cut_mul_ratio` from the leading bits of N_n and den_n: a certified
-    slack around the cut quotient shows the rounding is the exact one, and where it
-    cannot, the exact division runs.
+    its bound at that scale.  The step is converted once to S 2^-F, with F fractional
+    bits, 64 more than the scale has.  The rows run in two phases.
+
+    Exact rows: the power is carried as its decimal mantissa P (exact but for a
+    rounding tie closer than P 2^-F), P' = P S rounded off F bits with
+    pe' = ceil((P se + S pe + pe se) / 2^F) + 1, and den_n is carried whole.  Each term
+    is taken by :func:`_cut_mul_ratio` from the leading bits of N_n and den_n: a
+    certified slack around the cut quotient shows the rounding is the exact one, and
+    where it cannot, the exact division runs.  These rows end at the first row
+    whose P S is more than F + 64 bits longer than its term (about row 19 at any
+    scale), where rounding off F bits would keep more than the terms need.
+
+    Quotient rows: there den_(n+1) is divided out once, and from then on the power
+    over its denominator is carried as one binary quotient Q 2^-f with error at most
+    qe 2^-f.  Each row multiplies Q S, shifts off ``drop`` bits, leaving Q 64 bits
+    past the row's term, and divides by the small integer step_n:
+    Q' = floor((Q S >> drop) / step_n) and
+    qe' = floor(((Q se + S qe + qe se) >> drop) / step_n) + 2, so the bound stays
+    rigorous while Q shrinks with the terms, and den is never touched again.  The
+    term is :func:`_quotient_term`; the cuts move it by far less than an ulp, so
+    it is the decimal power's term but for a tie closer than that.
+
+    With ``stop``, the loop is :func:`sum_series`'s: it ends at the first row n >= 5
+    whose term is at most 100 ulp, and raises :class:`TailRatioError` once a term
+    past row 5 decays slower than 1/3 of a predecessor above a 1000 ulp noise floor.
     """
     unit = 10**power.scale
     frac = unit.bit_length() + 64
     s = _divround(step.mantissa << frac, unit)
     se = _ceil_div(step.err_ulp << frac, unit) + 1
     p, _, pe = power
-    f = 0
+    f = prev = 0
+    terms = []
     for n, num in enumerate(column, 1):
-        mantissa, err = _cut_mul_ratio(p, pe, num, den, f)
-        yield mantissa, err
+        if den:
+            mantissa, err = _cut_mul_ratio(p, pe, num, den)
+        else:
+            mantissa, err = _quotient_term(p, pe, num, f)
+        terms.append((mantissa, err))
+        if stop:
+            magnitude = abs(mantissa)
+            if n > 5 and prev > 1000 and 3 * magnitude > prev + 8:
+                raise TailRatioError(
+                    f"consecutive term ratio exceeded 1/3 at n={n}, k={index}: "
+                    f"|t_n|={magnitude} vs |t_(n-1)|={prev}"
+                )
+            if magnitude <= 100 and n >= 5:
+                break
+            prev = magnitude
         ps = p * s
-        drop = ps.bit_length() - mantissa.bit_length() - 64
-        drop = drop if drop > frac else frac
-        pe = -(-(p * se + s * pe + pe * se) >> drop) + 1
-        p = ((ps >> (drop - 1)) + 1) >> 1
+        bound = p * se + s * pe + pe * se
+        divisor = denominator_step(n, index)
+        if den:
+            if ps.bit_length() - mantissa.bit_length() - 64 <= frac:
+                p = ((ps >> (frac - 1)) + 1) >> 1
+                pe = -(-bound >> frac) + 1
+                den *= divisor
+                continue
+            divisor *= den
+            den = 0
+        drop = ps.bit_length() - divisor.bit_length() - mantissa.bit_length() - 64
+        if drop >= 0:
+            p, pe = (ps >> drop) // divisor, (bound >> drop) // divisor + 2
+        else:
+            p, pe = (ps << -drop) // divisor, (bound << -drop) // divisor + 2
         f += frac - drop
-        den *= denominator_step(n, index)
+    return terms
 
 
 def sum_series(k: int, digits: int, pi: FixedDecimal | None = None) -> SeriesResult:
@@ -312,8 +365,8 @@ def sum_series(k: int, digits: int, pi: FixedDecimal | None = None) -> SeriesRes
     Terms are exact rationals N_n(k) / den(n, k), never reduced by a gcd:
     the numerators are read from column k of the coefficient store grown
     once to :func:`estimate_terms` rows, and :func:`_series_terms` carries the
-    denominator and a binary power of pi/2, cut to what the remaining rows
-    need, row to row on plain integers.
+    power of pi/2, over its denominator once the terms need fewer bits than it
+    has, row to row on plain integers, and stops the sum.
     The reported error bound covers per-term rounding plus a geometric tail
     bound |last| * (1/3) / (1 - 1/3); a runtime check aborts if observed
     consecutive terms ever decay slower than 1/3 past burn-in.  A caller that
@@ -323,33 +376,13 @@ def sum_series(k: int, digits: int, pi: FixedDecimal | None = None) -> SeriesRes
     column = e_column(k, estimate_terms(digits, k))
     work = digits + GUARD_DIGITS
     hp = half_pi(work, pi)
-    terms = _series_terms(hp.pow_int(k + 1), hp.mul(hp), column, e_denominator(1, k), k)
-    total = total_err = n = 0
-    prev_abs: int | None = None
-    noise_floor = 1000
-    cutoff = 100
-    for n, (mantissa, err) in enumerate(terms, 1):
-        total += mantissa
-        total_err += err
-        magnitude = abs(mantissa)
-        if (
-            prev_abs is not None
-            and n > 5
-            and prev_abs > noise_floor
-            and 3 * magnitude > prev_abs + 8
-        ):
-            raise TailRatioError(
-                f"consecutive term ratio exceeded 1/3 at n={n}, k={k}: "
-                f"|t_n|={magnitude} vs |t_(n-1)|={prev_abs}"
-            )
-        prev_abs = magnitude
-        if magnitude <= cutoff and n >= 5:
-            break
-    tail_ulp = (prev_abs or 0) // 2 + 1
-    value = FixedDecimal(total, work, total_err + tail_ulp).rescale(digits)
+    terms = _series_terms(hp.pow_int(k + 1), hp.mul(hp), column, e_denominator(1, k), k, stop=True)
+    mantissas, errs = zip(*terms)
+    tail_ulp = abs(mantissas[-1]) // 2 + 1
+    value = FixedDecimal(sum(mantissas), work, sum(errs) + tail_ulp).rescale(digits)
     return SeriesResult(
         value=value,
-        terms_used=n,
+        terms_used=len(terms),
         tail_bound=FixedDecimal(tail_ulp, work, 0),
         k=k,
     )

@@ -81,15 +81,19 @@ def canonical_theta_token(theta) -> str:
     raise TypeError(f"unsupported theta specification: {theta!r}")
 
 
-def _theta_mantissa(token: str, scale: int, pi: FixedDecimal | None = None) -> tuple[int, int]:
-    """(mantissa, err_ulp) of the angle at the given scale, range-checked.
+def _theta_mantissa(
+    token: str, scale: int, pi: FixedDecimal | None = None, finer: int = 0
+) -> tuple[int, int]:
+    """(mantissa, err_ulp) of the angle at ``scale + finer`` digits, range-checked.
 
     A pi/q angle is divided from ``pi`` at that scale, computed here if the caller has none.
-    An angle whose enclosure at the scale holds 0 is refused: both sides would then
-    vanish and agree whatever they compute.
+    An angle whose enclosure at the working ``scale`` holds 0 is refused, however many
+    digits finer its mantissa is: both sides would then vanish and agree whatever they
+    compute.
     """
+    digits = scale + finer
     if token.startswith("pi/"):
-        m = _divround((compute_pi(scale) if pi is None else pi).mantissa, int(token[3:]))
+        m = _divround((compute_pi(digits) if pi is None else pi).mantissa, int(token[3:]))
     else:
         value = Fraction(token)
         if not 0 < value < _PI_LOWER:
@@ -97,8 +101,8 @@ def _theta_mantissa(token: str, scale: int, pi: FixedDecimal | None = None) -> t
                 f"theta={token} outside the open interval (0, pi); rational angles "
                 f"must stay below {float(_PI_LOWER)}"
             )
-        m = _divround(value.numerator * 10**scale, value.denominator)
-    if m <= 1:
+        m = _divround(value.numerator * 10**digits, value.denominator)
+    if _divround(m, 10**finer) <= 1:
         raise ValueError(
             f"theta={token} is within 1 ulp of 0 at {scale} working digits; raise --digits"
         )
@@ -159,7 +163,7 @@ def _alternating_trig(token: str, scale: int, terms: int, cosine: bool):
     # error rounds away when they are converted to binary
     digits = _ceil_div(bits * 30103, 100_000) + 3
     unit = 10**digits
-    theta, theta_err = _theta_mantissa(token, digits)
+    theta, theta_err = _theta_mantissa(token, scale, finer=digits - scale)
     s, c, e = _sin_cos_fixed(theta, digits, theta_err)
     z1 = _divround((c if cosine else s) << bits, unit)
     coef = _divround(-2 * c << bits, unit)
@@ -264,15 +268,11 @@ def _ladder_side(
     d_index = 2 * k if identity == "S1" else 2 * k + 1
     eta_digits = digits + 6
     # D_n(k) = N_n(1) / d_denominator(n, k), the denominator carried row to row
-    terms = _series_terms(
-        th.pow_int(d_index + 1), th2, e_column(1, series_terms), d_denominator(1, d_index), d_index
-    )
-    total = total_err = last = 0
-    for last, err in terms:
-        total += last
-        total_err += err
+    column, den = e_column(1, series_terms), d_denominator(1, d_index)
+    mantissas, errs = zip(*_series_terms(th.pow_int(d_index + 1), th2, column, den, d_index))
+    last = mantissas[-1]
     front = (-1) ** k if identity == "S1" else (-1) ** (k + 1)
-    acc = FixedDecimal(total, scale, total_err).mul_ratio(front, 2)
+    acc = FixedDecimal(sum(mantissas), scale, sum(errs)).mul_ratio(front, 2)
     # geometric bound on the omitted ladder tail: the term ratio is strictly
     # below (theta/pi)^2 for every n, bounded here by a/b with outward rounding
     a, b = (m + 2) ** 2, (pi.mantissa - 2) ** 2

@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 from itertools import islice
-from math import ceil, floor
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -208,38 +207,25 @@ def of_length(bits):
 
 @st.composite
 def cut_operands(draw):
-    """(pm, pe, num, den, f) with den of 2 to 8000 bits, f from 300 down to as far below 0
-    as den is longer than pm, and num from 40 bits longer than den 2^f down to pm's
-    length plus 64 bits shorter, so that pm num / (den 2^f) spans the term sizes of a
-    series, from below one ulp to past pm, with the power's exponent f on either side
-    of 0, as far as a series power's goes."""
+    """(pm, pe, num, den) with den of 2 to 8000 bits, and num from 40 bits longer than
+    den down to pm's length plus 64 bits shorter, so that pm num / den spans the term
+    sizes of a series, from below one ulp to past pm."""
     pm_bits = draw(st.integers(min_value=0, max_value=1200))
     den_bits = draw(st.integers(min_value=2, max_value=8000))
-    f = draw(st.integers(min_value=min(pm_bits - den_bits, 0), max_value=300))
-    num_bits = max(0, den_bits + f - draw(st.integers(min_value=-40, max_value=pm_bits + 64)))
+    num_bits = max(0, den_bits - draw(st.integers(min_value=-40, max_value=pm_bits + 64)))
     pm = draw(of_length(pm_bits))
     pe = draw(of_length(draw(st.integers(min_value=0, max_value=pm_bits + 64))))
     num = draw(of_length(num_bits)) * draw(st.sampled_from((1, -1)))
-    return pm, pe, num, draw(of_length(den_bits)), f
-
-
-def exact_cut_pair(pm, pe, num, den, f):
-    """The nearest integer to pm num / (den 2^f), ties up, and ceil(pe |num| / (den 2^f)) + 1."""
-    scale = Fraction(2) ** -f
-    mantissa = floor(Fraction(pm * num, den) * scale + Fraction(1, 2))
-    return mantissa, ceil(Fraction(pe * abs(num), den) * scale) + 1
+    return pm, pe, num, draw(of_length(den_bits))
 
 
 @given(cut_operands())
-@example((5, 7, 0, 1 << 200, 0))  # num = 0: the error term is exactly 0, so err_ulp is 1
-@example((3 << 200, 2, 5 << 900, 7 << 1400, -400))  # f < 0, as a series power's is
-@example((3 << 200, 2, 5 << 1400, 7 << 1000, 300))  # f > 0
+@example((5, 7, 0, 1 << 200))  # num = 0: the error term is exactly 0, so err_ulp is 1
+@example((3 << 200, 2, 5 << 1400, 7 << 1400))  # on the cut path
 def test_cut_mul_ratio_equals_exact(operands):
-    pm, pe, num, den, f = operands
-    assert _cut_mul_ratio(pm, pe, num, den, f) == exact_cut_pair(pm, pe, num, den, f)
-    if f == 0:  # the FixedDecimal product the cut stands in for
-        exact = FixedDecimal(pm, 0, pe).mul_ratio(num, den)
-        assert _cut_mul_ratio(pm, pe, num, den) == (exact.mantissa, exact.err_ulp)
+    pm, pe, num, den = operands
+    exact = FixedDecimal(pm, 0, pe).mul_ratio(num, den)
+    assert _cut_mul_ratio(pm, pe, num, den) == (exact.mantissa, exact.err_ulp)
 
 
 def test_cut_mul_ratio_falls_back_on_an_exact_half(monkeypatch):
@@ -294,6 +280,9 @@ def test_series_terms_equal_fixed_decimal_loop_at_1000_digits(k):
     assert list(islice(terms, len(expected))) == expected
 
 
+HALF_PI_SQUARED_30 = 2467401100272339654708622749970
+
+
 @given(
     st.integers(min_value=0, max_value=10**80),
     st.integers(min_value=0, max_value=10**32),
@@ -303,40 +292,92 @@ def test_series_terms_equal_fixed_decimal_loop_at_1000_digits(k):
     st.integers(min_value=1, max_value=9),
 )
 @example(10**60 + 1, 2 * 10**30 + 1, 0, [1, 10**80, 10**80], 1, 1)  # an exact power, rounded
+# (pi/2)^2 at 30 digits and 40 rows of sum_series(1, 20): rows 20 to 40 are quotient rows
+@example(HALF_PI_SQUARED_30, HALF_PI_SQUARED_30, 3, e_column(1, 40), e_denominator(1, 1), 1)
 def test_series_terms_enclose_the_exact_terms(pm, sm, err, column, den, index):
     # every yielded bound holds for the midpoints of power and step: N_n / den_n up to
     # 10^80 magnifies the power's error in the first rows, and the later rows are cut
-    scale = 30
+    # or carried as a quotient
+    assert_terms_enclose(pm, sm, err, column, den, index, 30)
+
+
+def assert_terms_enclose(pm, sm, err, column, den, index, scale):
+    """Every _series_terms bound holds for the midpoints pm, sm of power and step."""
     power, step = FixedDecimal(pm, scale, err), FixedDecimal(sm, scale, err)
-    unit = 10**scale
     exact = Fraction(pm)
     terms = highprec._series_terms(power, step, column, den, index)
     for n, (num, (mantissa, err_ulp)) in enumerate(zip(column, terms), 1):
         assert abs(mantissa - exact * Fraction(num, den)) <= err_ulp
-        exact *= Fraction(sm, unit)
+        exact *= Fraction(sm, 10**scale)
         den *= denominator_step(n, index)
 
 
-def test_series_power_shrinks_with_the_terms(monkeypatch):
-    rows = []
-    cut = highprec._cut_mul_ratio
+@st.composite
+def decaying_columns(draw):
+    """Up to 70 entries whose bit length falls by -5 to 30 a row, a tenth of them 0, so
+    that the rows reach the quotient phase and some terms grow again after it."""
+    top, decay = draw(st.integers(0, 300)), draw(st.integers(-5, 30))
+    column = []
+    for n in range(draw(st.integers(1, 70))):
+        bits = max(0, top - decay * n)
+        entry = draw(st.integers(0, (1 << bits) - 1)) if draw(st.integers(0, 9)) else 0
+        column.append(entry * draw(st.sampled_from((1, -1))))
+    return column
 
-    def spy(pm, pe, num, den, f=0):
-        pair = cut(pm, pe, num, den, f)
-        rows.append((pm.bit_length(), f, pair[0].bit_length()))
+
+@given(
+    st.integers(min_value=0, max_value=10**80),
+    st.integers(min_value=0, max_value=10**32),
+    st.integers(min_value=0, max_value=3),
+    decaying_columns(),
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=0, max_value=60),
+)
+def test_quotient_rows_enclose_the_exact_terms(pm, sm, err, column, den, index, scale):
+    # a quotient sized from a small term is still bounded when a larger term follows it
+    assert_terms_enclose(pm, sm, err, column, den, index, scale)
+
+
+def test_series_power_shrinks_with_the_terms(monkeypatch):
+    exact_rows, quotient_rows = [], []
+    cut, quotient = highprec._cut_mul_ratio, highprec._quotient_term
+
+    def cut_spy(pm, pe, num, den):
+        pair = cut(pm, pe, num, den)
+        exact_rows.append((pm.bit_length(), pair[0].bit_length()))
         return pair
 
-    monkeypatch.setattr(highprec, "_cut_mul_ratio", spy)
-    assert sum_series(3, 300).terms_used == len(rows) > 500
-    # the decimal power would grow from 1033 bits by about 1.3 bits a row
-    assert rows[0][0] == half_pi(310).pow_int(4).mantissa.bit_length() == 1033
-    for (p_bits, f, t_bits), (next_p_bits, next_f, _) in zip(rows, rows[1:]):
-        # cut to 64 bits past the row's term, or grown by one step of at most 2 bits
-        assert next_p_bits <= max(t_bits + 65, p_bits + 2)
-        assert next_f <= f <= 0
-    # the last power is as short as the last terms, its exponent past the decimal power's length
-    assert rows[-1][0] <= rows[-2][2] + 65 < 80
-    assert rows[-1][1] < -1500
+    def quotient_spy(q, qe, num, f):
+        pair = quotient(q, qe, num, f)
+        quotient_rows.append((q, qe, f, pair[0].bit_length()))
+        return pair
+
+    monkeypatch.setattr(highprec, "_cut_mul_ratio", cut_spy)
+    monkeypatch.setattr(highprec, "_quotient_term", quotient_spy)
+    terms_used = sum_series(3, 300).terms_used
+    # a few exact rows read den, and every later row is a quotient row
+    assert len(exact_rows) <= 25 and terms_used == len(exact_rows) + len(quotient_rows) > 500
+    # in the exact rows P is the decimal power: it starts at 1033 bits and grows about 1.3 bits
+    # a row
+    assert exact_rows[0][0] == half_pi(310).pow_int(4).mantissa.bit_length() == 1033
+    for (p_bits, _), (next_p_bits, _) in zip(exact_rows, exact_rows[1:]):
+        assert abs(next_p_bits - p_bits) <= 2
+    # each quotient is cut to 64 bits past the row before's term, and its bound stays far
+    # below one ulp of the term
+    t_bits = exact_rows[-1][1]
+    for q, qe, f, next_t_bits in quotient_rows:
+        assert q.bit_length() <= t_bits + 65
+        assert qe < 1 << (q.bit_length() - next_t_bits - 32)
+        t_bits = next_t_bits
+    # the last quotient is as short as the last terms, and it is the decimal power over
+    # den_n, its exponent past the length the denominator has over the power
+    q, _, f, _ = quotient_rows[-1]
+    assert q.bit_length() <= quotient_rows[-2][3] + 65 < 80
+    power = half_pi(310).pow_int(2 * terms_used + 2).mantissa
+    den = e_denominator(terms_used, 3)
+    assert f > den.bit_length() - power.bit_length() > 4000
+    assert abs(q * den - (power << f)) << 64 < power << f
 
 
 def test_sum_series_reports_tail_and_terms():

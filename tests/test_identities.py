@@ -119,8 +119,9 @@ def ladder_reference(identity, k, theta, series_terms, digits):
 @pytest.mark.parametrize("theta", ["1/2", "2", "3", "pi/2"])
 @pytest.mark.parametrize("identity,k", [("S1", 1), ("S1", 2), ("S2", 1), ("S2", 2)])
 def test_rhs_equals_fixed_decimal_ladder(identity, k, theta):
-    # the ladder's power of theta, carried as a cut binary mantissa, changes no output
-    for digits, series_terms in ((30, 80), (100, 200)):
+    # the ladder's power of theta, carried as a cut binary mantissa and past row 20 or so
+    # as a quotient over its denominator, changes no output
+    for digits, series_terms in ((30, 80), (100, 200), (300, 400)):
         expected = ladder_reference(identity, k, theta, series_terms, digits)
         assert rhs_eval(identity, k, theta, series_terms, digits) == expected
 
@@ -159,6 +160,16 @@ def test_fourier_lhs_half_pi_converges_to_catalan():
     lhs = fourier_lhs("S1", 1, "pi/2", 50_000, digits=25)
     cat = beta_even(1, 25).value
     assert abs((lhs - cat).as_fraction()) < Fraction(1, 10**8)
+
+
+def test_fourier_side_judges_the_angle_at_the_working_scale():
+    # the Fourier side holds the angle 9 digits finer, where 1e-45 is still 10^4 ulp;
+    # at the 40 working digits it is within 1 ulp of 0, as the ladder side finds
+    for theta in ("1e-45", "pi/" + str(10**45)):
+        for side in (fourier_lhs, rhs_eval):
+            with pytest.raises(ValueError, match="raise --digits"):
+                side("S1", 1, theta, 100, 30)
+    assert fourier_lhs("S1", 1, "1e-20", 100, 30).mantissa > 0
 
 
 def test_fast_and_general_paths_agree():
