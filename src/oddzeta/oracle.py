@@ -6,9 +6,11 @@ Rodriguez Villegas and Zagier, Experimental Math. 9, 2000) for the
 alternating eta/beta sums, with zeta at every argument s >= 2 following
 from eta(s) by an exact factor, an atanh series for ln 2, and a transformed
 arctangent series for pi.  The acceleration keeps its Chebyshev weights as
-integers and merges the weighted terms pairwise, x/p + y/q = (xq + yp)/(pq),
-into one numerator over one denominator, and each accelerated sum is handed
-on as that unreduced integer pair, rounded once with no gcd.  Only the raw
+integers and sums the weighted terms in binary fixed point, each floored at
+2^-64, so the exact sum lies in a known enclosure.  When both ends of the
+enclosure round to one decimal mantissa (Ziv's rounding test), that is the
+exact sum's rounding; when they do not, the weighted terms are merged into
+one exact fraction, which is rounded instead.  Only the raw
 fixed-point/rational primitives are shared with the production path, so a
 bug there cannot silently confirm itself.
 """
@@ -49,39 +51,58 @@ def acceleration_depth(digits: int) -> int:
     return _ceil_div(digits * _ACCEL_LOG10_DEN, _ACCEL_LOG10_NUM) + 8
 
 
-def accelerated_alternating(term, depth: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Chebyshev-accelerated value of sum_{j>=0} (-1)^j term(j), with error bound.
+def accelerated_alternating(
+    first: int, stride: int, s: int, depth: int, digits: int, factor: tuple[int, int] = (1, 1)
+) -> FixedDecimal:
+    """fn/fd * sum_{j>=0} (-1)^j / (first + stride j)^s at ``digits``, Chebyshev-accelerated.
 
-    ``term(j)`` returns a positive rational as an integer pair ``(numerator,
-    denominator)``, and the sequence must be totally monotone (moments of a
-    positive measure on [0, 1]); then the bound ``4 * term(0) / d_depth`` with
-    d_depth ~ (3 + sqrt 8)^depth is valid.  Value and bound come back as
-    unreduced ``(numerator, denominator)`` pairs, denominators positive.
-    Everything is exact, so the bound is the only error: the weights are
-    integers, and the weighted terms are merged two at a time, then the merged
-    pairs two at a time, so that each product joins operands of like size.
+    ``factor`` = (fn, fd) is a positive exact ratio.  The terms are totally monotone
+    (moments of a positive measure on [0, 1]), so the acceleration at ``depth``
+    misses the sum by less than 4 / (first^s d_depth), d_depth ~ (3 + sqrt 8)^depth;
+    ``err_ulp`` is that bound times the factor, plus half an ulp for the rounding.
+    The value is S / d_depth with S = sum_j c_j / den_j, den_j = (first + stride j)^s,
+    over integer weights c_j.  Each weighted term is floored at 2^-64, so the sum
+    ``acc`` of the floors has S 2^64 in [acc, acc + depth).  If both ends of that
+    enclosure round to one mantissa, S rounds to it too (Ziv's rounding test), which
+    at the depth the references use, d_depth > 10^(digits + 8), fails only within
+    10^-20 ulp of a tie.  When it fails the weighted terms are merged exactly, two at
+    a time, x/p + y/q = (xq + yp)/(pq), and that one fraction is rounded.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
     d_prev, d = 1, 3
     for _ in range(depth - 1):
         d_prev, d = d, 6 * d - d_prev
-    terms = [term(j) for j in range(depth)]
     b = -1
     c = -d
-    pairs = []
-    for j, (num, den) in enumerate(terms):
+    weights = []
+    acc = 0
+    for j in range(depth):
         c = b - c
-        pairs.append((c * num, den))
-        b, rest = divmod(b * 2 * (j + depth) * (j - depth), (2 * j + 1) * (j + 1))
+        weights.append(c)
+        acc += (c << 64) // (first + stride * j) ** s
+        b, rest = divmod(b * (2 * (j + depth) * (j - depth)), (2 * j + 1) * (j + 1))
         if rest:
             raise ArithmeticError(f"Chebyshev weight b_{j + 1} at depth {depth} is not an integer")
+    fn, fd = factor
+    scaled = 10**digits * fn
+    mantissa = _divround(acc * scaled, fd * d << 64)
+    if mantissa != _divround((acc + depth) * scaled, fd * d << 64):
+        num, den = _merged_sum([(c, (first + stride * j) ** s) for j, c in enumerate(weights)])
+        mantissa = _divround(num * scaled, den * fd * d)
+    bound = first**s * fd * d
+    return FixedDecimal(mantissa, digits, _ceil_div(8 * scaled + bound, 2 * bound))
+
+
+def _merged_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:
+    """sum of the fractions x/p in ``pairs`` as one unreduced pair, merged two at a time.
+
+    Each round joins neighbours, so that each product joins operands of like size.
+    """
     while len(pairs) > 1:
         merged = [(x * q + y * p, p * q) for (x, p), (y, q) in zip(pairs[::2], pairs[1::2])]
         pairs = merged + pairs[len(merged) * 2 :]
-    [(s, common)] = pairs
-    num, den = terms[0]
-    return (s, common * d), (4 * num, den * d)
+    return pairs[0]
 
 
 def _to_fixed(value: tuple[int, int], bound: tuple[int, int], digits: int) -> FixedDecimal:
@@ -92,39 +113,34 @@ def _to_fixed(value: tuple[int, int], bound: tuple[int, int], digits: int) -> Fi
     return FixedDecimal(_divround(vn * unit, vd), digits, _ceil_div(2 * bn * unit + bd, 2 * bd))
 
 
-def _accelerated_sum(term, digits: int, extra_depth: int = 0):
-    """(value, bound) pairs of sum_j (-1)^j term(j), accelerated deep enough for ``digits``."""
+def _accelerated_sum(
+    stride: int, s: int, digits: int, extra_depth: int = 0, factor: tuple[int, int] = (1, 1)
+) -> FixedDecimal:
+    """fn/fd * sum_j (-1)^j / (1 + stride j)^s, accelerated deep enough for ``digits``."""
     depth = acceleration_depth(digits + 3) + extra_depth
     if depth > 40_000:
         raise ResourceLimitError(f"acceleration depth {depth} beyond supported range")
-    return accelerated_alternating(term, depth)
-
-
-def _eta_sum(s: int, digits: int, extra_depth: int = 0):
-    """(value, bound) pairs of the accelerated eta(s) sum, deep enough for ``digits``."""
-    return _accelerated_sum(lambda j: (1, (j + 1) ** s), digits, extra_depth)
+    return accelerated_alternating(1, stride, s, depth, digits, factor)
 
 
 def _zeta_from_eta(s: int, digits: int) -> FixedDecimal:
     """zeta(s) = eta(s) * 2^(s-1)/(2^(s-1)-1), s >= 2, the factor exact on value and bound."""
-    (vn, vd), (bn, bd) = _eta_sum(s, digits)
     f = 1 << (s - 1)
-    return _to_fixed((vn * f, vd * (f - 1)), (bn * f, bd * (f - 1)), digits)
+    return _accelerated_sum(1, s, digits, factor=(f, f - 1))
 
 
 def reference_eta(s: int, digits: int, extra_depth: int = 0) -> FixedDecimal:
     """eta(s) = sum (-1)^(m+1) / m^s by certified alternating-series acceleration."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    return _to_fixed(*_eta_sum(s, digits, extra_depth), digits)
+    return _accelerated_sum(1, s, digits, extra_depth)
 
 
 def reference_beta(s: int, digits: int, extra_depth: int = 0) -> FixedDecimal:
     """beta(s) = sum (-1)^m / (2m+1)^s by the same certified acceleration."""
     if s < 2:
         raise ValueError("s must be >= 2")
-    pairs = _accelerated_sum(lambda j: (1, (2 * j + 1) ** s), digits, extra_depth)
-    return _to_fixed(*pairs, digits)
+    return _accelerated_sum(2, s, digits, extra_depth)
 
 
 def reference_zeta_odd(k: int, digits: int) -> FixedDecimal:

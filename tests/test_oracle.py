@@ -1,18 +1,23 @@
 """Oracle self-consistency, closed-form anchors, and the verify harness."""
 
 import json
+import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from exact_reference import accelerated_alternating_fractions
+from exact_reference import accelerated_alternating_fractions, round_div
 from oddzeta import oracle as oracle_module
-from oddzeta.constants import compute_constant
-from oddzeta.errors import UnknownConstantError
+from oddzeta.cli import DIGITS_CEILING
+from oddzeta.constants import compute_constant, parse_constant_name
+from oddzeta.errors import ResourceLimitError, UnknownConstantError
 from oddzeta.highprec import FixedDecimal
 from oddzeta.oracle import (
+    VERIFY_EXTRA_DIGITS,
     accelerated_alternating,
+    acceleration_depth,
     default_battery,
     matched_digit_count,
     reference_beta,
@@ -61,51 +66,121 @@ def test_reference_pi_digits():
     [(reference_eta, 3), (reference_eta, 5), (reference_beta, 2), (reference_beta, 4)],
 )
 def test_acceleration_depth_doubling_stability(fn, arg):
-    from oddzeta.oracle import acceleration_depth
-
     digits = 30
     base = fn(arg, digits)
     deeper = fn(arg, digits, extra_depth=acceleration_depth(digits + 3))
     assert base.to_decimal() == deeper.to_decimal()
 
 
+def rounded(value, bound, digits):
+    """``value`` rounded half up at ``digits``; ``err_ulp`` is ``bound`` in ulp plus half an ulp.
+
+    That is the error of the rounded value, taken up to the next integer.
+    """
+    unit = 10**digits
+    mantissa = round_div(value.numerator * unit, value.denominator)
+    return FixedDecimal(mantissa, digits, math.ceil(bound * unit + Fraction(1, 2)))
+
+
+def exact_rounding(first, stride, s, depth, digits, factor=(1, 1)):
+    """The fraction loop's accelerated sum, times ``factor``, rounded at ``digits``."""
+    value, bound = accelerated_alternating_fractions(
+        lambda j: (1, (first + stride * j) ** s), depth
+    )
+    return rounded(value * Fraction(*factor), bound * Fraction(*factor), digits)
+
+
 def test_accelerated_alternating_bound_is_sound():
-    # eta(2) has the independent closed form pi^2/12 to pin the truth
-    pairs = accelerated_alternating(lambda j: (1, (j + 1) ** 2), 25)
-    value, bound = (Fraction(*pair) for pair in pairs)
+    # eta(2) has the independent closed form pi^2/12 to pin the truth; the value is
+    # within half an ulp of the mantissa, so the mantissa's distance to the truth plus
+    # that half ulp must stay below the loop's bound 4 term(0) / d
+    digits = 40
+    value = accelerated_alternating(1, 1, 2, 25, digits)
+    _, bound = accelerated_alternating_fractions(lambda j: (1, (j + 1) ** 2), 25)
     p = reference_pi(40)
     truth = p.as_fraction() ** 2 / 12
-    assert abs(value - truth) < bound
+    assert abs(value.as_fraction() - truth) + Fraction(1, 2 * 10**digits) < bound
 
 
-ALTERNATING_FAMILIES = {
-    "eta": lambda s: lambda j: (1, (j + 1) ** s),
-    "beta": lambda s: lambda j: (1, (2 * j + 1) ** s),
-}
+# (first, stride) of the eta and beta sums, 1/(first + stride j)^s
+ALTERNATING_FAMILIES = {"eta": (1, 1), "beta": (1, 2)}
 
 
 @pytest.mark.parametrize("depth", [2, 3, 10, 50, 277, 600])
 @pytest.mark.parametrize("family", sorted(ALTERNATING_FAMILIES))
 def test_integer_weights_equal_fraction_loop(family, depth):
+    first, stride = ALTERNATING_FAMILIES[family]
     for s in range(1, 9):
-        term = ALTERNATING_FAMILIES[family](s)
-        value, bound = accelerated_alternating(term, depth)
-        assert (Fraction(*value), Fraction(*bound)) == accelerated_alternating_fractions(
-            term, depth
+        value, bound = accelerated_alternating_fractions(
+            lambda j: (1, (first + stride * j) ** s), depth
         )
+        for digits in (1, 12, 60, 250):
+            expected = rounded(value, bound, digits)
+            assert accelerated_alternating(first, stride, s, depth, digits) == expected
 
 
-def test_reference_strings_equal_fraction_loop(monkeypatch):
+@st.composite
+def digits_and_depth(draw):
+    digits = draw(st.integers(min_value=1, max_value=80))
+    return digits, draw(st.integers(min_value=2, max_value=acceleration_depth(digits + 3) + 30))
+
+
+@given(
+    st.sampled_from(sorted(ALTERNATING_FAMILIES)),
+    st.integers(min_value=1, max_value=9),
+    digits_and_depth(),
+    st.booleans(),
+)
+@example("eta", 3, (40, 5), False).via("d_5 2^64 < 10^40: the exact merge decides")
+def test_accelerated_alternating_equals_exact_rounding(family, s, digits_depth, zeta):
+    digits, depth = digits_depth
+    f = 1 << (s - 1)
+    factor = (f, f - 1) if zeta and s > 1 else (1, 1)
+    first, stride = ALTERNATING_FAMILIES[family]
+    assert accelerated_alternating(first, stride, s, depth, digits, factor) == exact_rounding(
+        first, stride, s, depth, digits, factor
+    )
+
+
+def test_exact_merge_runs_only_when_the_enclosure_straddles_a_tie(monkeypatch):
+    merged = []
+    original = oracle_module._merged_sum
+
+    def spy(pairs):
+        merged.append(len(pairs))
+        return original(pairs)
+
+    monkeypatch.setattr(oracle_module, "_merged_sum", spy)
+    assert accelerated_alternating(1, 1, 3, 5, 40) == exact_rounding(1, 1, 3, 5, 40)
+    assert merged == [5]
+    merged.clear()
+    for name in default_battery():
+        reference_for(name, 200 + VERIFY_EXTRA_DIGITS)
+    assert merged == []
+
+
+# stride, s and whether the zeta factor applies, by base name and parameter k
+REFERENCE_SUMS = {
+    "alt_harmonic": lambda k: (1, 1, False),
+    "catalan": lambda k: (2, 2, False),
+    "apery": lambda k: (1, 3, True),
+    "beta_even": lambda k: (2, 2 * k, False),
+    "eta_odd": lambda k: (1, 2 * k + 1, False),
+    "zeta_odd": lambda k: (1, 2 * k + 1, True),
+    "zeta_even": lambda k: (1, 2 * k, True),
+}
+
+
+def test_reference_strings_equal_fraction_loop():
+    # every reference as the fraction loop rounds it, at the depth the oracle picks
     levels = (1, 2, 3, 4, 5, 8, 12, 17, 32, 42, 102, 202)
-    points = [(name, digits) for name in default_battery() for digits in levels]
-    now = [reference_for(name, digits) for name, digits in points]
-
-    def fraction_loop(term, depth):
-        # the independent loop's reduced value and bound, handed over as pairs
-        return tuple(q.as_integer_ratio() for q in accelerated_alternating_fractions(term, depth))
-
-    monkeypatch.setattr(oracle_module, "accelerated_alternating", fraction_loop)
-    assert now == [reference_for(name, digits) for name, digits in points]
+    for name in default_battery() + ["eta_odd(5)", "beta_even(7)", "zeta_even(8)"]:
+        base, k = parse_constant_name(name)
+        stride, s, zeta = REFERENCE_SUMS[base](k)
+        factor = (1 << (s - 1), (1 << (s - 1)) - 1) if zeta else (1, 1)
+        for digits in levels:
+            expected = exact_rounding(1, stride, s, acceleration_depth(digits + 3), digits, factor)
+            assert reference_for(name, digits) == expected, (name, digits)
 
 
 def test_acceleration_makes_constant_fractions(monkeypatch):
@@ -117,14 +192,25 @@ def test_acceleration_makes_constant_fractions(monkeypatch):
         return original(cls, *args, **kwargs)
 
     counts = []
-    for depth in (10, 600):
-        terms = [(1, (j + 1) ** 3) for j in range(depth)]
+    # depth 10 at 60 digits takes the exact merge, depth 600 at 100 digits does not
+    for depth, digits in ((10, 60), (600, 100)):
         monkeypatch.setattr(Fraction, "__new__", spy)
-        accelerated_alternating(terms.__getitem__, depth)
+        accelerated_alternating(1, 1, 3, depth, digits)
         monkeypatch.undo()
         counts.append(len(made))
         made.clear()
     assert counts == [0, 0]
+
+
+def test_depth_ceiling_refused_before_the_weights():
+    # depth 40 506 is past the 40 000 ceiling; the refusal must come before any weight
+    assert acceleration_depth(31_003) == 40_506
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        reference_eta(3, 31_000)
+    assert time.perf_counter() - start < 1.0
+    # the CLI's 1000-digit ceiling, verified two digits past, stays well inside it
+    assert acceleration_depth(DIGITS_CEILING + VERIFY_EXTRA_DIGITS + 3) < 40_000
 
 
 @pytest.mark.parametrize("fn,arg", [(reference_eta, 3), (reference_beta, 2), (reference_zeta_even, 1)])
