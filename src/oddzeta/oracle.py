@@ -52,15 +52,15 @@ def acceleration_depth(digits: int) -> int:
 
 
 def accelerated_alternating(
-    first: int, stride: int, s: int, depth: int, digits: int, factor: tuple[int, int] = (1, 1)
+    stride: int, s: int, depth: int, digits: int, factor: tuple[int, int] = (1, 1)
 ) -> FixedDecimal:
-    """fn/fd * sum_{j>=0} (-1)^j / (first + stride j)^s at ``digits``, Chebyshev-accelerated.
+    """fn/fd * sum_{j>=0} (-1)^j / (1 + stride j)^s at ``digits``, Chebyshev-accelerated.
 
     ``factor`` = (fn, fd) is a positive exact ratio.  The terms are totally monotone
     (moments of a positive measure on [0, 1]), so the acceleration at ``depth``
-    misses the sum by less than 4 / (first^s d_depth), d_depth ~ (3 + sqrt 8)^depth;
+    misses the sum by less than 4 / d_depth, d_depth ~ (3 + sqrt 8)^depth;
     ``err_ulp`` is that bound times the factor, plus half an ulp for the rounding.
-    The value is S / d_depth with S = sum_j c_j / den_j, den_j = (first + stride j)^s,
+    The value is S / d_depth with S = sum_j c_j / den_j, den_j = (1 + stride j)^s,
     over integer weights c_j.  Each weighted term is floored at 2^-64, so the sum
     ``acc`` of the floors has S 2^64 in [acc, acc + depth).  If both ends of that
     enclosure round to one mantissa, S rounds to it too (Ziv's rounding test), which
@@ -80,7 +80,7 @@ def accelerated_alternating(
     for j in range(depth):
         c = b - c
         weights.append(c)
-        acc += (c << 64) // (first + stride * j) ** s
+        acc += (c << 64) // (1 + stride * j) ** s
         b, rest = divmod(b * (2 * (j + depth) * (j - depth)), (2 * j + 1) * (j + 1))
         if rest:
             raise ArithmeticError(f"Chebyshev weight b_{j + 1} at depth {depth} is not an integer")
@@ -88,9 +88,9 @@ def accelerated_alternating(
     scaled = 10**digits * fn
     mantissa = _divround(acc * scaled, fd * d << 64)
     if mantissa != _divround((acc + depth) * scaled, fd * d << 64):
-        num, den = _merged_sum([(c, (first + stride * j) ** s) for j, c in enumerate(weights)])
+        num, den = _merged_sum([(c, (1 + stride * j) ** s) for j, c in enumerate(weights)])
         mantissa = _divround(num * scaled, den * fd * d)
-    bound = first**s * fd * d
+    bound = fd * d
     return FixedDecimal(mantissa, digits, _ceil_div(8 * scaled + bound, 2 * bound))
 
 
@@ -120,7 +120,7 @@ def _accelerated_sum(
     depth = acceleration_depth(digits + 3) + extra_depth
     if depth > 40_000:
         raise ResourceLimitError(f"acceleration depth {depth} beyond supported range")
-    return accelerated_alternating(1, stride, s, depth, digits, factor)
+    return accelerated_alternating(stride, s, depth, digits, factor)
 
 
 def _zeta_from_eta(s: int, digits: int) -> FixedDecimal:

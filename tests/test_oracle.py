@@ -82,11 +82,9 @@ def rounded(value, bound, digits):
     return FixedDecimal(mantissa, digits, math.ceil(bound * unit + Fraction(1, 2)))
 
 
-def exact_rounding(first, stride, s, depth, digits, factor=(1, 1)):
+def exact_rounding(stride, s, depth, digits, factor=(1, 1)):
     """The fraction loop's accelerated sum, times ``factor``, rounded at ``digits``."""
-    value, bound = accelerated_alternating_fractions(
-        lambda j: (1, (first + stride * j) ** s), depth
-    )
+    value, bound = accelerated_alternating_fractions(lambda j: (1, (1 + stride * j) ** s), depth)
     return rounded(value * Fraction(*factor), bound * Fraction(*factor), digits)
 
 
@@ -95,28 +93,28 @@ def test_accelerated_alternating_bound_is_sound():
     # within half an ulp of the mantissa, so the mantissa's distance to the truth plus
     # that half ulp must stay below the loop's bound 4 term(0) / d
     digits = 40
-    value = accelerated_alternating(1, 1, 2, 25, digits)
+    value = accelerated_alternating(1, 2, 25, digits)
     _, bound = accelerated_alternating_fractions(lambda j: (1, (j + 1) ** 2), 25)
     p = reference_pi(40)
     truth = p.as_fraction() ** 2 / 12
     assert abs(value.as_fraction() - truth) + Fraction(1, 2 * 10**digits) < bound
 
 
-# (first, stride) of the eta and beta sums, 1/(first + stride j)^s
-ALTERNATING_FAMILIES = {"eta": (1, 1), "beta": (1, 2)}
+# stride of the eta and beta sums, 1/(1 + stride j)^s
+ALTERNATING_FAMILIES = {"eta": 1, "beta": 2}
 
 
 @pytest.mark.parametrize("depth", [2, 3, 10, 50, 277, 600])
 @pytest.mark.parametrize("family", sorted(ALTERNATING_FAMILIES))
 def test_integer_weights_equal_fraction_loop(family, depth):
-    first, stride = ALTERNATING_FAMILIES[family]
+    stride = ALTERNATING_FAMILIES[family]
     for s in range(1, 9):
         value, bound = accelerated_alternating_fractions(
-            lambda j: (1, (first + stride * j) ** s), depth
+            lambda j: (1, (1 + stride * j) ** s), depth
         )
         for digits in (1, 12, 60, 250):
             expected = rounded(value, bound, digits)
-            assert accelerated_alternating(first, stride, s, depth, digits) == expected
+            assert accelerated_alternating(stride, s, depth, digits) == expected
 
 
 @st.composite
@@ -136,9 +134,9 @@ def test_accelerated_alternating_equals_exact_rounding(family, s, digits_depth, 
     digits, depth = digits_depth
     f = 1 << (s - 1)
     factor = (f, f - 1) if zeta and s > 1 else (1, 1)
-    first, stride = ALTERNATING_FAMILIES[family]
-    assert accelerated_alternating(first, stride, s, depth, digits, factor) == exact_rounding(
-        first, stride, s, depth, digits, factor
+    stride = ALTERNATING_FAMILIES[family]
+    assert accelerated_alternating(stride, s, depth, digits, factor) == exact_rounding(
+        stride, s, depth, digits, factor
     )
 
 
@@ -151,7 +149,7 @@ def test_exact_merge_runs_only_when_the_enclosure_straddles_a_tie(monkeypatch):
         return original(pairs)
 
     monkeypatch.setattr(oracle_module, "_merged_sum", spy)
-    assert accelerated_alternating(1, 1, 3, 5, 40) == exact_rounding(1, 1, 3, 5, 40)
+    assert accelerated_alternating(1, 3, 5, 40) == exact_rounding(1, 3, 5, 40)
     assert merged == [5]
     merged.clear()
     for name in default_battery():
@@ -179,7 +177,7 @@ def test_reference_strings_equal_fraction_loop():
         stride, s, zeta = REFERENCE_SUMS[base](k)
         factor = (1 << (s - 1), (1 << (s - 1)) - 1) if zeta else (1, 1)
         for digits in levels:
-            expected = exact_rounding(1, stride, s, acceleration_depth(digits + 3), digits, factor)
+            expected = exact_rounding(stride, s, acceleration_depth(digits + 3), digits, factor)
             assert reference_for(name, digits) == expected, (name, digits)
 
 
@@ -195,7 +193,7 @@ def test_acceleration_makes_constant_fractions(monkeypatch):
     # depth 10 at 60 digits takes the exact merge, depth 600 at 100 digits does not
     for depth, digits in ((10, 60), (600, 100)):
         monkeypatch.setattr(Fraction, "__new__", spy)
-        accelerated_alternating(1, 1, 3, depth, digits)
+        accelerated_alternating(1, 3, depth, digits)
         monkeypatch.undo()
         counts.append(len(made))
         made.clear()
