@@ -9,18 +9,20 @@ Subcommands:
 * ``identity --id S1|S2 ...``     Fourier-identity residual
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-limit.  Data goes to stdout, diagnostics to stderr; plain and csv output is
-byte-deterministic, timing appears only in the JSON ``elapsed_ms`` field.
+limit; a reader that closes stdout early ends the run with 0.  Data goes to
+stdout, diagnostics to stderr; plain and csv output is byte-deterministic,
+timing appears only in the JSON ``elapsed_ms`` field.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .coeffs import build_table, table_entries, table_to_csv
 from .constants import compute_constant
-from .errors import ResourceLimitError, TailRatioError, UnknownConstantError
+from .errors import ResourceLimitError, TailRatioError
 from .exact import cache_dir
 from .highprec import term_ratio_sequence
 
@@ -245,10 +247,7 @@ def run(argv, out=None, err=None) -> int:
             raise ResourceLimitError(f"digits must lie in 1..{DIGITS_CEILING}, got {digits}")
         with cache_dir(args.cache_dir):
             return _COMMANDS[args.command](args, out)
-    except UnknownConstantError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # UnknownConstantError is a ValueError
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
     except (ResourceLimitError, TailRatioError) as exc:
@@ -257,7 +256,13 @@ def run(argv, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout early (``| head``): end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

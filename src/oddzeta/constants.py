@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .coeffs import e_column
 from .errors import UnknownConstantError
-from .highprec import FixedDecimal, GUARD_DIGITS, compute_pi, sum_series
+from .highprec import FixedDecimal, _working_scale, compute_pi, sum_series
 
 __all__ = [
     "ConstantValue",
@@ -87,6 +87,8 @@ def zeta_odd(k: int, digits: int) -> ConstantValue:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
     inner = _series_constant(f"zeta_odd({k})", 2 * k + 1, digits + ZETA_ODD_EXTRA_DIGITS)
     four = 1 << (2 * k)
     return inner._replace(value=inner.value.mul_ratio(four, four - 1).rescale(digits))
@@ -111,9 +113,10 @@ def zeta_even_closed(n: int, digits: int) -> ConstantValue:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    power = compute_pi(_working_scale(digits)).pow_int(2 * n)
     four = 1 << (2 * n)
     ratio = e_column(1, n)[n - 1], 4 * factorial(2 * n - 1) * (four - 1)
-    value = compute_pi(digits + GUARD_DIGITS).pow_int(2 * n).mul_ratio(*ratio).rescale(digits)
+    value = power.mul_ratio(*ratio).rescale(digits)
     return ConstantValue(name=f"zeta_even({n})", value=value, method=CLOSED_FORM_METHOD)
 
 

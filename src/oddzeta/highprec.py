@@ -5,15 +5,14 @@ true upper bound on the absolute error in units of the last place.  Every
 operation propagates the bound conservatively; bounds only ever grow.
 
 The series sums give their terms at such a scale, but carry the power of pi/2
-(or of the ladder's angle) in binary.  In the first rows, about 19 at any
-scale, it is the decimal mantissa and each term divides by the exact
-factorial-size denominator.  From the first row whose term needs fewer bits
-than that mantissa has, the power over its denominator is carried as one binary
-quotient, cut row by row to 64 bits past the current term and divided by the
-small step of the denominator, with its bound carried the same way.  Its length
-then falls with the terms' (the decreasing-precision evaluation of a series:
-Brent & Zimmermann, Modern Computer Arithmetic, CUP 2010, ch. 4), and no row
-past the switch divides by the denominator or by a power of ten.
+(or of the ladder's angle) in binary.  The decimal power is divided by the
+first factorial-size denominator once, before row 1, and from then on the
+power over its denominator is carried as one binary quotient, cut row by row
+to 64 bits past the current term and divided by the small step of the
+denominator, with its bound carried the same way.  Its length falls with the
+terms' (the decreasing-precision evaluation of a series: Brent & Zimmermann,
+Modern Computer Arithmetic, CUP 2010, ch. 4), and no row divides by a whole
+denominator or by a power of ten.
 """
 
 from __future__ import annotations
@@ -42,6 +41,13 @@ MAX_PI_DIGITS = 100_000
 
 # log10(4) scaled by 10^6 and rounded down, so that row counts round up
 _LOG10_4_MICRO = 602_059
+
+
+def _working_scale(digits: int) -> int:
+    """The scale a result at ``digits`` digits is computed at; refuses digits below 1."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    return digits + GUARD_DIGITS
 
 
 def _divround(a: int, b: int) -> int:
@@ -188,11 +194,9 @@ def _arctan_recip(x: int, scale: int) -> tuple[int, int]:
 
 def compute_pi(digits: int) -> FixedDecimal:
     """pi with err_ulp <= 1 at the requested scale (Machin arctangent sum)."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    work = _working_scale(digits)
     if digits > MAX_PI_DIGITS:
         raise ResourceLimitError(f"pi digits {digits} exceeds ceiling {MAX_PI_DIGITS}")
-    work = digits + GUARD_DIGITS
     a5, e5 = _arctan_recip(5, work)
     a239, e239 = _arctan_recip(239, work)
     result = FixedDecimal(16 * a5 - 4 * a239, work, 16 * e5 + 4 * e239).rescale(digits)
@@ -231,38 +235,10 @@ def estimate_terms(digits: int, k: int) -> int:
     roughly a fifth of a digit per unit of k.  :func:`sum_series` stops on its
     own cutoff a dozen rows or more before the count returned here.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    need = digits + GUARD_DIGITS + 1 + (k + 4) // 5
+    need = _working_scale(digits) + 1 + (k + 4) // 5
     return _ceil_div(need * 10**6, _LOG10_4_MICRO) + 5
-
-
-def _cut_mul_ratio(pm: int, pe: int, num: int, den: int) -> tuple[int, int]:
-    """``FixedDecimal(pm, scale, pe).mul_ratio(num, den)`` as a (mantissa, err_ulp) pair, pm >= 0.
-
-    That is the nearest integer to X = pm num / den, and ceil(pe |num| / den) + 1.
-    Both come out equal to the exact ones, from operands cut to the size of pm.
-    Write num = n' 2^s + r and den = d' 2^c + t with 0 <= r < 2^s and 0 <= t < 2^c,
-    where c leaves d' 32 bits longer than pm, so that d' > pm 2^31, and s = c - 32.
-    Then |num/den - n' 2^-32 / d'| < 2^-32 (d' + |n'|) / d'^2, so X 2^32 lies
-    strictly between q - e and q + e, with q = floor(pm n' / d') and the certified
-    slack e = floor((|n'| // d' + 2) / 2^31) + 2.  If both ends round to the same
-    integer, so does X (Ziv's rounding test).  And |num| / den < (|n'| + 1) 2^-32 / d',
-    so pe (|n'| + 1) <= d' 2^32 puts pe |num| / den below 1, where its ceiling is 1
-    unless it is 0.  When either test fails, about once in 2^30 calls for the
-    mantissa, or when den is too short to cut, the exact division decides.
-    """
-    cut = den.bit_length() - pm.bit_length() - 32
-    if cut > 32:
-        n, d = num >> (cut - 32), den >> cut
-        q = pm * n // d
-        e = ((abs(n) // d + 2) >> 31) + 2
-        low = (q - e + (1 << 31)) >> 32
-        if low == (q + e + (1 << 31)) >> 32 and pe * (abs(n) + 1) <= d << 32:
-            return low, 2 if pe and num else 1
-    return _divround(pm * num, den), _ceil_div(pe * abs(num), den) + 1
 
 
 def _quotient_term(q: int, qe: int, num: int, f: int) -> tuple[int, int]:
@@ -291,26 +267,16 @@ def _series_terms(
     ``power`` and ``step`` are non-negative and share one scale, den > 0, and
     den_(n+1) = den_n * denominator_step(n, index).  Each pair is the rounded term and
     its bound at that scale.  The step is converted once to S 2^-F, with F fractional
-    bits, 64 more than the scale has.  The rows run in two phases.
+    bits, 64 more than the scale has.
 
-    Exact rows: the power is carried as its decimal mantissa P (exact but for a
-    rounding tie closer than P 2^-F), P' = P S rounded off F bits with
-    pe' = ceil((P se + S pe + pe se) / 2^F) + 1, and den_n is carried whole.  Each term
-    is taken by :func:`_cut_mul_ratio` from the leading bits of N_n and den_n: a
-    certified slack around the cut quotient shows the rounding is the exact one, and
-    where it cannot, the exact division runs.  These rows end at the first row
-    whose P S is more than F + 64 bits longer than its term (about row 19 at any
-    scale), where rounding off F bits would keep more than the terms need.
-
-    Quotient rows: there den_(n+1) is divided out once, and from then on the power
-    over its denominator is carried as one binary quotient Q 2^-f with error at most
-    qe 2^-f.  Each row multiplies Q S, shifts off ``drop`` bits, leaving Q 64 bits
-    past the row's term, and divides by the small integer step_n:
+    The power over its denominator is one binary quotient Q 2^-f with error at most
+    qe 2^-f.  Before row 1, f = bitlen(den) + 64, Q = floor(P 2^f / den) and
+    qe = floor(pe 2^f / den) + 2, for the power's mantissa P and bound pe.  Each row
+    takes its term by :func:`_quotient_term`, multiplies Q S, shifts off ``drop`` bits
+    to leave Q 64 bits past the row's term, and divides by the small integer step_n:
     Q' = floor((Q S >> drop) / step_n) and
     qe' = floor(((Q se + S qe + qe se) >> drop) / step_n) + 2, so the bound stays
-    rigorous while Q shrinks with the terms, and den is never touched again.  The
-    term is :func:`_quotient_term`; the cuts move it by far less than an ulp, so
-    it is the decimal power's term but for a tie closer than that.
+    rigorous while Q shrinks with the terms.
 
     With ``stop``, the loop is :func:`sum_series`'s: it ends at the first row n >= 5
     whose term is at most 100 ulp, and raises :class:`TailRatioError` once a term
@@ -320,14 +286,12 @@ def _series_terms(
     frac = unit.bit_length() + 64
     s = _divround(step.mantissa << frac, unit)
     se = _ceil_div(step.err_ulp << frac, unit) + 1
-    p, _, pe = power
-    f = prev = 0
+    f = den.bit_length() + 64
+    q, qe = (power.mantissa << f) // den, (power.err_ulp << f) // den + 2
+    prev = 0
     terms = []
     for n, num in enumerate(column, 1):
-        if den:
-            mantissa, err = _cut_mul_ratio(p, pe, num, den)
-        else:
-            mantissa, err = _quotient_term(p, pe, num, f)
+        mantissa, err = _quotient_term(q, qe, num, f)
         terms.append((mantissa, err))
         if stop:
             magnitude = abs(mantissa)
@@ -339,22 +303,14 @@ def _series_terms(
             if magnitude <= 100 and n >= 5:
                 break
             prev = magnitude
-        ps = p * s
-        bound = p * se + s * pe + pe * se
+        qs = q * s
+        bound = q * se + s * qe + qe * se
         divisor = denominator_step(n, index)
-        if den:
-            if ps.bit_length() - mantissa.bit_length() - 64 <= frac:
-                p = ((ps >> (frac - 1)) + 1) >> 1
-                pe = -(-bound >> frac) + 1
-                den *= divisor
-                continue
-            divisor *= den
-            den = 0
-        drop = ps.bit_length() - divisor.bit_length() - mantissa.bit_length() - 64
+        drop = qs.bit_length() - divisor.bit_length() - mantissa.bit_length() - 64
         if drop >= 0:
-            p, pe = (ps >> drop) // divisor, (bound >> drop) // divisor + 2
+            q, qe = (qs >> drop) // divisor, (bound >> drop) // divisor + 2
         else:
-            p, pe = (ps << -drop) // divisor, (bound << -drop) // divisor + 2
+            q, qe = (qs << -drop) // divisor, (bound << -drop) // divisor + 2
         f += frac - drop
     return terms
 
@@ -365,8 +321,8 @@ def sum_series(k: int, digits: int, pi: FixedDecimal | None = None) -> SeriesRes
     Terms are exact rationals N_n(k) / den(n, k), never reduced by a gcd:
     the numerators are read from column k of the coefficient store grown
     once to :func:`estimate_terms` rows, and :func:`_series_terms` carries the
-    power of pi/2, over its denominator once the terms need fewer bits than it
-    has, row to row on plain integers, and stops the sum.
+    power of pi/2 over its denominator, as one binary quotient, row to row on
+    plain integers, and stops the sum.
     The reported error bound covers per-term rounding plus a geometric tail
     bound |last| * (1/3) / (1 - 1/3); a runtime check aborts if observed
     consecutive terms ever decay slower than 1/3 past burn-in.  A caller that
@@ -374,7 +330,7 @@ def sum_series(k: int, digits: int, pi: FixedDecimal | None = None) -> SeriesRes
     ``digits + GUARD_DIGITS``, computed once.
     """
     column = e_column(k, estimate_terms(digits, k))
-    work = digits + GUARD_DIGITS
+    work = _working_scale(digits)
     hp = half_pi(work, pi)
     terms = _series_terms(hp.pow_int(k + 1), hp.mul(hp), column, e_denominator(1, k), k, stop=True)
     mantissas, errs = zip(*terms)
@@ -396,8 +352,8 @@ def term_ratio_sequence(k: int, n_count: int, digits: int = 15) -> list[tuple[in
     """
     if n_count < 1:
         raise ValueError("n_count must be >= 1")
+    work = _working_scale(digits)
     column = e_column(k, n_count + 1)
-    work = digits + GUARD_DIGITS
     hp = half_pi(work)
     step = hp.mul(hp)
     # E_(n+1)(k) / E_n(k) = N_(n+1)(k) / (N_n(k) * den(n+1, k) / den(n, k))

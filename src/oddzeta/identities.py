@@ -25,11 +25,11 @@ from typing import NamedTuple
 
 from .coeffs import d_denominator, e_column
 from .highprec import (
-    GUARD_DIGITS,
     FixedDecimal,
     _ceil_div,
     _divround,
     _series_terms,
+    _working_scale,
     compute_pi,
     estimate_terms,
     sum_series,
@@ -112,7 +112,7 @@ def _theta_mantissa(
 def resolve_theta(theta, digits: int = 30) -> FixedDecimal:
     """Angle as a fixed-point value at working precision, validated in (0, pi)."""
     token = canonical_theta_token(theta)
-    scale = digits + GUARD_DIGITS
+    scale = _working_scale(digits)
     m, err = _theta_mantissa(token, scale)
     return FixedDecimal(m, scale, err)
 
@@ -221,7 +221,7 @@ def fourier_lhs(identity: str, k: int, theta, fourier_terms: int, digits: int = 
     if fourier_terms < 2:
         raise ValueError("fourier_terms must be >= 2")
     token = canonical_theta_token(theta)
-    scale = digits + GUARD_DIGITS
+    scale = _working_scale(digits)
     exponent = 2 * k if identity == "S1" else 2 * k + 1
     if token == "pi/2":
         twice, unit, err = _half_pi_sum(exponent, fourier_terms, scale)
@@ -240,7 +240,8 @@ def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) 
         + sum_{r<=k} (-1)^(k-r) A_(2r+1) theta^(2k-2r) / (2k-2r)!
     """
     token = canonical_theta_token(theta)
-    return _ladder_side(identity, k, token, series_terms, digits, compute_pi(digits + GUARD_DIGITS))
+    pi = compute_pi(_working_scale(digits))
+    return _ladder_side(identity, k, token, series_terms, digits, pi)
 
 
 def _ladder_side(
@@ -261,13 +262,13 @@ def _ladder_side(
         raise ValueError("series_terms must be >= 1")
     if eta_terms is None:
         eta_terms = k if identity == "S1" else k + 1
-    scale = digits + GUARD_DIGITS
+    scale = _working_scale(digits)
     m, err = _theta_mantissa(token, scale, pi)
     th = FixedDecimal(m, scale, err)
     th2 = th.mul(th)
     d_index = 2 * k if identity == "S1" else 2 * k + 1
     eta_digits = digits + 6
-    # D_n(k) = N_n(1) / d_denominator(n, k), the denominator carried row to row
+    # D_n(k) = N_n(1) / d_denominator(n, k), the power carried over the denominator row to row
     column, den = e_column(1, series_terms), d_denominator(1, d_index)
     mantissas, errs = zip(*_series_terms(th.pow_int(d_index + 1), th2, column, den, d_index))
     last = mantissas[-1]
@@ -282,7 +283,7 @@ def _ladder_side(
     tail_ulp = abs(last) * a // (2 * (b - a)) + 1
     acc = FixedDecimal(acc.mantissa, acc.scale, acc.err_ulp + tail_ulp)
     offset = 1 if identity == "S1" else 0
-    eta_pi = compute_pi(eta_digits + GUARD_DIGITS)
+    eta_pi = compute_pi(_working_scale(eta_digits))
     for r in range(eta_terms):
         exponent = 2 * (k - r) - offset
         # A_(2r+1): ln 2 for r = 0, eta(2r+1) above
@@ -319,7 +320,7 @@ def check_identity(
     once at their own scales.
     """
     token = canonical_theta_token(theta)
-    scale = digits + GUARD_DIGITS
+    scale = _working_scale(digits)
     pi = compute_pi(scale)
     m, err = _theta_mantissa(token, scale, pi)  # a bad angle fails before either side runs
     lhs = fourier_lhs(identity, k, token, fourier_terms, digits)
@@ -345,7 +346,7 @@ def eta_from_half_pi_identity(k: int, digits: int = 30) -> FixedDecimal:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    pi = compute_pi(digits + GUARD_DIGITS)
+    pi = compute_pi(_working_scale(digits))
     side = _ladder_side("S2", k, "pi/2", estimate_terms(digits, 2 * k + 1), digits, pi, k)
     two_power = 1 << (2 * k + 1)
     return side.mul_ratio(-two_power, two_power - 1).rescale(digits)
@@ -361,7 +362,7 @@ def tan_half_residual(theta, fourier_terms: int, digits: int = 15) -> FixedDecim
     token = canonical_theta_token(theta)
     if fourier_terms < 2:
         raise ValueError("fourier_terms must be >= 2")
-    scale = digits + GUARD_DIGITS
+    scale = _working_scale(digits)
     one = 10**scale
     bits, values, drift = _alternating_trig(token, scale, fourier_terms, cosine=False)
     running = acc = 0

@@ -7,12 +7,11 @@ alternating eta/beta sums, with zeta at every argument s >= 2 following
 from eta(s) by an exact factor, an atanh series for ln 2, and a transformed
 arctangent series for pi.  The acceleration keeps its Chebyshev weights as
 integers and sums the weighted terms in binary fixed point, each floored at
-2^-64, so the exact sum lies in a known enclosure.  When both ends of the
-enclosure round to one decimal mantissa (Ziv's rounding test), that is the
-exact sum's rounding; when they do not, the weighted terms are merged into
-one exact fraction, which is rounded instead.  Only the raw
-fixed-point/rational primitives are shared with the production path, so a
-bug there cannot silently confirm itself.
+2^-64, so the accelerated sum lies in an enclosure one unit of 2^-64 wide
+per term.  The reference is the midpoint of that enclosure, rounded once,
+and its bound adds the half-width to the acceleration's own error.  Only
+the raw fixed-point/rational primitives are shared with the production
+path, so a bug there cannot silently confirm itself.
 """
 
 from __future__ import annotations
@@ -58,16 +57,15 @@ def accelerated_alternating(
 
     ``factor`` = (fn, fd) is a positive exact ratio.  The terms are totally monotone
     (moments of a positive measure on [0, 1]), so the acceleration at ``depth``
-    misses the sum by less than 4 / d_depth, d_depth ~ (3 + sqrt 8)^depth;
-    ``err_ulp`` is that bound times the factor, plus half an ulp for the rounding.
-    The value is S / d_depth with S = sum_j c_j / den_j, den_j = (1 + stride j)^s,
-    over integer weights c_j.  Each weighted term is floored at 2^-64, so the sum
-    ``acc`` of the floors has S 2^64 in [acc, acc + depth).  If both ends of that
-    enclosure round to one mantissa, S rounds to it too (Ziv's rounding test), which
-    at the depth the references use, d_depth > 10^(digits + 8), fails only within
-    10^-20 ulp of a tie.  When it fails the weighted terms are merged exactly, two at
-    a time, x/p + y/q = (xq + yp)/(pq), and that one fraction is rounded.
+    misses the sum by less than 4 / d_depth, d_depth ~ (3 + sqrt 8)^depth.  Its value
+    is S / d_depth, S = sum_j c_j / (1 + stride j)^s over integer weights c_j.  Each
+    weighted term is floored at 2^-64, so the sum ``acc`` of the floors has S 2^64 in
+    [acc, acc + depth).  The midpoint (acc + depth / 2) 2^-64 fn / (d_depth fd) is
+    rounded once; ``err_ulp`` is 4 / d_depth plus the half-width depth 2^-65 / d_depth,
+    both times the factor, plus half an ulp for the rounding.
     """
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
     if depth < 2:
         raise ValueError("depth must be >= 2")
     d_prev, d = 1, 3
@@ -75,34 +73,19 @@ def accelerated_alternating(
         d_prev, d = d, 6 * d - d_prev
     b = -1
     c = -d
-    weights = []
     acc = 0
     for j in range(depth):
         c = b - c
-        weights.append(c)
         acc += (c << 64) // (1 + stride * j) ** s
         b, rest = divmod(b * (2 * (j + depth) * (j - depth)), (2 * j + 1) * (j + 1))
         if rest:
             raise ArithmeticError(f"Chebyshev weight b_{j + 1} at depth {depth} is not an integer")
     fn, fd = factor
     scaled = 10**digits * fn
-    mantissa = _divround(acc * scaled, fd * d << 64)
-    if mantissa != _divround((acc + depth) * scaled, fd * d << 64):
-        num, den = _merged_sum([(c, (1 + stride * j) ** s) for j, c in enumerate(weights)])
-        mantissa = _divround(num * scaled, den * fd * d)
-    bound = fd * d
-    return FixedDecimal(mantissa, digits, _ceil_div(8 * scaled + bound, 2 * bound))
-
-
-def _merged_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:
-    """sum of the fractions x/p in ``pairs`` as one unreduced pair, merged two at a time.
-
-    Each round joins neighbours, so that each product joins operands of like size.
-    """
-    while len(pairs) > 1:
-        merged = [(x * q + y * p, p * q) for (x, p), (y, q) in zip(pairs[::2], pairs[1::2])]
-        pairs = merged + pairs[len(merged) * 2 :]
-    return pairs[0]
+    den = fd * d << 65
+    mantissa = _divround((2 * acc + depth) * scaled, den)
+    err = _ceil_div(((8 << 64) + depth) * scaled + den // 2, den)
+    return FixedDecimal(mantissa, digits, err)
 
 
 def _to_fixed(value: tuple[int, int], bound: tuple[int, int], digits: int) -> FixedDecimal:
@@ -267,6 +250,8 @@ def verify(name: str, digits: int) -> VerificationReport:
     ``matched_digits >= digits`` is attainable despite the excluded final
     reference digit.
     """
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
     start = time.perf_counter()
     constant = compute_constant(name, digits + VERIFY_EXTRA_DIGITS)
     reference = reference_for(name, digits + VERIFY_EXTRA_DIGITS)

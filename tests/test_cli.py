@@ -3,8 +3,10 @@
 import io
 import json
 import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +213,35 @@ def test_wrong_cached_value_is_not_trusted(tmp_path, cold_store):
     exact._save_cache(str(tmp_path / "tangent.tsv"), values)
     code, out, _ = invoke(["--cache-dir", str(tmp_path), "constant", "catalan", "--digits", "15"])
     assert (code, out) == (EXIT_OK, "0.915965594177219\n")
+
+
+COEFFS_PLAIN = ["coeffs", "--k", "1", "--n", "200", "--format", "plain"]
+
+
+@pytest.mark.parametrize(
+    "argv,unbuffered,lines",
+    [
+        # 138 kB in 200 lines cannot all wait in a 64 kB pipe, so writing goes on after
+        # the reader has closed its end, whether stdout is buffered or not
+        (COEFFS_PLAIN, "", 1),
+        (COEFFS_PLAIN, "1", 1),
+        # the battery's few lines wait in the stdout buffer until the last flush
+        (["verify", "--digits", "30"], "", 0),
+    ],
+    ids=["buffered", "unbuffered", "flush-at-exit"],
+)
+def test_reader_closing_the_pipe_ends_quietly(argv, unbuffered, lines):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env["PYTHONUNBUFFERED"] = unbuffered
+    env.pop("ODDZETA_CACHE_DIR", None)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "oddzeta.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert [child.stdout.readline() for _ in range(lines)] == [b"k=1 n=1 E=1/4\n"] * lines
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert child.wait(timeout=60) == EXIT_OK
+    assert stderr == b""

@@ -2,10 +2,13 @@
 
 The expected values live in ``golden_cli.json``.  They are a record of what
 the tool printed before the exact-coefficient core was rewritten, so a
-refactor that changes a single output byte fails here.  Rewrite the file
-only for an intended output change:
+refactor that changes a single output byte fails here.  Running the file
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+adds a command newly listed in COMMANDS.  It writes nothing, and exits 1, if
+the output of any entry already recorded has changed: an intended output
+change edits that entry by hand.
 """
 
 import io
@@ -47,6 +50,9 @@ COMMANDS = [
     ["coeffs", "--k", "5", "--n", "12", "--format", "plain"],
     ["verify", "--digits", "30"],
     ["verify", "--digits", "30", "--format", "csv"],
+    # pin terms_used, computed= and reference= for the battery past 30 digits
+    ["verify", "--digits", "100"],
+    ["verify", "--digits", "300"],
     ["ratio", "--k", "2", "--n", "20"],
     ["identity", "--id", "S1", "--k", "1", "--theta", "pi/2", "--terms", "2000"],
     ["identity", "--id", "S2", "--k", "1", "--theta", "1", "--terms", "2000"],
@@ -105,5 +111,23 @@ def test_golden_output_under_python_O(argv):
     assert (done.returncode, done.stdout.decode()) == (expected["code"], expected["stdout"])
 
 
+def _regenerate() -> int:
+    """Append the missing commands to the golden file; refuse if a recorded entry moved."""
+    cases = json.loads(GOLDEN.read_text())
+    recorded = {" ".join(case["argv"]): case for case in cases}
+    changed = []
+    for argv in COMMANDS:
+        case, key = invoke(argv), " ".join(argv)
+        if key not in recorded:
+            cases.append(case)
+        elif case != recorded[key]:
+            changed.append(key)
+    if changed:
+        print("golden output changed, nothing written:", *changed, sep="\n  ", file=sys.stderr)
+        return 1
+    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
+    return 0
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps([invoke(argv) for argv in COMMANDS], indent=1) + "\n")
+    sys.exit(_regenerate())

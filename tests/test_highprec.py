@@ -12,7 +12,6 @@ from oddzeta.errors import TailRatioError
 from oddzeta.highprec import (
     GUARD_DIGITS,
     FixedDecimal,
-    _cut_mul_ratio,
     compute_pi,
     estimate_terms,
     half_pi,
@@ -200,47 +199,6 @@ def test_sum_series_equals_fixed_decimal_loop(k):
         )
 
 
-def of_length(bits):
-    """Integers of exactly ``bits`` bits (0 for no bits)."""
-    return st.integers(min_value=(1 << bits) >> 1, max_value=(1 << bits) - 1)
-
-
-@st.composite
-def cut_operands(draw):
-    """(pm, pe, num, den) with den of 2 to 8000 bits, and num from 40 bits longer than
-    den down to pm's length plus 64 bits shorter, so that pm num / den spans the term
-    sizes of a series, from below one ulp to past pm."""
-    pm_bits = draw(st.integers(min_value=0, max_value=1200))
-    den_bits = draw(st.integers(min_value=2, max_value=8000))
-    num_bits = max(0, den_bits - draw(st.integers(min_value=-40, max_value=pm_bits + 64)))
-    pm = draw(of_length(pm_bits))
-    pe = draw(of_length(draw(st.integers(min_value=0, max_value=pm_bits + 64))))
-    num = draw(of_length(num_bits)) * draw(st.sampled_from((1, -1)))
-    return pm, pe, num, draw(of_length(den_bits))
-
-
-@given(cut_operands())
-@example((5, 7, 0, 1 << 200))  # num = 0: the error term is exactly 0, so err_ulp is 1
-@example((3 << 200, 2, 5 << 1400, 7 << 1400))  # on the cut path
-def test_cut_mul_ratio_equals_exact(operands):
-    pm, pe, num, den = operands
-    exact = FixedDecimal(pm, 0, pe).mul_ratio(num, den)
-    assert _cut_mul_ratio(pm, pe, num, den) == (exact.mantissa, exact.err_ulp)
-
-
-def test_cut_mul_ratio_falls_back_on_an_exact_half(monkeypatch):
-    # (2m+1) X / (2X) is m + 1/2 exactly: no slack around the cut quotient
-    # can decide the rounding, so the exact division must run
-    x, m = (1 << 2000) + 12_345, 10**30
-    exact_calls = []
-    divround = highprec._divround
-    monkeypatch.setattr(
-        highprec, "_divround", lambda a, b: exact_calls.append(b) or divround(a, b)
-    )
-    assert _cut_mul_ratio(1, 0, (2 * m + 1) * x, 2 * x) == (m + 1, 1)
-    assert exact_calls == [2 * x]
-
-
 def test_sum_series_builds_constant_fixed_decimals(monkeypatch):
     made = []
     original = FixedDecimal.__new__
@@ -263,7 +221,8 @@ def test_sum_series_builds_constant_fixed_decimals(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_series_terms_equal_fixed_decimal_loop_at_1000_digits(k):
-    # the cut binary power gives every (mantissa, err_ulp) pair of the decimal power
+    # the binary quotient gives every mantissa of the decimal power, and a bound at most
+    # one ulp off the decimal power's
     digits = 1000
     column = e_column(k, estimate_terms(digits, k))
     hp = half_pi(digits + GUARD_DIGITS)
@@ -277,7 +236,9 @@ def test_series_terms_equal_fixed_decimal_loop_at_1000_digits(k):
         power = power.mul(step)
         den *= denominator_step(n, k)
     terms = highprec._series_terms(hp.pow_int(k + 1), step, column, e_denominator(1, k), k)
-    assert list(islice(terms, len(expected))) == expected
+    terms = list(islice(terms, len(expected)))
+    assert [m for m, _ in terms] == [m for m, _ in expected]
+    assert all(abs(err - want) <= 1 for (_, err), (_, want) in zip(terms, expected))
 
 
 HALF_PI_SQUARED_30 = 2467401100272339654708622749970
@@ -340,40 +301,33 @@ def test_quotient_rows_enclose_the_exact_terms(pm, sm, err, column, den, index, 
 
 
 def test_series_power_shrinks_with_the_terms(monkeypatch):
-    exact_rows, quotient_rows = [], []
-    cut, quotient = highprec._cut_mul_ratio, highprec._quotient_term
-
-    def cut_spy(pm, pe, num, den):
-        pair = cut(pm, pe, num, den)
-        exact_rows.append((pm.bit_length(), pair[0].bit_length()))
-        return pair
+    rows = []
+    quotient = highprec._quotient_term
 
     def quotient_spy(q, qe, num, f):
         pair = quotient(q, qe, num, f)
-        quotient_rows.append((q, qe, f, pair[0].bit_length()))
+        rows.append((q, qe, f, pair[0].bit_length()))
         return pair
 
-    monkeypatch.setattr(highprec, "_cut_mul_ratio", cut_spy)
     monkeypatch.setattr(highprec, "_quotient_term", quotient_spy)
     terms_used = sum_series(3, 300).terms_used
-    # a few exact rows read den, and every later row is a quotient row
-    assert len(exact_rows) <= 25 and terms_used == len(exact_rows) + len(quotient_rows) > 500
-    # in the exact rows P is the decimal power: it starts at 1033 bits and grows about 1.3 bits
-    # a row
-    assert exact_rows[0][0] == half_pi(310).pow_int(4).mantissa.bit_length() == 1033
-    for (p_bits, _), (next_p_bits, _) in zip(exact_rows, exact_rows[1:]):
-        assert abs(next_p_bits - p_bits) <= 2
-    # each quotient is cut to 64 bits past the row before's term, and its bound stays far
-    # below one ulp of the term
-    t_bits = exact_rows[-1][1]
-    for q, qe, f, next_t_bits in quotient_rows:
+    # every row is a quotient row
+    assert terms_used == len(rows) > 500
+    # row 1's quotient is the decimal power over den_1, 64 bits past den_1's length
+    q, _, f, _ = rows[0]
+    den = e_denominator(1, 3)
+    assert f == den.bit_length() + 64
+    assert q == (half_pi(310).pow_int(4).mantissa << f) // den
+    # each later quotient is cut to 64 bits past the row before's term; once the few ulp
+    # of the power's own error have shrunk with the coefficients (by row 20), its bound
+    # stays far below one ulp of the term
+    for n, ((_, _, _, t_bits), (q, qe, f, next_t_bits)) in enumerate(zip(rows, rows[1:]), 2):
         assert q.bit_length() <= t_bits + 65
-        assert qe < 1 << (q.bit_length() - next_t_bits - 32)
-        t_bits = next_t_bits
+        assert n < 20 or qe < 1 << (q.bit_length() - next_t_bits - 32)
     # the last quotient is as short as the last terms, and it is the decimal power over
     # den_n, its exponent past the length the denominator has over the power
-    q, _, f, _ = quotient_rows[-1]
-    assert q.bit_length() <= quotient_rows[-2][3] + 65 < 80
+    q, _, f, _ = rows[-1]
+    assert q.bit_length() <= rows[-2][3] + 65 < 80
     power = half_pi(310).pow_int(2 * terms_used + 2).mantissa
     den = e_denominator(terms_used, 3)
     assert f > den.bit_length() - power.bit_length() > 4000

@@ -119,11 +119,13 @@ def ladder_reference(identity, k, theta, series_terms, digits):
 @pytest.mark.parametrize("theta", ["1/2", "2", "3", "pi/2"])
 @pytest.mark.parametrize("identity,k", [("S1", 1), ("S1", 2), ("S2", 1), ("S2", 2)])
 def test_rhs_equals_fixed_decimal_ladder(identity, k, theta):
-    # the ladder's power of theta, carried as a cut binary mantissa and past row 20 or so
-    # as a quotient over its denominator, changes no output
+    # the ladder's power of theta, carried as a binary quotient over its denominator,
+    # changes no mantissa, and moves the bound by at most one ulp
     for digits, series_terms in ((30, 80), (100, 200), (300, 400)):
         expected = ladder_reference(identity, k, theta, series_terms, digits)
-        assert rhs_eval(identity, k, theta, series_terms, digits) == expected
+        got = rhs_eval(identity, k, theta, series_terms, digits)
+        assert got._replace(err_ulp=0) == expected._replace(err_ulp=0)
+        assert abs(got.err_ulp - expected.err_ulp) <= 1
 
 
 def test_one_pi_per_scale_in_an_identity_check(monkeypatch):

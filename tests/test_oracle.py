@@ -104,6 +104,21 @@ def test_accelerated_alternating_bound_is_sound():
 ALTERNATING_FAMILIES = {"eta": 1, "beta": 2}
 
 
+def assert_rounds_or_encloses(value, bound, stride, s, depth, digits, factor=(1, 1)):
+    """``accelerated_alternating`` against the fraction loop's ``value`` and ``bound``.
+
+    At the oracle's own depth for ``digits`` it equals the loop's rounding.  Below it,
+    the enclosure may be wider than an ulp, so the loop's value must lie within the
+    returned bound less the acceleration's own error ``bound``.
+    """
+    got = accelerated_alternating(stride, s, depth, digits, factor)
+    value, bound = value * Fraction(*factor), bound * Fraction(*factor)
+    if depth >= acceleration_depth(digits + 3):
+        assert got == rounded(value, bound, digits)
+    else:
+        assert abs(got.as_fraction() - value) + bound <= Fraction(got.err_ulp, 10**digits)
+
+
 @pytest.mark.parametrize("depth", [2, 3, 10, 50, 277, 600])
 @pytest.mark.parametrize("family", sorted(ALTERNATING_FAMILIES))
 def test_integer_weights_equal_fraction_loop(family, depth):
@@ -113,8 +128,7 @@ def test_integer_weights_equal_fraction_loop(family, depth):
             lambda j: (1, (1 + stride * j) ** s), depth
         )
         for digits in (1, 12, 60, 250):
-            expected = rounded(value, bound, digits)
-            assert accelerated_alternating(stride, s, depth, digits) == expected
+            assert_rounds_or_encloses(value, bound, stride, s, depth, digits)
 
 
 @st.composite
@@ -129,32 +143,14 @@ def digits_and_depth(draw):
     digits_and_depth(),
     st.booleans(),
 )
-@example("eta", 3, (40, 5), False).via("d_5 2^64 < 10^40: the exact merge decides")
+@example("eta", 3, (40, 5), False).via("d_5 2^64 < 10^40: the enclosure spans many ulp")
 def test_accelerated_alternating_equals_exact_rounding(family, s, digits_depth, zeta):
     digits, depth = digits_depth
     f = 1 << (s - 1)
     factor = (f, f - 1) if zeta and s > 1 else (1, 1)
     stride = ALTERNATING_FAMILIES[family]
-    assert accelerated_alternating(stride, s, depth, digits, factor) == exact_rounding(
-        stride, s, depth, digits, factor
-    )
-
-
-def test_exact_merge_runs_only_when_the_enclosure_straddles_a_tie(monkeypatch):
-    merged = []
-    original = oracle_module._merged_sum
-
-    def spy(pairs):
-        merged.append(len(pairs))
-        return original(pairs)
-
-    monkeypatch.setattr(oracle_module, "_merged_sum", spy)
-    assert accelerated_alternating(1, 3, 5, 40) == exact_rounding(1, 3, 5, 40)
-    assert merged == [5]
-    merged.clear()
-    for name in default_battery():
-        reference_for(name, 200 + VERIFY_EXTRA_DIGITS)
-    assert merged == []
+    value, bound = accelerated_alternating_fractions(lambda j: (1, (1 + stride * j) ** s), depth)
+    assert_rounds_or_encloses(value, bound, stride, s, depth, digits, factor)
 
 
 # stride, s and whether the zeta factor applies, by base name and parameter k
@@ -190,7 +186,7 @@ def test_acceleration_makes_constant_fractions(monkeypatch):
         return original(cls, *args, **kwargs)
 
     counts = []
-    # depth 10 at 60 digits takes the exact merge, depth 600 at 100 digits does not
+    # a shallow enclosure, many ulp wide, and a deep one
     for depth, digits in ((10, 60), (600, 100)):
         monkeypatch.setattr(Fraction, "__new__", spy)
         accelerated_alternating(1, 3, depth, digits)

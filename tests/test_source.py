@@ -181,3 +181,62 @@ def test_every_export_resolves_on_first_use():
     assert lines == ["['oddzeta']", "oddzeta.oracle oddzeta.identities", "[]"]
     with pytest.raises(AttributeError):
         getattr(oddzeta, "no_such_name")
+
+
+# one call per exported function that takes ``digits``, with that argument left open
+DIGITS_TAKERS = {
+    "constants.alt_harmonic": lambda d: oddzeta.constants.alt_harmonic(d),
+    "constants.apery": lambda d: oddzeta.constants.apery(d),
+    "constants.beta_even": lambda d: oddzeta.constants.beta_even(1, d),
+    "constants.catalan": lambda d: oddzeta.constants.catalan(d),
+    "constants.compute_constant": lambda d: oddzeta.constants.compute_constant("apery", d),
+    "constants.eta_odd": lambda d: oddzeta.constants.eta_odd(1, d),
+    "constants.zeta_even_closed": lambda d: oddzeta.constants.zeta_even_closed(1, d),
+    "constants.zeta_odd": lambda d: oddzeta.constants.zeta_odd(1, d),
+    "highprec.compute_pi": lambda d: oddzeta.highprec.compute_pi(d),
+    "highprec.estimate_terms": lambda d: oddzeta.highprec.estimate_terms(d, 1),
+    "highprec.sum_series": lambda d: oddzeta.highprec.sum_series(1, d),
+    "highprec.term_ratio_sequence": lambda d: oddzeta.highprec.term_ratio_sequence(1, 3, d),
+    "identities.check_identity": lambda d: oddzeta.identities.check_identity(
+        "S1", 1, "1", 100, 20, d
+    ),
+    "identities.eta_from_half_pi_identity": lambda d: (
+        oddzeta.identities.eta_from_half_pi_identity(1, d)
+    ),
+    "identities.fourier_lhs": lambda d: oddzeta.identities.fourier_lhs("S2", 1, "pi/2", 100, d),
+    "identities.resolve_theta": lambda d: oddzeta.identities.resolve_theta("1", d),
+    "identities.residual_sweep": lambda d: oddzeta.identities.residual_sweep(
+        [1], ["1"], 100, 20, d
+    ),
+    "identities.rhs_eval": lambda d: oddzeta.identities.rhs_eval("S1", 1, "1", 20, d),
+    "identities.tan_half_residual": lambda d: oddzeta.identities.tan_half_residual("1", 100, d),
+    "oracle.accelerated_alternating": lambda d: oddzeta.oracle.accelerated_alternating(1, 3, 10, d),
+    "oracle.reference_beta": lambda d: oddzeta.oracle.reference_beta(2, d),
+    "oracle.reference_eta": lambda d: oddzeta.oracle.reference_eta(3, d),
+    "oracle.reference_for": lambda d: oddzeta.oracle.reference_for("catalan", d),
+    "oracle.reference_ln2": lambda d: oddzeta.oracle.reference_ln2(d),
+    "oracle.reference_pi": lambda d: oddzeta.oracle.reference_pi(d),
+    "oracle.reference_zeta_even": lambda d: oddzeta.oracle.reference_zeta_even(1, d),
+    "oracle.reference_zeta_odd": lambda d: oddzeta.oracle.reference_zeta_odd(1, d),
+    "oracle.verify": lambda d: oddzeta.oracle.verify("apery", d),
+}
+
+
+def test_every_exported_digits_taker_has_a_case():
+    import inspect
+
+    found = set()
+    for module in ("cli", "coeffs", "constants", "exact", "highprec", "identities", "oracle"):
+        namespace = getattr(oddzeta, module)
+        for name in namespace.__all__:
+            obj = getattr(namespace, name)
+            if inspect.isfunction(obj) and "digits" in inspect.signature(obj).parameters:
+                found.add(f"{module}.{name}")
+    assert found == set(DIGITS_TAKERS)
+
+
+@pytest.mark.parametrize("digits", [0, -1])
+@pytest.mark.parametrize("name", sorted(DIGITS_TAKERS))
+def test_exported_digits_takers_refuse_digits_below_one(name, digits):
+    with pytest.raises(ValueError, match=r"^digits must be >= 1$"):
+        DIGITS_TAKERS[name](digits)
