@@ -23,7 +23,6 @@ import sys
 from .coeffs import build_table, table_entries, table_to_csv
 from .constants import compute_constant
 from .errors import ResourceLimitError, TailRatioError
-from .exact import cache_dir
 from .highprec import term_ratio_sequence
 
 __all__ = ["build_parser", "main", "run"]
@@ -48,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
             "from exact-rational series in powers of pi/2, with oracle verification."
         ),
     )
-    parser.add_argument("--cache-dir", default=None, help="directory for the tangent number cache")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_const = sub.add_parser("constant", help="print one constant")
@@ -245,8 +243,7 @@ def run(argv, out=None, err=None) -> int:
         digits = getattr(args, "digits", 30)
         if not 1 <= digits <= DIGITS_CEILING:
             raise ResourceLimitError(f"digits must lie in 1..{DIGITS_CEILING}, got {digits}")
-        with cache_dir(args.cache_dir):
-            return _COMMANDS[args.command](args, out)
+        return _COMMANDS[args.command](args, out)
     except (ValueError, TypeError) as exc:  # UnknownConstantError is a ValueError
         print(f"error: {exc}", file=err)
         return EXIT_USAGE

@@ -12,7 +12,6 @@ from __future__ import annotations
 import operator
 import os
 import tempfile
-from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from .errors import ResourceLimitError
@@ -20,7 +19,7 @@ from .errors import ResourceLimitError
 if TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = ["CACHE_DIR_ENV", "bernoulli", "cache_dir", "tangent_number"]
+__all__ = ["CACHE_DIR_ENV", "bernoulli", "tangent_number"]
 
 #: Environment variable naming the directory that holds the on-disk tangent-number cache.
 CACHE_DIR_ENV = "ODDZETA_CACHE_DIR"
@@ -35,7 +34,6 @@ _tangents: list[int] = []
 # h_1, ..., h_J of the last index J that _step computed; J <= len(_tangents), since a
 # list seeded from the disk cache can run ahead of the step
 _step_column: list[int] = []
-_cache_dir: str | None = None
 
 
 def _step() -> int:
@@ -62,23 +60,8 @@ def _step() -> int:
     return h[j]
 
 
-@contextmanager
-def cache_dir(directory: str | None):
-    """Keep the disk cache in ``directory`` inside the block, in place of ``$ODDZETA_CACHE_DIR``.
-
-    ``None`` leaves the environment variable in charge.  The previous setting
-    is restored on exit, so the choice never outlives the block.
-    """
-    global _cache_dir
-    saved, _cache_dir = _cache_dir, directory
-    try:
-        yield
-    finally:
-        _cache_dir = saved
-
-
 def _cache_path() -> str | None:
-    directory = _cache_dir if _cache_dir is not None else os.environ.get(CACHE_DIR_ENV)
+    directory = os.environ.get(CACHE_DIR_ENV)
     return os.path.join(directory, CACHE_FILENAME) if directory else None
 
 

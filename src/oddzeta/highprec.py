@@ -67,10 +67,6 @@ class FixedDecimal(NamedTuple):
     scale: int
     err_ulp: int = 0
 
-    @classmethod
-    def from_int(cls, value: int, scale: int) -> "FixedDecimal":
-        return cls(value * 10**scale, scale, 0)
-
     def as_fraction(self) -> Fraction:
         """Midpoint of the enclosure (ignores err_ulp)."""
         from fractions import Fraction
@@ -122,8 +118,6 @@ class FixedDecimal(NamedTuple):
         err = _ceil_div(cross + a.err_ulp * b.err_ulp, unit) + 1
         return FixedDecimal(m, a.scale, err)
 
-    __mul__ = mul
-
     def mul_ratio(self, num: int, den: int) -> "FixedDecimal":
         """Product with num/den (den > 0); the fraction need not be in lowest terms."""
         m = _divround(self.mantissa * num, den)
@@ -133,7 +127,7 @@ class FixedDecimal(NamedTuple):
     def pow_int(self, exponent: int) -> "FixedDecimal":
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        result = FixedDecimal.from_int(1, self.scale)
+        result = FixedDecimal(10**self.scale, self.scale)
         base = self
         e = exponent
         while e:

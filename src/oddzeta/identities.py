@@ -42,7 +42,6 @@ __all__ = [
     "check_identity",
     "eta_from_half_pi_identity",
     "fourier_lhs",
-    "resolve_theta",
     "residual_sweep",
     "rhs_eval",
     "sweep_to_csv",
@@ -107,14 +106,6 @@ def _theta_mantissa(
             f"theta={token} is within 1 ulp of 0 at {scale} working digits; raise --digits"
         )
     return m, 1
-
-
-def resolve_theta(theta, digits: int = 30) -> FixedDecimal:
-    """Angle as a fixed-point value at working precision, validated in (0, pi)."""
-    token = canonical_theta_token(theta)
-    scale = _working_scale(digits)
-    m, err = _theta_mantissa(token, scale)
-    return FixedDecimal(m, scale, err)
 
 
 def _sin_cos_fixed(xm: int, scale: int, x_err: int = 0) -> tuple[int, int, int]:
@@ -391,7 +382,7 @@ def residual_sweep(
     out = []
     for identity in IDENTITY_TAGS:
         for k in ks:
-            terms = fourier_terms_for_k(k) if callable(fourier_terms_for_k) else fourier_terms_for_k
+            terms = fourier_terms_for_k(k)
             for theta in thetas:
                 out.append(check_identity(identity, k, theta, terms, series_terms, digits))
     return out

@@ -46,6 +46,14 @@ _ACCEL_LOG10_NUM = 765_551
 _ACCEL_LOG10_DEN = 10**6
 
 
+def _to_fixed(value: tuple[int, int], bound: tuple[int, int], digits: int) -> FixedDecimal:
+    """Round the (numerator, denominator) pair ``value`` to ``digits``, with ``bound`` its error."""
+    unit = 10**digits
+    (vn, vd), (bn, bd) = value, bound
+    # true error <= analytic bound + 1/2 ulp of rounding
+    return FixedDecimal(_divround(vn * unit, vd), digits, _ceil_div(2 * bn * unit + bd, 2 * bd))
+
+
 def acceleration_depth(digits: int) -> int:
     return _ceil_div(digits * _ACCEL_LOG10_DEN, _ACCEL_LOG10_NUM) + 8
 
@@ -81,26 +89,15 @@ def accelerated_alternating(
         if rest:
             raise ArithmeticError(f"Chebyshev weight b_{j + 1} at depth {depth} is not an integer")
     fn, fd = factor
-    scaled = 10**digits * fn
     den = fd * d << 65
-    mantissa = _divround((2 * acc + depth) * scaled, den)
-    err = _ceil_div(((8 << 64) + depth) * scaled + den // 2, den)
-    return FixedDecimal(mantissa, digits, err)
-
-
-def _to_fixed(value: tuple[int, int], bound: tuple[int, int], digits: int) -> FixedDecimal:
-    """Round the (numerator, denominator) pair ``value`` to ``digits``, with ``bound`` its error."""
-    unit = 10**digits
-    (vn, vd), (bn, bd) = value, bound
-    # true error <= analytic bound + 1/2 ulp of rounding
-    return FixedDecimal(_divround(vn * unit, vd), digits, _ceil_div(2 * bn * unit + bd, 2 * bd))
+    return _to_fixed(((2 * acc + depth) * fn, den), (((8 << 64) + depth) * fn, den), digits)
 
 
 def _accelerated_sum(
-    stride: int, s: int, digits: int, extra_depth: int = 0, factor: tuple[int, int] = (1, 1)
+    stride: int, s: int, digits: int, factor: tuple[int, int] = (1, 1)
 ) -> FixedDecimal:
     """fn/fd * sum_j (-1)^j / (1 + stride j)^s, accelerated deep enough for ``digits``."""
-    depth = acceleration_depth(digits + 3) + extra_depth
+    depth = acceleration_depth(digits + 3)
     if depth > 40_000:
         raise ResourceLimitError(f"acceleration depth {depth} beyond supported range")
     return accelerated_alternating(stride, s, depth, digits, factor)
@@ -112,18 +109,18 @@ def _zeta_from_eta(s: int, digits: int) -> FixedDecimal:
     return _accelerated_sum(1, s, digits, factor=(f, f - 1))
 
 
-def reference_eta(s: int, digits: int, extra_depth: int = 0) -> FixedDecimal:
+def reference_eta(s: int, digits: int) -> FixedDecimal:
     """eta(s) = sum (-1)^(m+1) / m^s by certified alternating-series acceleration."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    return _accelerated_sum(1, s, digits, extra_depth)
+    return _accelerated_sum(1, s, digits)
 
 
-def reference_beta(s: int, digits: int, extra_depth: int = 0) -> FixedDecimal:
+def reference_beta(s: int, digits: int) -> FixedDecimal:
     """beta(s) = sum (-1)^m / (2m+1)^s by the same certified acceleration."""
     if s < 2:
         raise ValueError("s must be >= 2")
-    return _accelerated_sum(2, s, digits, extra_depth)
+    return _accelerated_sum(2, s, digits)
 
 
 def reference_zeta_odd(k: int, digits: int) -> FixedDecimal:

@@ -129,6 +129,14 @@ def test_bad_theta_usage_error():
     assert "theta" in err
 
 
+def test_theta_too_close_to_pi_for_the_ladder_tail_usage_error():
+    # 3.1415 is below pi, but (theta/pi)^2 is too near 1 to bound the ladder's tail
+    argv = ["identity", "--id", "S1", "--k", "1", "--theta", "3.1415", "--terms", "100"]
+    code, out, err = invoke(argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "too close to pi for a usable ladder tail bound" in err
+
+
 @pytest.mark.parametrize("theta", ["1e-30000000", "1e-5000"])
 def test_huge_theta_exponent_is_rejected_at_once(theta):
     start = time.perf_counter()
@@ -172,21 +180,6 @@ def test_plain_output_deterministic():
     assert first == second
 
 
-def test_cache_dir_flag(tmp_path, cold_store):
-    from oddzeta import exact
-
-    environ = dict(os.environ)
-    code, out, _ = invoke(
-        ["--cache-dir", str(tmp_path), "constant", "zeta_even(1)", "--digits", "10"]
-    )
-    assert code == EXIT_OK
-    assert out == "1.6449340668\n"
-    assert (tmp_path / "tangent.tsv").exists()
-    # the flag is not left behind for library callers in the same process
-    assert dict(os.environ) == environ
-    assert exact._cache_path() is None
-
-
 def test_coeffs_past_int_str_limit():
     limit = sys.get_int_max_str_digits()
     code, out, _ = invoke(["coeffs", "--k", "1", "--n", "800"])
@@ -205,13 +198,14 @@ def test_ratio_past_tangent_ceiling_is_resource_error():
     assert "tangent index 5001" in err
 
 
-def test_wrong_cached_value_is_not_trusted(tmp_path, cold_store):
+def test_wrong_cached_value_is_not_trusted(tmp_path, cold_store, monkeypatch):
     from oddzeta import exact
 
     values = [tan_number(n) for n in range(1, 201)]
     values[1] = 3  # T_2 is 2
     exact._save_cache(str(tmp_path / "tangent.tsv"), values)
-    code, out, _ = invoke(["--cache-dir", str(tmp_path), "constant", "catalan", "--digits", "15"])
+    monkeypatch.setenv(exact.CACHE_DIR_ENV, str(tmp_path))
+    code, out, _ = invoke(["constant", "catalan", "--digits", "15"])
     assert (code, out) == (EXIT_OK, "0.915965594177219\n")
 
 

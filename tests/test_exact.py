@@ -16,7 +16,6 @@ from oddzeta.exact import (
     CACHE_DIR_ENV,
     MAX_TANGENT_INDEX,
     bernoulli,
-    cache_dir,
     tangent_number,
 )
 from oddzeta.highprec import term_ratio_sequence
@@ -133,16 +132,15 @@ def test_resource_limit_on_index(monkeypatch):
 
 
 def test_cache_roundtrip(tmp_path, cold_store, monkeypatch):
-    with cache_dir(str(tmp_path)):
-        assert tangent_number(12) == tan_number(12)
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+    assert tangent_number(12) == tan_number(12)
     lines = (tmp_path / "tangent.tsv").read_text().splitlines()
     assert lines[:4] == ["1\t1", "2\t2", "3\t10", "4\t110"]  # 16 and 272 in hex
     assert all("\t" in line and " " not in line for line in lines)
     saved = list(exact_module._tangents)
     reset_store(monkeypatch)
     monkeypatch.setattr(exact_module, "_step", None)  # reload, never compute
-    with cache_dir(str(tmp_path)):
-        assert tangent_number(12) == tan_number(12)
+    assert tangent_number(12) == tan_number(12)
     assert exact_module._tangents == saved
 
 
@@ -158,19 +156,22 @@ def test_short_cache_seeds_the_list_and_the_step_catches_up(tmp_path, cold_store
     path = str(tmp_path / "tangent.tsv")
     exact_module._save_cache(path, [tan_number(n) for n in range(1, 51)])
     loads = count_loads(monkeypatch)
-    assert invoke("--cache-dir", str(tmp_path), "verify", "--digits", "30") == EXIT_OK
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+    assert invoke("verify", "--digits", "30") == EXIT_OK
     grown = list(exact_module._tangents)
     assert loads == [path] and len(grown) > 50
     # the step ran from its own last index, so every index was computed once
     assert cold_store == list(range(1, len(grown) + 1))
     assert exact_module._load_cache(path) == grown
     reset_store(monkeypatch)
+    monkeypatch.delenv(CACHE_DIR_ENV)
     assert invoke("verify", "--digits", "30") == EXIT_OK
     assert exact_module._tangents == grown
 
 
 def test_cache_holding_enough_is_read_once_and_steps_nothing(tmp_path, cold_store, monkeypatch):
-    argv = ("--cache-dir", str(tmp_path), "constant", "apery", "--digits", "100")
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+    argv = ("constant", "apery", "--digits", "100")
     assert invoke(*argv) == EXIT_OK
     computed = len(cold_store)
     assert computed == len(exact_module._tangents)
@@ -219,11 +220,11 @@ def test_failed_cache_save_leaves_no_temp_file(tmp_path, monkeypatch, failure):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_corrupt_cache_is_ignored(tmp_path, cold_store):
+def test_corrupt_cache_is_ignored(tmp_path, cold_store, monkeypatch):
     path = tmp_path / "tangent.tsv"
     path.write_text("1\t1\n2\tnot-hex\n3\t10\n")
-    with cache_dir(str(tmp_path)):
-        assert tangent_number(3) == 16
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+    assert tangent_number(3) == 16
     assert exact_module._tangents[:3] == [1, 2, 16]
     # only the canonical prefix of a file is trusted
     for text, prefix in [
@@ -268,6 +269,8 @@ def test_tangent_partial_sum_matches_direct_tangent():
 def test_tangent_coeff_rejects_bad_index():
     with pytest.raises(ValueError):
         tangent_number(0)
+    with pytest.raises(ValueError):
+        bernoulli(-1)
 
 
 def test_tangent_coeff_propagates_resource_limit(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from oddzeta import highprec
 from oddzeta.coeffs import denominator_step, e_column, e_denominator
-from oddzeta.errors import TailRatioError
+from oddzeta.errors import ResourceLimitError, TailRatioError
 from oddzeta.highprec import (
     GUARD_DIGITS,
     FixedDecimal,
@@ -126,6 +126,12 @@ def test_pi_precision_monotone(digits):
     wide = compute_pi(digits).rescale(digits - 5)
     narrow = compute_pi(digits - 5)
     assert abs(wide.mantissa - narrow.mantissa) <= 1
+
+
+def test_pi_ceiling_refused_before_any_arctangent(monkeypatch):
+    monkeypatch.setattr(highprec, "_arctan_recip", None)  # reaching it fails otherwise
+    with pytest.raises(ResourceLimitError):
+        compute_pi(highprec.MAX_PI_DIGITS + 1)
 
 
 def test_half_pi():
@@ -253,12 +259,12 @@ HALF_PI_SQUARED_30 = 2467401100272339654708622749970
     st.integers(min_value=1, max_value=9),
 )
 @example(10**60 + 1, 2 * 10**30 + 1, 0, [1, 10**80, 10**80], 1, 1)  # an exact power, rounded
-# (pi/2)^2 at 30 digits and 40 rows of sum_series(1, 20): rows 20 to 40 are quotient rows
+# (pi/2)^2 at 30 digits over the first 40 rows of sum_series(1, 20)
 @example(HALF_PI_SQUARED_30, HALF_PI_SQUARED_30, 3, e_column(1, 40), e_denominator(1, 1), 1)
 def test_series_terms_enclose_the_exact_terms(pm, sm, err, column, den, index):
     # every yielded bound holds for the midpoints of power and step: N_n / den_n up to
-    # 10^80 magnifies the power's error in the first rows, and the later rows are cut
-    # or carried as a quotient
+    # 10^80 magnifies the power's error in the first rows, and every row carries the
+    # power over its denominator as one binary quotient
     assert_terms_enclose(pm, sm, err, column, den, index, 30)
 
 
@@ -276,7 +282,7 @@ def assert_terms_enclose(pm, sm, err, column, den, index, scale):
 @st.composite
 def decaying_columns(draw):
     """Up to 70 entries whose bit length falls by -5 to 30 a row, a tenth of them 0, so
-    that the rows reach the quotient phase and some terms grow again after it."""
+    that the quotient is cut short on small terms and some terms grow again after it."""
     top, decay = draw(st.integers(0, 300)), draw(st.integers(-5, 30))
     column = []
     for n in range(draw(st.integers(1, 70))):
@@ -298,6 +304,30 @@ def decaying_columns(draw):
 def test_quotient_rows_enclose_the_exact_terms(pm, sm, err, column, den, index, scale):
     # a quotient sized from a small term is still bounded when a larger term follows it
     assert_terms_enclose(pm, sm, err, column, den, index, scale)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**80),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=10**40),
+)
+@example(1, 0, 3)  # a power that 3 does not divide, with no error of its own
+def test_first_quotient_encloses_the_power_over_the_denominator(pm, pe, den):
+    # qe = floor(pe 2^f / den) + 2: each of the two floors loses less than one unit
+    calls = []
+    quotient = highprec._quotient_term
+
+    def quotient_spy(q, qe, num, f):
+        calls.append((q, qe, f))
+        return quotient(q, qe, num, f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(highprec, "_quotient_term", quotient_spy)
+        highprec._series_terms(FixedDecimal(pm, 20, pe), FixedDecimal(1, 20), [1], den, 1)
+    q, qe, f = calls[0]
+    assert f == den.bit_length() + 64
+    assert q - qe <= Fraction((pm - pe) << f, den)
+    assert Fraction((pm + pe) << f, den) <= q + qe
 
 
 def test_series_power_shrinks_with_the_terms(monkeypatch):
@@ -372,6 +402,10 @@ def test_term_ratio_sequence_near_quarter():
 def test_validation_errors():
     with pytest.raises(ValueError):
         compute_pi(0)
+    with pytest.raises(ValueError):
+        FixedDecimal(15, 1).pow_int(-1)
+    with pytest.raises(ValueError):
+        term_ratio_sequence(1, 0)
     with pytest.raises(ValueError):
         estimate_terms(0, 1)
     with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from oddzeta.identities import (
     check_identity,
     eta_from_half_pi_identity,
     fourier_lhs,
-    resolve_theta,
     residual_sweep,
     rhs_eval,
     sweep_to_csv,
@@ -26,6 +25,13 @@ from oddzeta.identities import (
 
 def residual_fraction(result):
     return result.residual.as_fraction()
+
+
+def working_theta(theta, digits=30):
+    """The angle as the identities read it, at working precision and range-checked."""
+    scale = digits + GUARD_DIGITS
+    m, err = identities._theta_mantissa(canonical_theta_token(theta), scale)
+    return FixedDecimal(m, scale, err)
 
 
 def test_canonical_theta_tokens():
@@ -44,15 +50,15 @@ def test_canonical_theta_tokens():
 def test_theta_open_interval_enforced():
     for bad in ("0", "-0.5", "3.1415927", "4"):
         with pytest.raises(ValueError):
-            resolve_theta(bad)
-    resolve_theta("3")  # close to pi but inside
-    resolve_theta("pi/2")
+            working_theta(bad)
+    working_theta("3")  # close to pi but inside
+    working_theta("pi/2")
 
 
 @given(st.floats(min_value=3.15, max_value=100, allow_nan=False))
 def test_theta_rejects_above_pi(value):
     with pytest.raises(ValueError):
-        resolve_theta(value)
+        working_theta(value)
 
 
 def test_rhs_at_half_pi_matches_beta():
@@ -94,7 +100,7 @@ def test_ladder_terms_equal_method_calls(d_index):
 def ladder_reference(identity, k, theta, series_terms, digits):
     """:func:`rhs_eval` by FixedDecimal methods: one mul_ratio and one mul per row on the
     decimal power, and the eta values from the constants module."""
-    th = resolve_theta(theta, digits)
+    th = working_theta(theta, digits)
     th2 = th.mul(th)
     d_index = 2 * k if identity == "S1" else 2 * k + 1
     power, den = th.pow_int(d_index + 1), d_denominator(1, d_index)
@@ -371,7 +377,7 @@ def test_tan_half_residual_within_bound_of_rotation_loop():
 
 def test_sweep_csv_format():
     rows = residual_sweep(
-        ks=(1,), thetas=("1", "pi/2"), fourier_terms_for_k=500, series_terms=40, digits=15
+        ks=(1,), thetas=("1", "pi/2"), fourier_terms_for_k=lambda k: 500, series_terms=40, digits=15
     )
     text = sweep_to_csv(rows)
     lines = text.splitlines()
@@ -391,3 +397,5 @@ def test_identity_validation():
         fourier_lhs("S1", 1, "1", 1)
     with pytest.raises(ValueError):
         rhs_eval("S1", 1, "1", 0)
+    with pytest.raises(ValueError):
+        tan_half_residual("1", 1)

@@ -67,9 +67,9 @@ def test_reference_pi_digits():
 )
 def test_acceleration_depth_doubling_stability(fn, arg):
     digits = 30
-    base = fn(arg, digits)
-    deeper = fn(arg, digits, extra_depth=acceleration_depth(digits + 3))
-    assert base.to_decimal() == deeper.to_decimal()
+    stride = 1 if fn is reference_eta else 2
+    deeper = accelerated_alternating(stride, arg, 2 * acceleration_depth(digits + 3), digits)
+    assert fn(arg, digits).to_decimal() == deeper.to_decimal()
 
 
 def rounded(value, bound, digits):
@@ -194,6 +194,22 @@ def test_acceleration_makes_constant_fractions(monkeypatch):
         counts.append(len(made))
         made.clear()
     assert counts == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: reference_eta(0, 30),
+        lambda: reference_beta(1, 30),
+        lambda: reference_zeta_odd(0, 30),
+        lambda: reference_zeta_even(0, 30),
+        lambda: accelerated_alternating(1, 2, 1, 30),
+    ],
+    ids=["eta_0", "beta_1", "zeta_odd_0", "zeta_even_0", "depth_1"],
+)
+def test_references_refuse_arguments_outside_their_series(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_depth_ceiling_refused_before_the_weights():

@@ -204,9 +204,8 @@ DIGITS_TAKERS = {
         oddzeta.identities.eta_from_half_pi_identity(1, d)
     ),
     "identities.fourier_lhs": lambda d: oddzeta.identities.fourier_lhs("S2", 1, "pi/2", 100, d),
-    "identities.resolve_theta": lambda d: oddzeta.identities.resolve_theta("1", d),
     "identities.residual_sweep": lambda d: oddzeta.identities.residual_sweep(
-        [1], ["1"], 100, 20, d
+        [1], ["1"], lambda k: 100, 20, d
     ),
     "identities.rhs_eval": lambda d: oddzeta.identities.rhs_eval("S1", 1, "1", 20, d),
     "identities.tan_half_residual": lambda d: oddzeta.identities.tan_half_residual("1", 100, d),
