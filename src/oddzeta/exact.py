@@ -31,33 +31,36 @@ _CHECK_PRIME = (1 << 61) - 1
 
 # T_1, T_2, ... shared by the whole process; it only grows, stored entries never change
 _tangents: list[int] = []
-# h_1, ..., h_J of the last index J that _step computed; J <= len(_tangents), since a
-# list seeded from the disk cache can run ahead of the step
+# s_1, ..., s_J of the last index J that _step computed, s_k = t_k[J] / (J-k)!;
+# J <= len(_tangents), since a list seeded from the disk cache can run ahead of the step
 _step_column: list[int] = []
 
 
 def _step() -> int:
-    """T_(J+1), from the column h_k = t_k[J] (k = 1..J) of the last computed index J.
+    """T_(J+1), from the column s_k = h_k / (J-k)! (k = 1..J) of the last computed index J.
 
     Brent & Harvey's TangentNumbers (R. P. Brent and D. Harvey, *Fast
     computation of Bernoulli, Tangent and Secant numbers*, arXiv:1108.0286)
     sets t[j] = (j-1)! and then runs passes k = 2..N of
     t[j] = (j-k) t[j-1] + (j-k+2) t[j] over j = k..N.  Position J+1 after pass k
     reads only position J after pass k and itself after pass k-1, so with
-    g_1 = J h_1 and g_k = (J+1-k) h_k + (J+3-k) g_(k-1) for k = 2..J, the last
-    pass gives T_(J+1) = 2 g_J, and [g_1, ..., g_J, T_(J+1)] is the column of
-    J+1: O(J) multiplications by small integers per index.
+    h_k = t_k[J], g_1 = J h_1 and g_k = (J+1-k) h_k + (J+3-k) g_(k-1) for k = 2..J,
+    the last pass gives T_(J+1) = 2 g_J, and [g_1, ..., g_J, T_(J+1)] is the column
+    of J+1.  Every h_k is divisible by (J-k)!, so the column is kept scaled by
+    factorials: with h_k = (J-k)! s_k and g_k = (J+1-k)! s'_k, s'_1 = s_1,
+    s'_k = s_k + (J+3-k)(J+2-k) s'_(k-1) and T_(J+1) = 2 s'_J, the new last entry.
+    That is one multiplication by a small integer per entry.
     """
-    h = _step_column
-    j = len(h)
+    s = _step_column
+    j = len(s)
     if not j:
-        h.append(1)  # T_1 = 1 starts the column
+        s.append(1)  # T_1 = 1 starts the column
         return 1
-    g = h[0] = j * h[0]
+    g = s[0]
     for i in range(1, j):
-        g = h[i] = (j - i) * h[i] + (j + 2 - i) * g
-    h.append(2 * g)
-    return h[j]
+        g = s[i] = s[i] + (j + 2 - i) * (j + 1 - i) * g
+    s.append(2 * g)
+    return s[j]
 
 
 def _cache_path() -> str | None:

@@ -17,7 +17,8 @@ denominator or by a power of ten.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from math import isqrt
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from .coeffs import denominator_step, e_column, e_denominator
 from .errors import ResourceLimitError, TailRatioError
@@ -110,6 +111,15 @@ class FixedDecimal(NamedTuple):
     def __abs__(self) -> "FixedDecimal":
         return FixedDecimal(abs(self.mantissa), self.scale, self.err_ulp)
 
+    def __mul__(self, other: object) -> NoReturn:
+        # without this a NamedTuple repeats itself: FixedDecimal(15, 1) * 2 is a 6-tuple
+        raise TypeError(
+            "FixedDecimal does not support '*': use mul for a FixedDecimal factor "
+            "or mul_ratio for an exact ratio"
+        )
+
+    __rmul__ = __mul__
+
     def mul(self, other: "FixedDecimal") -> "FixedDecimal":
         a, b = self._aligned(other)
         unit = 10**a.scale
@@ -166,34 +176,47 @@ class FixedDecimal(NamedTuple):
         return f"{sign}{mant}e{exponent:+d}"
 
 
-def _arctan_recip(x: int, scale: int) -> tuple[int, int]:
-    """(mantissa, err_ulp) for arctan(1/x) at 10^(-scale), x >= 2.
+# 1/pi = 12 sum_k (-1)^k (6k)! (A + B k) / ((3k)! (k!)^3 C^(3k + 3/2)) with C = 640320
+# (D. V. and G. V. Chudnovsky, 1988), so pi = 426880 sqrt(10005) / sum_k (-1)^k a_k (A + B k)
+# with a_0 = 1 and a_k = a_(k-1) (6k-5)(2k-1)(6k-1) / (k^3 C^3 / 24)
+_CHUD_A, _CHUD_B, _CHUD_C3_24 = 13_591_409, 545_140_134, 640_320**3 // 24
 
-    Alternating series sum_j (-1)^j / ((2j+1) x^(2j+1)); floor-division drift
-    stays below 2 ulp per power and the omitted tail is below a few ulp.
+
+def _chudnovsky(bits: int) -> tuple[int, int]:
+    """(m, err) with |pi 2^bits - m| <= err, for bits >= 64, by the Chudnovsky series.
+
+    Each a_k is carried as a magnitude floored at 2^-bits.  It lies below its true
+    value by less than 1 plus a_(k-1)'s shortfall times a ratio below 10^-14, so by
+    less than 2.  The loop stops at the first a_K that floors to 0, whose true value
+    is below 2; the omitted terms alternate and fall, so the sum S misses the true
+    S_t by at most E = 2 K (A + B K).  With r = isqrt(10005 2^(2 bits)), the quotient
+    X = 426880 r 2^bits / S has m = floor(X), and pi 2^bits = 426880 sqrt(10005)
+    2^(2 bits) / S_t is within 426880 2^bits / (S - E) + X E / (S - E) of X.  The
+    first part is below 1, since S is near 13591409 2^bits, and S - E >= 2^(bitlen(S) - 2)
+    bounds the second by a shift of (m + 1) E.
     """
-    one = 10**scale
-    xsq = x * x
-    t = one // x
-    total = 0
-    sign = 1
-    j = 0
-    while t:
-        total += sign * (t // (2 * j + 1))
-        t //= xsq
-        sign = -sign
-        j += 1
-    return total, 3 * j + 4
+    a = 1 << bits
+    total = _CHUD_A * a
+    k = 0
+    while a:
+        k += 1
+        a = a * ((6 * k - 5) * (2 * k - 1) * (6 * k - 1)) // (k * k * k * _CHUD_C3_24)
+        total += (-a if k & 1 else a) * (_CHUD_A + _CHUD_B * k)
+    bound = 2 * k * (_CHUD_A + _CHUD_B * k)
+    m = (426_880 * isqrt(10_005 << 2 * bits) << bits) // total
+    return m, ((m + 1) * bound >> (total.bit_length() - 2)) + 3
 
 
 def compute_pi(digits: int) -> FixedDecimal:
-    """pi with err_ulp <= 1 at the requested scale (Machin arctangent sum)."""
+    """pi with err_ulp <= 1 at the requested scale (Chudnovsky series, 64 guard bits)."""
     work = _working_scale(digits)
     if digits > MAX_PI_DIGITS:
         raise ResourceLimitError(f"pi digits {digits} exceeds ceiling {MAX_PI_DIGITS}")
-    a5, e5 = _arctan_recip(5, work)
-    a239, e239 = _arctan_recip(239, work)
-    result = FixedDecimal(16 * a5 - 4 * a239, work, 16 * e5 + 4 * e239).rescale(digits)
+    unit = 10**work
+    bits = unit.bit_length() + 64
+    m, err = _chudnovsky(bits)
+    # the floor to the working scale loses less than one ulp
+    result = FixedDecimal((m * unit) >> bits, work, ((err * unit) >> bits) + 2).rescale(digits)
     if result.err_ulp > 1:
         raise ArithmeticError(f"pi error bound {result.err_ulp} ulp exceeds the promised 1 ulp")
     return result
@@ -235,24 +258,6 @@ def estimate_terms(digits: int, k: int) -> int:
     return _ceil_div(need * 10**6, _LOG10_4_MICRO) + 5
 
 
-def _quotient_term(q: int, qe: int, num: int, f: int) -> tuple[int, int]:
-    """(mantissa, err_ulp) of num q 2^-f, for a quotient q 2^-f with error at most qe 2^-f.
-
-    num is cut to 64 bits past q, num = n' 2^c + r with 0 <= r < 2^c, and q n' is
-    rounded off k = f - c bits.  The exact product lies within
-    (qe (|n'| + 1) + [c > 0] q) 2^-k of q n' 2^-k, and the rounding adds 1/2, so with
-    x that bound shifted down k bits, x + 2 bounds the error; a zero num gives 0 and 1.
-    """
-    cut = num.bit_length() - q.bit_length() - 64
-    cut = cut if cut > 0 else 0
-    n = num >> cut
-    shift = f - cut
-    x = qe * (abs(n) + 1) + (q if cut else 0)
-    if shift > 0:
-        return ((q * n >> (shift - 1)) + 1) >> 1, (x >> shift) + 2 if num else 1
-    return q * n << -shift, (x << -shift) + 2 if num else 1
-
-
 def _series_terms(
     power: FixedDecimal, step: FixedDecimal, column, den: int, index: int, stop: bool = False
 ) -> list[tuple[int, int]]:
@@ -265,11 +270,17 @@ def _series_terms(
 
     The power over its denominator is one binary quotient Q 2^-f with error at most
     qe 2^-f.  Before row 1, f = bitlen(den) + 64, Q = floor(P 2^f / den) and
-    qe = floor(pe 2^f / den) + 2, for the power's mantissa P and bound pe.  Each row
-    takes its term by :func:`_quotient_term`, multiplies Q S, shifts off ``drop`` bits
-    to leave Q 64 bits past the row's term, and divides by the small integer step_n:
+    qe = floor(pe 2^f / den) + 2, for the power's mantissa P and bound pe.
+
+    Each row's term is N Q 2^-f for its numerator N.  N is cut to 64 bits past Q,
+    N = n' 2^c + r with 0 <= r < 2^c, and Q n' is rounded off f - c bits.  The exact
+    product lies within (qe (|n'| + 1) + [c > 0] Q) 2^-(f-c) of Q n' 2^-(f-c), and the
+    rounding adds 1/2, so with x that bound shifted down f - c bits, x + 2 bounds the
+    error; a zero N gives 0 and 1.  The row then multiplies Q S, shifts off ``drop``
+    bits to leave Q 64 bits past the row's term, and divides by the small integer
+    step_n = denominator_step(n, index), carried as a running value:
     Q' = floor((Q S >> drop) / step_n) and
-    qe' = floor(((Q se + S qe + qe se) >> drop) / step_n) + 2, so the bound stays
+    qe' = floor((((Q + qe) se + S qe) >> drop) / step_n) + 2, so the bound stays
     rigorous while Q shrinks with the terms.
 
     With ``stop``, the loop is :func:`sum_series`'s: it ends at the first row n >= 5
@@ -282,11 +293,28 @@ def _series_terms(
     se = _ceil_div(step.err_ulp << frac, unit) + 1
     f = den.bit_length() + 64
     q, qe = (power.mantissa << f) // den, (power.err_ulp << f) // den + 2
+    # step_n = 4 (2n+index)(2n+index+1) and its growth step_(n+1) - step_n, which
+    # rises by 32 a row
+    divisor, grow = 4 * (index + 2) * (index + 3), 8 * (2 * index + 7)
     prev = 0
     terms = []
+    append = terms.append
     for n, num in enumerate(column, 1):
-        mantissa, err = _quotient_term(q, qe, num, f)
-        terms.append((mantissa, err))
+        cut = num.bit_length() - q.bit_length() - 64
+        if cut > 0:
+            num >>= cut
+            shift = f - cut
+            x = qe * (abs(num) + 1) + q
+        else:
+            shift = f
+            x = qe * (abs(num) + 1)
+        if shift > 0:
+            mantissa = ((q * num >> (shift - 1)) + 1) >> 1
+            err = (x >> shift) + 2 if num else 1
+        else:
+            mantissa = q * num << -shift
+            err = (x << -shift) + 2 if num else 1
+        append((mantissa, err))
         if stop:
             magnitude = abs(mantissa)
             if n > 5 and prev > 1000 and 3 * magnitude > prev + 8:
@@ -298,14 +326,15 @@ def _series_terms(
                 break
             prev = magnitude
         qs = q * s
-        bound = q * se + s * qe + qe * se
-        divisor = denominator_step(n, index)
+        bound = (q + qe) * se + s * qe
         drop = qs.bit_length() - divisor.bit_length() - mantissa.bit_length() - 64
         if drop >= 0:
             q, qe = (qs >> drop) // divisor, (bound >> drop) // divisor + 2
         else:
             q, qe = (qs << -drop) // divisor, (bound << -drop) // divisor + 2
         f += frac - drop
+        divisor += grow
+        grow += 32
     return terms
 
 

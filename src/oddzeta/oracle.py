@@ -58,6 +58,22 @@ def acceleration_depth(digits: int) -> int:
     return _ceil_div(digits * _ACCEL_LOG10_DEN, _ACCEL_LOG10_NUM) + 8
 
 
+def _chebyshev_at_3(n: int) -> int:
+    """d_n = T_n(3), the Chebyshev polynomial at 3, by doubling over the bits of n >= 1.
+
+    From (T_m, T_(m+1)), T_2m = 2 T_m^2 - 1, T_(2m+1) = 2 T_m T_(m+1) - 3 and
+    T_(2m+2) = 2 T_(m+1)^2 - 1 (T_i T_j = (T_(i+j) + T_(i-j)) / 2, T_1 = 3): the same
+    integer as n - 1 steps of d' = 6 d - d_prev from d_0 = 1, d_1 = 3.
+    """
+    a, b = 1, 3  # T_0, T_1
+    for bit in bin(n)[2:]:
+        if bit == "1":
+            a, b = 2 * a * b - 3, 2 * b * b - 1
+        else:
+            a, b = 2 * a * a - 1, 2 * a * b - 3
+    return a
+
+
 def accelerated_alternating(
     stride: int, s: int, depth: int, digits: int, factor: tuple[int, int] = (1, 1)
 ) -> FixedDecimal:
@@ -76,9 +92,7 @@ def accelerated_alternating(
         raise ValueError("digits must be >= 1")
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    d_prev, d = 1, 3
-    for _ in range(depth - 1):
-        d_prev, d = d, 6 * d - d_prev
+    d = _chebyshev_at_3(depth)
     b = -1
     c = -d
     acc = 0

@@ -4,11 +4,12 @@ Nothing here shares code with the package beyond ``fractions.Fraction``:
 tangent coefficients come from the derivative recurrence (not Bernoulli
 numbers), ladder coefficients from the closed-form product (not the
 recurrence), and the step formulas are written out literally, one per
-integration step.  :class:`AngleEngine`, the reference for the Fourier pass,
-takes sin and cos of m*theta straight from the angle, reduced modulo 2 pi,
-where the package runs a three-term recurrence over m; its pi is Machin's
-formula summed on exact rationals, and its sin and cos are Taylor sums on
-integers, both written out here.
+integration step.  :func:`machin_pi` is Machin's arctangent formula on
+integers, the reference for the package's Chudnovsky pi.  :class:`AngleEngine`,
+the reference for the Fourier pass, takes sin and cos of m*theta straight from
+the angle, reduced modulo 2 pi, where the package runs a three-term recurrence
+over m; its pi is :func:`machin_pi`, and its sin and cos are Taylor sums on
+integers written out here.
 """
 
 from __future__ import annotations
@@ -144,31 +145,33 @@ def round_div(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
-def pi_fixed(scale: int) -> int:
-    """pi * 10^scale within one unit: Machin's 16 atan(1/5) - 4 atan(1/239) on exact rationals.
+def machin_pi(scale: int) -> int:
+    """pi * 10^scale rounded, halves up: Machin's 16 atan(1/5) - 4 atan(1/239) on integers.
 
-    Each arctangent series alternates with falling terms, so its omitted tail is
-    below its first omitted term, itself below 10^-(scale+3): with the weights
-    16 and 4 the tails cost 0.02 units and the rounding half a unit.
+    Each arctangent sum is taken ten digits finer with floor divisions, whose
+    drift and omitted tail stay below 3 units per term taken plus 4: below
+    100 (scale + 10) fine units in all.  So the result is within half a unit
+    plus 10^-8 (scale + 10), and it is the nearest integer except where pi lies
+    that close to a half unit.
     """
-    threshold = Fraction(1, 10 ** (scale + 3))
+    one = 10 ** (scale + 10)
 
-    def arctan_recip(x: int) -> Fraction:
-        total = Fraction(0)
-        j = 0
-        while (term := Fraction(1, (2 * j + 1) * x ** (2 * j + 1))) >= threshold:
-            total += term if j % 2 == 0 else -term
-            j += 1
+    def arctan_recip(x: int) -> int:
+        t = one // x
+        total, sign, j = 0, 1, 0
+        while t:
+            total += sign * (t // (2 * j + 1))
+            t //= x * x
+            sign, j = -sign, j + 1
         return total
 
-    pi = 16 * arctan_recip(5) - 4 * arctan_recip(239)
-    return round_div(pi.numerator * 10**scale, pi.denominator)
+    return round_div(16 * arctan_recip(5) - 4 * arctan_recip(239), 10**10)
 
 
 def theta_fixed(token: str, scale: int) -> int:
     """The angle ``pi/<q>`` or ``<rational>`` times 10^scale, within one unit."""
     if token.startswith("pi/"):
-        return round_div(pi_fixed(scale), int(token[3:]))
+        return round_div(machin_pi(scale), int(token[3:]))
     value = Fraction(token)
     return round_div(value.numerator * 10**scale, value.denominator)
 
@@ -207,7 +210,7 @@ class AngleEngine:
         self.hi_scale = scale + EXTRA_SCALE
         self.shift = 10**EXTRA_SCALE
         self.theta_hi = theta_fixed(token, self.hi_scale)
-        self.pi_hi = pi_fixed(self.hi_scale)
+        self.pi_hi = machin_pi(self.hi_scale)
 
     def sin_cos(self, m: int) -> tuple[int, int, int]:
         """(sin, cos, err_ulp) of m*theta at ``scale``, via range reduction."""

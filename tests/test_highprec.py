@@ -1,11 +1,13 @@
 """Fixed-point arithmetic soundness, pi, and the series summation engine."""
 
+import sys
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from exact_reference import machin_pi
 from oddzeta import highprec
 from oddzeta.coeffs import denominator_step, e_column, e_denominator
 from oddzeta.errors import ResourceLimitError, TailRatioError
@@ -78,6 +80,14 @@ def test_sci_rendering():
     assert FixedDecimal(999999999, 4).to_sci(3) == "1e+5"
 
 
+def test_star_is_refused_in_favour_of_mul_and_mul_ratio():
+    # a NamedTuple would otherwise repeat itself: FixedDecimal(15, 1) * 2 is a 6-tuple
+    fd = FixedDecimal(15, 1)
+    for product in (lambda: fd * 2, lambda: 2 * fd, lambda: fd * fd):
+        with pytest.raises(TypeError, match=r"\bmul\b.*\bmul_ratio\b"):
+            product()
+
+
 def test_pow_int():
     x = FixedDecimal(15 * 10**19, 20, 1)  # 3/2
     assert enclosure_contains(x.pow_int(5), Fraction(243, 32))
@@ -93,9 +103,17 @@ def test_pi_coarse_bracket():
 def test_pi_bound_breach_raises(monkeypatch):
     from oddzeta import highprec
 
-    monkeypatch.setattr(highprec, "_arctan_recip", lambda x, scale: (0, 10**scale))
+    monkeypatch.setattr(highprec, "_chudnovsky", lambda bits: (0, 1 << bits))
     with pytest.raises(ArithmeticError):
         compute_pi(5)
+
+
+def test_pi_equals_machin_at_every_digit_count():
+    # the Chudnovsky sum rounds to the same mantissa as Machin's arctangents
+    for digits in range(1, 1101):
+        pi = compute_pi(digits)
+        assert (pi.mantissa, pi.scale) == (machin_pi(digits), digits)
+        assert pi.err_ulp <= 1
 
 
 def test_pi_twenty_digits():
@@ -103,7 +121,7 @@ def test_pi_twenty_digits():
 
 
 def test_pi_against_independent_series():
-    # Machin arctangents vs the transformed arctangent series in the oracle
+    # the Chudnovsky series vs the transformed arctangent series in the oracle
     from oddzeta.oracle import reference_pi
 
     assert compute_pi(40).to_decimal() == reference_pi(40).to_decimal()
@@ -129,7 +147,7 @@ def test_pi_precision_monotone(digits):
 
 
 def test_pi_ceiling_refused_before_any_arctangent(monkeypatch):
-    monkeypatch.setattr(highprec, "_arctan_recip", None)  # reaching it fails otherwise
+    monkeypatch.setattr(highprec, "_chudnovsky", None)  # reaching the series fails otherwise
     with pytest.raises(ResourceLimitError):
         compute_pi(highprec.MAX_PI_DIGITS + 1)
 
@@ -306,6 +324,30 @@ def test_quotient_rows_enclose_the_exact_terms(pm, sm, err, column, den, index, 
     assert_terms_enclose(pm, sm, err, column, den, index, scale)
 
 
+def series_rows(call):
+    """``call()`` and the (q, qe, f, term bit length) of each row whose term
+    _series_terms took while it ran, read from its frame: the quotient q 2^-f with
+    bound qe 2^-f that the row's term came from."""
+    rows = []
+    code = highprec._series_terms.__code__
+
+    def in_frame(frame, event, arg):
+        # a new term was appended since the last event; q, qe and f still hold its row's
+        names = frame.f_locals
+        terms = names.get("terms")
+        if terms is not None and len(terms) > len(rows):
+            rows.append((names["q"], names["qe"], names["f"], terms[-1][0].bit_length()))
+        return in_frame
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_frame if frame.f_code is code else None)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, rows
+
+
 @given(
     st.integers(min_value=0, max_value=10**80),
     st.integers(min_value=0, max_value=10**6),
@@ -314,33 +356,18 @@ def test_quotient_rows_enclose_the_exact_terms(pm, sm, err, column, den, index, 
 @example(1, 0, 3)  # a power that 3 does not divide, with no error of its own
 def test_first_quotient_encloses_the_power_over_the_denominator(pm, pe, den):
     # qe = floor(pe 2^f / den) + 2: each of the two floors loses less than one unit
-    calls = []
-    quotient = highprec._quotient_term
-
-    def quotient_spy(q, qe, num, f):
-        calls.append((q, qe, f))
-        return quotient(q, qe, num, f)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(highprec, "_quotient_term", quotient_spy)
-        highprec._series_terms(FixedDecimal(pm, 20, pe), FixedDecimal(1, 20), [1], den, 1)
-    q, qe, f = calls[0]
+    _, rows = series_rows(
+        lambda: highprec._series_terms(FixedDecimal(pm, 20, pe), FixedDecimal(1, 20), [1], den, 1)
+    )
+    q, qe, f, _ = rows[0]
     assert f == den.bit_length() + 64
     assert q - qe <= Fraction((pm - pe) << f, den)
     assert Fraction((pm + pe) << f, den) <= q + qe
 
 
-def test_series_power_shrinks_with_the_terms(monkeypatch):
-    rows = []
-    quotient = highprec._quotient_term
-
-    def quotient_spy(q, qe, num, f):
-        pair = quotient(q, qe, num, f)
-        rows.append((q, qe, f, pair[0].bit_length()))
-        return pair
-
-    monkeypatch.setattr(highprec, "_quotient_term", quotient_spy)
-    terms_used = sum_series(3, 300).terms_used
+def test_series_power_shrinks_with_the_terms():
+    result, rows = series_rows(lambda: sum_series(3, 300))
+    terms_used = result.terms_used
     # every row is a quotient row
     assert terms_used == len(rows) > 500
     # row 1's quotient is the decimal power over den_1, 64 bits past den_1's length

@@ -100,6 +100,14 @@ def test_accelerated_alternating_bound_is_sound():
     assert abs(value.as_fraction() - truth) + Fraction(1, 2 * 10**digits) < bound
 
 
+def test_doubled_chebyshev_equals_the_recurrence():
+    # d_depth = T_depth(3) by doubling, against depth - 1 steps of d' = 6 d - d_prev
+    d_prev, d = 1, 3
+    for depth in range(2, 2001):
+        d_prev, d = d, 6 * d - d_prev
+        assert oracle_module._chebyshev_at_3(depth) == d
+
+
 # stride of the eta and beta sums, 1/(1 + stride j)^s
 ALTERNATING_FAMILIES = {"eta": 1, "beta": 2}
 

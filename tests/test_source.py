@@ -36,14 +36,18 @@ def test_no_assert_in_package():
 
 
 def test_oracle_shares_no_generation_code():
-    # the oracle must not confirm the production coefficients with their own source
+    # the oracle must not confirm the production coefficients with their own source,
+    # nor production pi or series terms with theirs: its pi is its own arctangent series
     source = Path(oddzeta.__file__).parent / "oracle.py"
-    modules = {
-        node.module
+    imports = [
+        node
         for node in ast.walk(ast.parse(source.read_text()))
         if isinstance(node, ast.ImportFrom)
-    }
+    ]
+    modules = {node.module for node in imports}
     assert modules.isdisjoint({"exact", "coeffs", "oddzeta.exact", "oddzeta.coeffs"})
+    names = {alias.name for node in imports for alias in node.names}
+    assert names.isdisjoint({"compute_pi", "_series_terms"})
 
 
 def test_only_exact_and_coeffs_size_the_tangent_list():
