@@ -250,20 +250,16 @@ def test_tangent_coeff_small_values():
     assert tangent_coeff(4) == Fraction(17, 315)
 
 
-def test_tangent_coeff_matches_derivative_recurrence():
-    for n in range(1, 101):
-        assert tangent_number(n) == tan_number(n)
-
-
-def test_scaled_step_gives_every_tangent_number(tmp_path, cold_store):
+def test_tangent_coeff_matches_derivative_recurrence(tmp_path, cold_store):
     # the column scaled by factorials steps T_1..T_1060 from an empty store: the first
     # 128 equal the derivative recurrence (its cost grows fast past that), and all pass
     # the cache's independent tan' = 1 + tan^2 check
     tangent_number(1060)
-    values = exact_module._tangents
     assert cold_store == list(range(1, 1061))
-    assert values[:128] == [tan_number(n) for n in range(1, 129)]
+    for n in range(1, 129):
+        assert tangent_number(n) == tan_number(n)
     path = str(tmp_path / "tangent.tsv")
+    values = exact_module._tangents
     exact_module._save_cache(path, values)
     assert exact_module._load_cache(path) == values
 
