@@ -7,23 +7,31 @@ Two identity shapes are checked at arbitrary angles 0 < theta < pi:
 * ``S2(k)``: the analogous cosine sum with exponent 2k+1.
 
 The Fourier side converges slowly and is evaluated with a smoothed partial
-sum (average of the last two partial sums) of the requested series only.  At
-a generic theta its sin or cos(m theta) come from the three-term recurrence
-in binary fixed point, run from m = 0 in one block: its drift bound is
-quadratic in the term count and holds for any count, so guard bits sized
-from that count keep it a few ulp without re-anchoring.  At pi/2 only the
-odd (S1) or even (S2) m are summed.  The ladder side converges geometrically
-and is held at full working precision, so the residual tracks the Fourier
-truncation error and must shrink as the term count grows.
+sum (average of the last two partial sums) of the requested series only.
+Where it is cheaper, the M-term sum is summed by parts p times: that leaves p
+boundary terms in powers of c = (1 + i tan(theta/2)) / 2, with u^M by binary
+powering, and a sum whose terms fall like m^-(e+p), cut after a few hundred
+terms under a bound checked in integers.  A call then costs O(cut + p^2 + log M)
+operations instead of M.  Near pi, where |c| = 1 / (2 cos(theta/2)) grows, at
+high digits, where p grows, and for small M, the direct loop runs instead: at
+a generic theta its sin or cos(m theta) come from the three-term recurrence in
+binary fixed point, run from m = 0 in one block, whose drift bound is quadratic
+in the term count and holds for any count, so guard bits sized from that count
+keep it a few ulp without re-anchoring; at pi/2 only the odd (S1) or even (S2)
+m are summed.  The ladder side converges geometrically and is held at full
+working precision, so the residual tracks the Fourier truncation error and
+must shrink as the term count grows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import ceil, comb, cos, factorial, isqrt, lgamma, log, log2
+from math import pi as float_pi
 from typing import NamedTuple
 
 from .coeffs import d_denominator, e_column
+from .errors import ResourceLimitError
 from .highprec import (
     FixedDecimal,
     _ceil_div,
@@ -55,6 +63,17 @@ _PI_LOWER = Fraction(314159265, 10**8)
 # most digits a string angle may have, |exponent| counted as digits: its numerator and
 # denominator then stay printable, since Python prints at most 4300 digits of an integer
 MAX_THETA_DIGITS = 4000
+# most Fourier terms a check may sum: the direct loop, which runs near pi and at high
+# digits, takes about 21 s for 10^6 terms at 1000 digits
+MAX_FOURIER_TERMS = 1_000_000
+# the work of summation by parts, in generic direct-loop terms at 30 digits: per kept
+# term at the direct loop's precision, fixed, per order p and per p^2; and the work
+# of one m of the pi/2 direct loop
+_ABEL_TERM_COST = 2.5
+_ABEL_FIXED_COST = 500
+_ABEL_ORDER_COST = 25
+_ABEL_SQUARE_COST = 0.5
+_HALF_PI_TERM_COST = 0.33
 
 
 def canonical_theta_token(theta) -> str:
@@ -134,6 +153,18 @@ def _sin_cos_fixed(xm: int, scale: int, x_err: int = 0) -> tuple[int, int, int]:
     return total_s, total_c, err
 
 
+def _fine_sin_cos(token: str, scale: int, bits: int) -> tuple[int, int, int, int]:
+    """(sin, cos, err, unit) of theta at a decimal unit below 2^-bits / 1000.
+
+    Taylor values at 10^-digits < 2^-bits / 1000 (log10 2 < 0.30103): their
+    error rounds away when they are converted to binary.
+    """
+    digits = _ceil_div(bits * 30103, 100_000) + 3
+    theta, theta_err = _theta_mantissa(token, scale, finer=digits - scale)
+    s, c, e = _sin_cos_fixed(theta, digits, theta_err)
+    return s, c, e, 10**digits
+
+
 def _alternating_trig(token: str, scale: int, terms: int, cosine: bool):
     """(bits, values, drift) for z_m = (-1)^(m+1) sin(m theta), or cos, m = 1..terms.
 
@@ -150,12 +181,7 @@ def _alternating_trig(token: str, scale: int, terms: int, cosine: bool):
     the whole run, with no re-anchoring.
     """
     bits = (10**scale).bit_length() + 2 * terms.bit_length() + 4
-    # Taylor values at 10^-digits < 2^-bits / 1000 (log10 2 < 0.30103): their
-    # error rounds away when they are converted to binary
-    digits = _ceil_div(bits * 30103, 100_000) + 3
-    unit = 10**digits
-    theta, theta_err = _theta_mantissa(token, scale, finer=digits - scale)
-    s, c, e = _sin_cos_fixed(theta, digits, theta_err)
+    s, c, e, unit = _fine_sin_cos(token, scale, bits)
     z1 = _divround((c if cosine else s) << bits, unit)
     coef = _divround(-2 * c << bits, unit)
     e1, e_coef = _ceil_div(e << bits, unit) + 1, _ceil_div(2 * e << bits, unit) + 1
@@ -199,22 +225,205 @@ def _half_pi_sum(exponent: int, terms: int, scale: int) -> tuple[int, int, int]:
     return 2 * total - (last if m == terms else 0), one, (terms + 1) // 2
 
 
+def _modulus(z: tuple[int, int]) -> int:
+    """An integer above |z| for a complex fixed-point value z = (re, im)."""
+    return isqrt(z[0] * z[0] + z[1] * z[1]) + 1
+
+
+def _ball_mul(a, err_a: int, b, err_b: int, bits: int):
+    """(a b rounded to 2^-bits, its error): |a b - a~ b~| <= (|a~| + err_a) err_b + |b~| err_a,
+    and rounding both parts adds below one unit."""
+    half = 1 << (bits - 1)
+    re = (a[0] * b[0] - a[1] * b[1] + half) >> bits
+    im = (a[0] * b[1] + a[1] * b[0] + half) >> bits
+    err = _ceil_div((_modulus(a) + err_a) * err_b + _modulus(b) * err_a, 1 << bits) + 1
+    return (re, im), err
+
+
+def _horner(coefs, errs, z, err_z: int, bits: int):
+    """(sum_j coefs[j] z^j, its error) by Horner's rule, ``errs`` bounding the coefficients'."""
+    acc, err = coefs[-1], errs[-1]
+    for a, err_a in zip(coefs[-2::-1], errs[-2::-1]):
+        (re, im), e = _ball_mul(acc, err, z, err_z, bits)
+        acc, err = (a[0] + re, a[1] + im), err_a + e
+    return acc, err
+
+
+def _leading_differences(values: list[int]) -> list[int]:
+    """Delta^j v_0 for j = 0..len(values)-1, where Delta v_i = v_i - v_(i+1)."""
+    out = []
+    while values:
+        out.append(values[0])
+        values = [x - y for x, y in zip(values, values[1:])]
+    return out
+
+
+def _abel_sum(
+    exponent: int, token: str, terms: int, scale: int, p: int, cut: int, guard: int
+) -> tuple[int, int, int]:
+    """The :func:`_generic_sum` triple by ``p``-fold summation by parts, cut at ``cut``.
+
+    With u = -e^(i theta), w_m = m^-exponent and Delta^j w_m = sum_i (-1)^i C(j,i) w_(m+i),
+    S1's partial sum is -Im T and S2's -Re T, where T = sum_(m<=M) u^m w_m.  Abel's
+    partial summation (K. Knopp, Theory and Application of Infinite Series), applied
+    p times with c = u / (u-1) = (1 + i tan(theta/2)) / 2, gives
+        T = sum_(j<p) c^(j+1) (u^(M-j) Delta^j w_(M-j) - Delta^j w_1)
+            + c^p sum_(m<=M-p) u^m Delta^p w_m.
+    The last sum is kept to m <= ``cut`` as sum_(i<=p) (-1)^i C(p,i) u^-i (P_(cut+i) - P_i)
+    over the prefix sums P_n of u^n w_n.  Since (-1)^p (x^-e)^(p) falls, each dropped term
+    is below e (e+1) ... (e+p-1) m^(-e-p), so the dropped part is below
+    e (e+1) ... (e+p-1) cut^(1-e-p) / (e+p-1).  That bound is checked in integers: if
+    |c|^p times it passes 2^(guard-1) units of the result, half the ``guard`` bits'
+    allowance, ``ArithmeticError``.  Every other quantity is a complex ball whose error
+    :func:`_ball_mul` carries; the ``guard`` bits absorb the 2^p of the binomials and
+    |c|^p.  The cost is O(cut + p^2 + log M) operations.
+    """
+    if not 0 < p < terms or cut < 1:
+        raise ValueError("summation by parts needs 0 < p < terms and cut >= 1")
+    bits = (10**scale).bit_length() + guard
+    one = 1 << bits
+    if token == "pi/2":  # u = -i and c = (1 + i) / 2, exactly
+        u, err_u, c, err_c = (0, -one), 0, (one >> 1, one >> 1), 0
+    else:
+        s, co, e, unit = _fine_sin_cos(token, scale, bits)
+        u = (-_divround(co << bits, unit), -_divround(s << bits, unit))
+        err_u = 2 * (_ceil_div(e << bits, unit) + 1)  # both parts, so twice for the modulus
+        # Im c = s / (2 (1 + cos)); for a quotient of values within e,
+        # |s/d - s'/d'| <= e (d + |s|) / (d (d - e))
+        d = unit + co
+        if d <= e:
+            raise ArithmeticError(f"theta={token} is too close to pi for summation by parts")
+        c = (one >> 1, _divround(s << bits, 2 * d))
+        err_c = _ceil_div(e * (d + abs(s)) << bits, 2 * d * (d - e)) + 1
+    rest = terms - p  # the last sum runs over m = 1..rest
+    cut = min(cut, rest)
+    tail = 0
+    if cut < rest:
+        order = exponent + p - 1
+        tail = _ceil_div(factorial(order) << bits, factorial(exponent - 1) * order * cut**order)
+        # |c|^p from 64 bits of |c|, rounded up
+        c_top = _ceil_div(_modulus(c) + err_c, 1 << (bits - 64))
+        if _ceil_div(tail * c_top**p, 1 << 64 * p) > 1 << (guard - 1):
+            raise ArithmeticError(f"p={p}, cut={cut} leave a tail above the guard digits")
+    # u^n, n <= cut + p, each by one rounded product: its error grows by at most
+    # err_u + 2 per step while n (err_u + 2) err_u <= 2^bits, which the guard bits keep,
+    # and the floors of u^n w_n add below 2 each; sum_(m<=n) m^(1-e) <= H_n <= bit_length(n)
+    count = cut + p
+    if count * (err_u + 2) * err_u > one:
+        raise ArithmeticError(f"{bits} bits are too few for {count} powers of u")
+    err_prefix = (err_u + 2) * count.bit_length() + 2 * count
+    half = 1 << (bits - 1)
+    ur, ui = u
+    vr, vi = one, 0
+    powers, prefix = [(one, 0)], [(0, 0)]
+    sum_re = sum_im = 0
+    for n in range(1, count + 1):
+        vr, vi = (vr * ur - vi * ui + half) >> bits, (vr * ui + vi * ur + half) >> bits
+        w = n**exponent
+        sum_re += vr // w
+        sum_im += vi // w
+        if n <= p:
+            powers.append((vr, vi))
+        prefix.append((sum_re, sum_im))
+    kept, err_kept = (0, 0), 0
+    for i in range(p + 1):
+        (vr, vi), (ar, ai), (br, bi) = powers[i], prefix[cut + i], prefix[i]
+        diff, err_diff = (ar - br, ai - bi), 2 * err_prefix
+        (re, im), e = _ball_mul((vr, -vi), i * (err_u + 2), diff, err_diff, bits)
+        sign = (-1) ** i * comb(p, i)
+        kept = (kept[0] + sign * re, kept[1] + sign * im)
+        err_kept += comb(p, i) * e
+    # Delta^j w_1, and Delta^j w_(M-j) = (-1)^j Delta^j of w_M, w_(M-1), ...: floors of
+    # w below 1 each, so the j-th difference is within 2^j
+    head = _leading_differences([one // m**exponent for m in range(1, p + 1)])
+    ends = _leading_differences([one // m**exponent for m in range(terms, terms - p, -1)])
+    errs = [1 << j for j in range(p)]
+    # the terms at M: c^(j+1) u^(M-j) (-1)^j = c u^M conj(c)^j, as -c/u = conj(c)
+    end_sum, err_end = _horner([(x, 0) for x in ends], errs, c, err_c, bits)
+    # the top coefficient Delta^(p-1) w_1 - (kept sum + dropped part) carries their bounds
+    coefs = [(x, 0) for x in head[:-1]] + [(head[-1] - kept[0], -kept[1])]
+    head_sum, err_head = _horner(coefs, errs[:-1] + [errs[-1] + err_kept + tail], c, err_c, bits)
+    u_m, err_um = (one, 0), 0
+    base, err_base, n = u, err_u, terms
+    while n:
+        if n & 1:
+            u_m, err_um = _ball_mul(u_m, err_um, base, err_base, bits)
+        n >>= 1
+        if n:
+            base, err_base = _ball_mul(base, err_base, base, err_base, bits)
+    (xr, xi), err_x = _ball_mul(u_m, err_um, (end_sum[0], -end_sum[1]), err_end, bits)
+    inner = (xr - head_sum[0], xi - head_sum[1])
+    (tr, ti), err_t = _ball_mul(c, err_c, inner, err_x + err_head, bits)
+    # twice the smoothed sum: 2 T - u^M w_M, whose S1 or S2 part is taken with a minus sign
+    w = terms**exponent
+    twice = 2 * ti - u_m[1] // w if exponent % 2 == 0 else 2 * tr - u_m[0] // w
+    return -twice, one, 2 * err_t + _ceil_div(err_um, w) + 2
+
+
+def _abel_plan(exponent: int, token: str, terms: int, scale: int) -> tuple[int, int, int] | None:
+    """(p, cut, guard) for :func:`_abel_sum` if its estimated work is below the direct
+    loop's, else None.  Floats only choose; :func:`_abel_sum` certifies the choice.
+
+    For each p, cut is the least that keeps |c|^p times the dropped part's bound a
+    quarter of :func:`_abel_sum`'s allowance, and guard covers 2^p |c|^p times the
+    prefix sums' error; the p of least estimated work wins.
+    """
+    if token.startswith("pi/"):
+        theta = float_pi / int(token[3:])
+    else:
+        num, _, den = token.partition("/")
+        n, d = int(num), int(den or 1)
+        if not 0 < n * _PI_LOWER.denominator < _PI_LOWER.numerator * d:
+            return None  # the direct loop reports the angle
+        theta = n / d
+    log2_c = -log2(2 * cos(theta / 2))  # log2 |c|
+    out_bits = (10**scale).bit_length()
+    direct = terms * (_HALF_PI_TERM_COST if token == "pi/2" else 1)
+    direct_bits = out_bits + 2 * terms.bit_length() + 4
+    best = None
+    for p in range(1, terms):
+        fixed = _ABEL_FIXED_COST + _ABEL_ORDER_COST * p + _ABEL_SQUARE_COST * p * p
+        if fixed >= (best[0] if best else direct):
+            break
+        order = exponent + p - 1
+        log_rising = (lgamma(exponent + p) - lgamma(exponent)) / log(2)
+        log_cut = (p * log2_c + log_rising - log2(order) + out_bits + 3) / order
+        cut = min(ceil(2 ** min(log_cut, 60.0)), terms - p)
+        guard = ceil(p * (log2_c + 1)) + (cut + p).bit_length() + 8
+        cost = fixed + _ABEL_TERM_COST * cut * (out_bits + guard) / direct_bits
+        if cost < (best[0] if best else direct):
+            best = cost, p, cut, guard
+    return best[1:] if best else None
+
+
 def _check_identity_tag(identity: str) -> None:
     if identity not in IDENTITY_TAGS:
         raise ValueError(f"identity must be one of {IDENTITY_TAGS}, got {identity!r}")
 
 
+def _check_fourier_terms(fourier_terms: int) -> None:
+    if fourier_terms < 2:
+        raise ValueError("fourier_terms must be >= 2")
+    if fourier_terms > MAX_FOURIER_TERMS:
+        raise ResourceLimitError(
+            f"{fourier_terms} Fourier terms exceed the configured maximum {MAX_FOURIER_TERMS}"
+        )
+
+
 def fourier_lhs(identity: str, k: int, theta, fourier_terms: int, digits: int = 30) -> FixedDecimal:
-    """Smoothed partial sum of the alternating sine (S1) or cosine (S2) series."""
+    """Smoothed partial sum of the alternating sine (S1) or cosine (S2) series, summed
+    by parts where :func:`_abel_plan` finds that cheaper, else by the direct loop."""
     _check_identity_tag(identity)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if fourier_terms < 2:
-        raise ValueError("fourier_terms must be >= 2")
+    _check_fourier_terms(fourier_terms)
     token = canonical_theta_token(theta)
     scale = _working_scale(digits)
     exponent = 2 * k if identity == "S1" else 2 * k + 1
-    if token == "pi/2":
+    plan = _abel_plan(exponent, token, fourier_terms, scale)
+    if plan:
+        twice, unit, err = _abel_sum(exponent, token, fourier_terms, scale, *plan)
+    elif token == "pi/2":
         twice, unit, err = _half_pi_sum(exponent, fourier_terms, scale)
     else:
         twice, unit, err = _generic_sum(exponent, token, fourier_terms, scale)
@@ -308,14 +517,18 @@ def check_identity(
 
     The angle, the ladder and its tail bound share one pi at the working scale; the
     Fourier side's angle, if it needs pi, and the ladder's eta sums each compute it
-    once at their own scales.
+    once at their own scales.  The Fourier term count is checked first, and the ladder
+    runs before the Fourier side: its column reads the tangent number at
+    ``series_terms`` before any other work, so a count past the tangent index ceiling
+    is refused before either sum runs.
     """
+    _check_fourier_terms(fourier_terms)
     token = canonical_theta_token(theta)
     scale = _working_scale(digits)
     pi = compute_pi(scale)
     m, err = _theta_mantissa(token, scale, pi)  # a bad angle fails before either side runs
-    lhs = fourier_lhs(identity, k, token, fourier_terms, digits)
     rhs = _ladder_side(identity, k, token, series_terms, digits, pi)
+    lhs = fourier_lhs(identity, k, token, fourier_terms, digits)
     return IdentityResidual(
         identity=identity,
         k=k,
@@ -351,8 +564,7 @@ def tan_half_residual(theta, fourier_terms: int, digits: int = 15) -> FixedDecim
     at large term counts.
     """
     token = canonical_theta_token(theta)
-    if fourier_terms < 2:
-        raise ValueError("fourier_terms must be >= 2")
+    _check_fourier_terms(fourier_terms)
     scale = _working_scale(digits)
     one = 10**scale
     bits, values, drift = _alternating_trig(token, scale, fourier_terms, cosine=False)

@@ -16,6 +16,7 @@ path, so a bug there cannot silently confirm itself.
 
 from __future__ import annotations
 
+import os
 import time
 from typing import NamedTuple
 
@@ -247,11 +248,7 @@ def matched_digit_count(computed: str, reference: str) -> int:
     r_int, _, r_frac = r.partition(".")
     if c_int != r_int:
         return 0
-    window = min(len(c_frac), len(r_frac) - 1)
-    count = 0
-    while count < window and c_frac[count] == r_frac[count]:
-        count += 1
-    return count
+    return len(os.path.commonprefix((c_frac, r_frac[:-1])))
 
 
 def verify(name: str, digits: int) -> VerificationReport:

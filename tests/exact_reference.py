@@ -16,27 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 ANCHOR_INTERVAL = 10_000  # terms between two AngleEngine anchors in the rotation references
 EXTRA_SCALE = 8  # headroom digits for angle reduction and anchor recomputation
-
-
-def tan_taylor_coeffs(count: int) -> list[Fraction]:
-    """First ``count`` odd-power Maclaurin coefficients of tan.
-
-    Uses tan' = 1 + tan^2: writing tan x = sum a_j x^j, the derivative
-    relation gives (j+1) a_(j+1) = [x^j] (1 + (sum a x)^2), which is exactly
-    repeated symbolic differentiation in coefficient form.  Returns
-    [c_1, c_2, ...] with tan x = sum_n c_n x^(2n-1).
-    """
-    top = 2 * count  # need powers up to x^(2*count - 1)
-    a = [Fraction(0)] * (top + 1)
-    a[1] = Fraction(1)
-    for j in range(1, top):
-        square = sum(a[i] * a[j - i] for i in range(j + 1))
-        a[j + 1] = (square + (1 if j == 0 else 0)) / (j + 1)
-    return [a[2 * n - 1] for n in range(1, count + 1)]
 
 
 def sin_fraction(x: Fraction, terms: int = 40) -> Fraction:
@@ -52,21 +35,29 @@ def tan_fraction(x: Fraction, terms: int = 40) -> Fraction:
     return sin_fraction(x, terms) / cos_fraction(x, terms)
 
 
-_TAN_CACHE: dict[int, list[Fraction]] = {}
-
-
-def tan_coeff(n: int) -> Fraction:
-    """c_n from the derivative recurrence, cached in blocks."""
-    need = max(n, 8)
-    cached = _TAN_CACHE.get(0)
-    if cached is None or len(cached) < need:
-        _TAN_CACHE[0] = tan_taylor_coeffs(max(need, 2 * len(cached or [])))
-    return _TAN_CACHE[0][n - 1]
+_TANGENTS: list[int] = []  # T_1, T_2, ... as far as tan_number has been asked
 
 
 def tan_number(n: int) -> int:
-    """Tangent number T_n = c_n (2n-1)!, from the derivative recurrence."""
-    return int(tan_coeff(n) * factorial(2 * n - 1))
+    """Tangent number T_n from the derivative recurrence tan' = 1 + tan^2, in integers.
+
+    With tan x = sum_n T_n x^(2n-1) / (2n-1)!, the coefficient of x^(2n-2) / (2n-2)!
+    on both sides reads T_n = [n = 1] + sum_(i<n) C(2n-2, 2i-1) T_i T_(n-i), whose
+    terms i and n-i are equal.  The list grows from where the last call stopped.
+    """
+    t = _TANGENTS
+    while len(t) < n:
+        m = len(t) + 1
+        top = 2 * m - 2
+        pairs = sum(comb(top, 2 * i - 1) * t[i - 1] * t[m - i - 1] for i in range(1, (m + 1) // 2))
+        middle = 0 if m % 2 else comb(top, m - 1) * t[m // 2 - 1] ** 2
+        t.append((m == 1) + 2 * pairs + middle)
+    return t[n - 1]
+
+
+def tan_coeff(n: int) -> Fraction:
+    """c_n = T_n / (2n-1)!, the coefficient of x^(2n-1) in tan x."""
+    return Fraction(tan_number(n), factorial(2 * n - 1))
 
 
 def d_closed(n: int, k: int) -> Fraction:

@@ -18,6 +18,8 @@ from oddzeta.cli import (
     EXIT_VERIFY_FAILED,
     run,
 )
+from oddzeta.exact import MAX_TANGENT_INDEX
+from oddzeta.identities import MAX_FOURIER_TERMS
 
 
 def invoke(argv):
@@ -189,6 +191,21 @@ def test_coeffs_past_int_str_limit():
     assert lines[800].startswith("1,800,")
     assert len(lines[800].rpartition(",")[2]) > limit
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize(
+    "terms,series_terms",
+    [(MAX_FOURIER_TERMS + 1, MAX_TANGENT_INDEX), (MAX_FOURIER_TERMS, MAX_TANGENT_INDEX + 1)],
+)
+def test_identity_term_ceilings_exit_before_either_side(terms, series_terms):
+    # near pi at 1000 digits the Fourier side takes the direct loop, about 20 s for 10^6
+    # terms, and the ladder's tangent numbers to 5000 take about a minute
+    argv = ["identity", "--id", "S1", "--k", "1", "--theta", "3.14", "--digits", "1000"]
+    start = time.perf_counter()
+    code, out, err = invoke([*argv, "--terms", str(terms), "--series-terms", str(series_terms)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert "exceed" in err
 
 
 def test_ratio_past_tangent_ceiling_is_resource_error():

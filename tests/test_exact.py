@@ -252,12 +252,11 @@ def test_tangent_coeff_small_values():
 
 def test_tangent_coeff_matches_derivative_recurrence(tmp_path, cold_store):
     # the column scaled by factorials steps T_1..T_1060 from an empty store: the first
-    # 128 equal the derivative recurrence (its cost grows fast past that), and all pass
-    # the cache's independent tan' = 1 + tan^2 check
+    # 500 equal the integer derivative recurrence, and all pass the cache's independent
+    # tan' = 1 + tan^2 check
     tangent_number(1060)
     assert cold_store == list(range(1, 1061))
-    for n in range(1, 129):
-        assert tangent_number(n) == tan_number(n)
+    assert exact_module._tangents[:500] == [tan_number(n) for n in range(1, 501)]
     path = str(tmp_path / "tangent.tsv")
     values = exact_module._tangents
     exact_module._save_cache(path, values)

@@ -399,3 +399,76 @@ def test_identity_validation():
         rhs_eval("S1", 1, "1", 0)
     with pytest.raises(ValueError):
         tan_half_residual("1", 1)
+
+
+def assert_kernel_within_bounds_of_direct_loop(exponent, token, terms, scale, plan):
+    # both triples are twice the smoothed sum over their unit, with an error bound
+    twice, unit, err = identities._abel_sum(exponent, token, terms, scale, *plan)
+    if token == "pi/2":
+        d_twice, d_unit, d_err = identities._half_pi_sum(exponent, terms, scale)
+    else:
+        d_twice, d_unit, d_err = identities._generic_sum(exponent, token, terms, scale)
+    gap = abs(Fraction(twice, unit) - Fraction(d_twice, d_unit))
+    assert gap <= Fraction(err, unit) + Fraction(d_err, d_unit), (exponent, token, terms)
+    # the bound fourier_lhs prints: err converted to the output scale, plus its rounding
+    assert -(-err * 10**scale // unit) + 1 <= 3, (exponent, token, terms)
+
+
+@pytest.mark.parametrize("token", ["1", "29/10", "3", "pi/2"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_abel_kernel_within_bounds_of_direct_loop(k, token):
+    # the kernel called directly with the order, cut and guard planned for 10^5 terms,
+    # from M = p + 1, where nothing is cut, to 10^5; at 29/10 and 3, |c| > 1
+    scale = 20 + GUARD_DIGITS
+    for exponent in (2 * k, 2 * k + 1):
+        plan = identities._abel_plan(exponent, token, 100_000, scale)
+        p, cut, _ = plan
+        for terms in (p + 1, p + 2, cut + p - 1, cut + p, cut + p + 1, 3 * cut, 100_000):
+            assert_kernel_within_bounds_of_direct_loop(exponent, token, terms, scale, plan)
+
+
+@given(
+    st.fractions(min_value=Fraction(1, 10**6), max_value=3, max_denominator=10**6),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(2, 3000),
+)
+def test_abel_kernel_within_bounds_at_rational_angles(theta, k, sine, terms):
+    exponent = 2 * k if sine else 2 * k + 1
+    scale = 20 + GUARD_DIGITS
+    token = canonical_theta_token(theta)
+    plan = identities._abel_plan(exponent, token, 100_000, scale)
+    if plan[0] < terms:
+        assert_kernel_within_bounds_of_direct_loop(exponent, token, terms, scale, plan)
+
+
+def test_abel_kernel_refuses_a_cut_its_certificate_rejects():
+    # p = 10 terms cut at 100 leave a tail near 10^-25, far above 10^-30
+    scale = 20 + GUARD_DIGITS
+    with pytest.raises(ArithmeticError, match="tail above the guard"):
+        identities._abel_sum(2, "1", 100_000, scale, 10, 100, 30)
+    p, cut, guard = identities._abel_plan(2, "1", 100_000, scale)
+    with pytest.raises(ArithmeticError, match="tail above the guard"):
+        identities._abel_sum(2, "1", 100_000, scale, p, cut // 2, guard)
+
+
+@pytest.mark.parametrize(
+    "token,terms,path",
+    [
+        ("1", 100_000, "_abel_sum"),
+        ("3", 100_000, "_abel_sum"),
+        ("pi/2", 100_000, "_abel_sum"),
+        ("314159264/100000000", 100_000, "_generic_sum"),  # |c| near 10^4
+        ("1", 30, "_generic_sum"),  # M <= p
+        ("pi/2", 30, "_half_pi_sum"),
+    ],
+)
+def test_fourier_side_picks_the_cheaper_path(monkeypatch, token, terms, path):
+    calls = []
+    for name in ("_abel_sum", "_generic_sum", "_half_pi_sum"):
+        original = getattr(identities, name)
+        monkeypatch.setattr(
+            identities, name, lambda *a, name=name, f=original: calls.append(name) or f(*a)
+        )
+    assert fourier_lhs("S1", 1, token, terms, digits=20).err_ulp <= 3
+    assert calls == [path]

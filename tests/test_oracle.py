@@ -283,6 +283,45 @@ def test_matched_digit_count_cases():
     assert matched_digit_count("5", "5") == 0
 
 
+def matched_digit_count_loop(computed, reference):
+    """:func:`matched_digit_count` as a character loop over the window, as it ran before
+    it took os.path.commonprefix."""
+    if (computed.startswith("-")) != (reference.startswith("-")):
+        return 0
+    c_int, _, c_frac = computed.lstrip("-").partition(".")
+    r_int, _, r_frac = reference.lstrip("-").partition(".")
+    if c_int != r_int:
+        return 0
+    window = min(len(c_frac), len(r_frac) - 1)
+    count = 0
+    while count < window and c_frac[count] == r_frac[count]:
+        count += 1
+    return count
+
+
+_DECIMALS = st.builds(
+    lambda sign, whole, frac: sign + whole + ("" if frac is None else "." + frac),
+    st.sampled_from(["", "-"]),
+    st.sampled_from(["0", "1", "12"]),
+    st.none() | st.text("0123456789", max_size=14),
+)
+
+
+@given(_DECIMALS, _DECIMALS, st.integers(0, 18))
+@example("0.12345", "0.12345", 0)  # the reference's last digit is outside the window
+@example("-0.5", "0.5", 0)  # signs differ
+@example("1.234", "0.234", 0)  # integer parts differ
+@example("0.123", "0.1234", 0)  # the computed string is the shorter
+@example("5", "5.1", 0)  # no computed fraction
+@example("5.1", "5", 0)  # no reference fraction
+@example("-0.", "-0.", 0)  # empty fractions
+def test_matched_digit_count_equals_character_loop(computed, other, shared):
+    # the reference shares the computed string's first characters, so long matches occur
+    for reference in (other, computed[:shared] + other[shared:]):
+        for pair in ((computed, reference), (reference, computed)):
+            assert matched_digit_count(*pair) == matched_digit_count_loop(*pair)
+
+
 def test_verify_report_fields_and_json():
     report = verify("catalan", 12)
     assert report.matched_digits >= 12
