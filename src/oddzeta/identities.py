@@ -301,9 +301,10 @@ def _abel_sum(
     if cut < rest:
         order = exponent + p - 1
         tail = _ceil_div(factorial(order) << bits, factorial(exponent - 1) * order * cut**order)
-        # |c|^p from 64 bits of |c|, rounded up
-        c_top = _ceil_div(_modulus(c) + err_c, 1 << (bits - 64))
-        if _ceil_div(tail * c_top**p, 1 << 64 * p) > 1 << (guard - 1):
+        # |c|^p from the top 64 bits of |c|, rounded up
+        shift = max(bits - 64, 0)
+        c_top = _ceil_div(_modulus(c) + err_c, 1 << shift)
+        if _ceil_div(tail * c_top**p, 1 << (bits - shift) * p) > 1 << (guard - 1):
             raise ArithmeticError(f"p={p}, cut={cut} leave a tail above the guard digits")
     # u^n, n <= cut + p, each by one rounded product: its error grows by at most
     # err_u + 2 per step while n (err_u + 2) err_u <= 2^bits, which the guard bits keep,

@@ -432,10 +432,11 @@ def test_abel_kernel_within_bounds_of_direct_loop(k, token):
     st.integers(1, 3),
     st.booleans(),
     st.integers(2, 3000),
+    st.sampled_from([1, 20]),
 )
-def test_abel_kernel_within_bounds_at_rational_angles(theta, k, sine, terms):
+def test_abel_kernel_within_bounds_at_rational_angles(theta, k, sine, terms, digits):
     exponent = 2 * k if sine else 2 * k + 1
-    scale = 20 + GUARD_DIGITS
+    scale = digits + GUARD_DIGITS
     token = canonical_theta_token(theta)
     plan = identities._abel_plan(exponent, token, 100_000, scale)
     if plan[0] < terms:
@@ -453,22 +454,23 @@ def test_abel_kernel_refuses_a_cut_its_certificate_rejects():
 
 
 @pytest.mark.parametrize(
-    "token,terms,path",
+    "token,terms,digits,path",
     [
-        ("1", 100_000, "_abel_sum"),
-        ("3", 100_000, "_abel_sum"),
-        ("pi/2", 100_000, "_abel_sum"),
-        ("314159264/100000000", 100_000, "_generic_sum"),  # |c| near 10^4
-        ("1", 30, "_generic_sum"),  # M <= p
-        ("pi/2", 30, "_half_pi_sum"),
+        ("1", 100_000, 20, "_abel_sum"),
+        ("1", 100_000, 1, "_abel_sum"),  # fewer than 64 bits in all
+        ("3", 100_000, 20, "_abel_sum"),
+        ("pi/2", 100_000, 20, "_abel_sum"),
+        ("314159264/100000000", 100_000, 20, "_generic_sum"),  # |c| near 10^4
+        ("1", 30, 20, "_generic_sum"),  # M <= p
+        ("pi/2", 30, 20, "_half_pi_sum"),
     ],
 )
-def test_fourier_side_picks_the_cheaper_path(monkeypatch, token, terms, path):
+def test_fourier_side_picks_the_cheaper_path(monkeypatch, token, terms, digits, path):
     calls = []
     for name in ("_abel_sum", "_generic_sum", "_half_pi_sum"):
         original = getattr(identities, name)
         monkeypatch.setattr(
             identities, name, lambda *a, name=name, f=original: calls.append(name) or f(*a)
         )
-    assert fourier_lhs("S1", 1, token, terms, digits=20).err_ulp <= 3
+    assert fourier_lhs("S1", 1, token, terms, digits).err_ulp <= 3
     assert calls == [path]
