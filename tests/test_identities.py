@@ -444,7 +444,7 @@ def test_abel_kernel_within_bounds_at_rational_angles(theta, k, sine, terms, dig
 
 
 def test_abel_kernel_refuses_a_cut_its_certificate_rejects():
-    # p = 10 terms cut at 100 leave a tail near 10^-25, far above 10^-30
+    # p = 10 cut at 100 leaves a tail bound near 10^-18, far above the 10^-30 allowed
     scale = 20 + GUARD_DIGITS
     with pytest.raises(ArithmeticError, match="tail above the guard"):
         identities._abel_sum(2, "1", 100_000, scale, 10, 100, 30)
