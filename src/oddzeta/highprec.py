@@ -222,12 +222,9 @@ def compute_pi(digits: int) -> FixedDecimal:
     return result
 
 
-def half_pi(scale: int, pi: FixedDecimal | None = None) -> FixedDecimal:
-    """pi/2 at the given scale with err_ulp <= 1, halved from ``pi`` if the caller holds it."""
-    p = compute_pi(scale) if pi is None else pi
-    if p.scale != scale or p.err_ulp > 1:
-        raise ValueError(f"pi must be given at scale {scale} with err_ulp <= 1")
-    return FixedDecimal(_divround(p.mantissa, 2), scale, 1)
+def half_pi(scale: int) -> FixedDecimal:
+    """pi/2 at the given scale with err_ulp <= 1, halved from :func:`compute_pi` at that scale."""
+    return FixedDecimal(_divround(compute_pi(scale).mantissa, 2), scale, 1)
 
 
 class SeriesResult:
@@ -338,7 +335,7 @@ def _series_terms(
     return terms
 
 
-def sum_series(k: int, digits: int, pi: FixedDecimal | None = None) -> SeriesResult:
+def sum_series(k: int, digits: int) -> SeriesResult:
     """Evaluate A_k = sum_n E_n(k) (pi/2)^(2n+k-1) to ``digits`` digits.
 
     Terms are exact rationals N_n(k) / den(n, k), never reduced by a gcd:
@@ -348,13 +345,11 @@ def sum_series(k: int, digits: int, pi: FixedDecimal | None = None) -> SeriesRes
     plain integers, and stops the sum.
     The reported error bound covers per-term rounding plus a geometric tail
     bound |last| * (1/3) / (1 - 1/3); a runtime check aborts if observed
-    consecutive terms ever decay slower than 1/3 past burn-in.  A caller that
-    sums several series at one precision passes ``pi`` at the working scale
-    ``digits + GUARD_DIGITS``, computed once.
+    consecutive terms ever decay slower than 1/3 past burn-in.
     """
     column = e_column(k, estimate_terms(digits, k))
     work = _working_scale(digits)
-    hp = half_pi(work, pi)
+    hp = half_pi(work)
     terms = _series_terms(hp.pow_int(k + 1), hp.mul(hp), column, e_denominator(1, k), k, stop=True)
     mantissas, errs = zip(*terms)
     tail_ulp = abs(mantissas[-1]) // 2 + 1

@@ -99,19 +99,17 @@ def canonical_theta_token(theta) -> str:
     raise TypeError(f"unsupported theta specification: {theta!r}")
 
 
-def _theta_mantissa(
-    token: str, scale: int, pi: FixedDecimal | None = None, finer: int = 0
-) -> tuple[int, int]:
+def _theta_mantissa(token: str, scale: int, finer: int = 0) -> tuple[int, int]:
     """(mantissa, err_ulp) of the angle at ``scale + finer`` digits, range-checked.
 
-    A pi/q angle is divided from ``pi`` at that scale, computed here if the caller has none.
+    A pi/q angle is divided from :func:`compute_pi` at that scale, computed here.
     An angle whose enclosure at the working ``scale`` holds 0 is refused, however many
     digits finer its mantissa is: both sides would then vanish and agree whatever they
     compute.
     """
     digits = scale + finer
     if token.startswith("pi/"):
-        m = _divround((compute_pi(digits) if pi is None else pi).mantissa, int(token[3:]))
+        m = _divround(compute_pi(digits).mantissa, int(token[3:]))
     else:
         value = Fraction(token)
         if not 0 < value < _PI_LOWER:
@@ -440,57 +438,42 @@ def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) 
     S2: (-1)^(k+1)/2 * sum_n D_n(2k+1) theta^(2n+2k)
         + sum_{r<=k} (-1)^(k-r) A_(2r+1) theta^(2k-2r) / (2k-2r)!
     """
-    token = canonical_theta_token(theta)
-    pi = compute_pi(_working_scale(digits))
-    return _ladder_side(identity, k, token, series_terms, digits, pi)
+    return _ladder_side(identity, k, canonical_theta_token(theta), series_terms, digits)
 
 
 def _ladder_side(
-    identity: str,
-    k: int,
-    token: str,
-    series_terms: int,
-    digits: int,
-    pi: FixedDecimal,
-    eta_terms: int | None = None,
+    identity: str, k: int, token: str, series_terms: int, digits: int, eta_terms: int | None = None
 ) -> FixedDecimal:
-    """The :func:`rhs_eval` sum, given ``pi`` at the working scale; with ``eta_terms``,
-    only the eta-polynomial terms r < ``eta_terms``."""
+    """The :func:`rhs_eval` sum; with ``eta_terms``, only the eta-polynomial terms
+    r < ``eta_terms``.  Each S1/S2 difference follows from the parity of the column
+    index e = 2k (S1) or 2k+1 (S2)."""
     _check_identity_tag(identity)
     if k < 1:
         raise ValueError("k must be >= 1")
     if series_terms < 1:
         raise ValueError("series_terms must be >= 1")
-    if eta_terms is None:
-        eta_terms = k if identity == "S1" else k + 1
+    e = 2 * k if identity == "S1" else 2 * k + 1
+    odd = e % 2
     scale = _working_scale(digits)
-    m, err = _theta_mantissa(token, scale, pi)
-    th = FixedDecimal(m, scale, err)
-    th2 = th.mul(th)
-    d_index = 2 * k if identity == "S1" else 2 * k + 1
-    eta_digits = digits + 6
-    # D_n(k) = N_n(1) / d_denominator(n, k), the power carried over the denominator row to row
-    column, den = e_column(1, series_terms), d_denominator(1, d_index)
-    mantissas, errs = zip(*_series_terms(th.pow_int(d_index + 1), th2, column, den, d_index))
-    last = mantissas[-1]
-    front = (-1) ** k if identity == "S1" else (-1) ** (k + 1)
-    acc = FixedDecimal(sum(mantissas), scale, sum(errs)).mul_ratio(front, 2)
+    m, err = _theta_mantissa(token, scale)
     # geometric bound on the omitted ladder tail: the term ratio is strictly
-    # below (theta/pi)^2 for every n, bounded here by a/b with outward rounding
-    a, b = (m + 2) ** 2, (pi.mantissa - 2) ** 2
+    # below (theta/pi)^2 for every n, bounded here by a/b with outward rounding;
+    # judged before the column is read, which may cost tangent numbers to series_terms
+    a, b = (m + 2) ** 2, (compute_pi(scale).mantissa - 2) ** 2
     if 1000 * a >= 999 * b:
         raise ValueError(f"theta={token} is too close to pi for a usable ladder tail bound")
+    th = FixedDecimal(m, scale, err)
+    # D_n(k) = N_n(1) / d_denominator(n, k), the power carried over the denominator row to row
+    column, den = e_column(1, series_terms), d_denominator(1, e)
+    mantissas, errs = zip(*_series_terms(th.pow_int(e + 1), th.mul(th), column, den, e))
+    acc = FixedDecimal(sum(mantissas), scale, sum(errs)).mul_ratio((-1) ** (k + odd), 2)
     # |last| rho / (2 (1 - rho)) with rho = a/b
-    tail_ulp = abs(last) * a // (2 * (b - a)) + 1
-    acc = FixedDecimal(acc.mantissa, acc.scale, acc.err_ulp + tail_ulp)
-    offset = 1 if identity == "S1" else 0
-    eta_pi = compute_pi(_working_scale(eta_digits))
-    for r in range(eta_terms):
-        exponent = 2 * (k - r) - offset
+    acc = acc._replace(err_ulp=acc.err_ulp + abs(mantissas[-1]) * a // (2 * (b - a)) + 1)
+    for r in range(k + odd if eta_terms is None else eta_terms):
+        exponent = e - 2 * r - 1
         # A_(2r+1): ln 2 for r = 0, eta(2r+1) above
-        a_val = sum_series(2 * r + 1, eta_digits, eta_pi).value
-        term = a_val.mul(th.pow_int(exponent))
-        acc += term.mul_ratio((-1) ** (k - r - offset), factorial(exponent))
+        term = sum_series(2 * r + 1, digits + 6).value.mul(th.pow_int(exponent))
+        acc += term.mul_ratio((-1) ** (k - r - 1 + odd), factorial(exponent))
     return acc
 
 
@@ -514,21 +497,20 @@ def check_identity(
     series_terms: int,
     digits: int = 30,
 ) -> IdentityResidual:
-    """Evaluate both sides and report the absolute residual.
+    """|:func:`fourier_lhs` - :func:`rhs_eval`| for one (identity, k, theta) check.
 
-    The angle, the ladder and its tail bound share one pi at the working scale; the
-    Fourier side's angle, if it needs pi, and the ladder's eta sums each compute it
-    once at their own scales.  The Fourier term count is checked first, and the ladder
-    runs before the Fourier side: its column reads the tangent number at
-    ``series_terms`` before any other work, so a count past the tangent index ceiling
-    is refused before either sum runs.
+    Each side computes pi at its own scale where it needs it: a pi/q angle, the
+    ladder's tail bound and each of its eta sums.  The Fourier term count and the
+    angle are checked first, and the ladder runs before the Fourier side: it judges
+    the angle against its tail bound and then reads the tangent number at
+    ``series_terms`` before any other work, so an angle too close to pi or a count
+    past the tangent index ceiling is refused before either sum runs.
     """
     _check_fourier_terms(fourier_terms)
     token = canonical_theta_token(theta)
     scale = _working_scale(digits)
-    pi = compute_pi(scale)
-    m, err = _theta_mantissa(token, scale, pi)  # a bad angle fails before either side runs
-    rhs = _ladder_side(identity, k, token, series_terms, digits, pi)
+    m, err = _theta_mantissa(token, scale)  # a bad angle fails before either side runs
+    rhs = rhs_eval(identity, k, token, series_terms, digits)
     lhs = fourier_lhs(identity, k, token, fourier_terms, digits)
     return IdentityResidual(
         identity=identity,
@@ -551,8 +533,7 @@ def eta_from_half_pi_identity(k: int, digits: int = 30) -> FixedDecimal:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    pi = compute_pi(_working_scale(digits))
-    side = _ladder_side("S2", k, "pi/2", estimate_terms(digits, 2 * k + 1), digits, pi, k)
+    side = _ladder_side("S2", k, "pi/2", estimate_terms(digits, 2 * k + 1), digits, k)
     two_power = 1 << (2 * k + 1)
     return side.mul_ratio(-two_power, two_power - 1).rescale(digits)
 

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
+import ast
 import io
 import json
 import os
@@ -11,15 +12,18 @@ from pathlib import Path
 import pytest
 
 from exact_reference import tan_number
+import oddzeta
 from oddzeta.cli import (
+    DIGITS_CEILING,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     run,
 )
+from oddzeta.coeffs import MAX_TABLE_CELLS
 from oddzeta.exact import MAX_TANGENT_INDEX
-from oddzeta.identities import MAX_FOURIER_TERMS
+from oddzeta.identities import MAX_FOURIER_TERMS, MAX_THETA_DIGITS
 
 
 def invoke(argv):
@@ -139,6 +143,16 @@ def test_theta_too_close_to_pi_for_the_ladder_tail_usage_error():
     assert "too close to pi for a usable ladder tail bound" in err
 
 
+def test_theta_too_close_to_pi_is_refused_before_the_ladder_reads_its_column():
+    # reading column 1 to 5000 rows would first generate tangent numbers to 5000
+    argv = ["identity", "--id", "S1", "--k", "1", "--theta", "314159264/100000000"]
+    start = time.perf_counter()
+    code, out, err = invoke([*argv, "--terms", "10", "--series-terms", "5000", "--digits", "1000"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "too close to pi for a usable ladder tail bound" in err
+
+
 @pytest.mark.parametrize("theta", ["1e-30000000", "1e-5000"])
 def test_huge_theta_exponent_is_rejected_at_once(theta):
     start = time.perf_counter()
@@ -206,6 +220,59 @@ def test_identity_term_ceilings_exit_before_either_side(terms, series_terms):
     assert time.perf_counter() - start < 1
     assert (code, out) == (EXIT_RESOURCE, "")
     assert "exceed" in err
+
+
+def ceiling_names() -> list[str]:
+    """Every module-level ``MAX_*`` or ``*_CEILING`` name assigned in the package."""
+    package = Path(oddzeta.__file__).parent
+    return sorted(
+        target.id
+        for path in package.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+        and (target.id.startswith("MAX_") or target.id.endswith("_CEILING"))
+    )
+
+
+IDENTITY_S1 = ["identity", "--id", "S1", "--k", "1"]
+
+# ceiling name -> (argv one past it, expected exit code)
+CEILING_CASES = {
+    "DIGITS_CEILING": (["constant", "catalan", "--digits", str(DIGITS_CEILING + 1)], EXIT_RESOURCE),
+    "MAX_FOURIER_TERMS": (
+        [*IDENTITY_S1, "--theta", "1", "--terms", str(MAX_FOURIER_TERMS + 1)],
+        EXIT_RESOURCE,
+    ),
+    "MAX_TABLE_CELLS": (
+        ["coeffs", "--k", "1000", "--n", str(MAX_TABLE_CELLS // 1000 + 1)],
+        EXIT_RESOURCE,
+    ),
+    "MAX_TANGENT_INDEX": (["coeffs", "--k", "1", "--n", str(MAX_TANGENT_INDEX + 1)], EXIT_RESOURCE),
+    "MAX_THETA_DIGITS": (
+        [*IDENTITY_S1, "--theta", "1" * (MAX_THETA_DIGITS + 1), "--terms", "100"],
+        EXIT_USAGE,
+    ),
+}
+# ceilings no command can reach: compute_pi's digits stay far below MAX_PI_DIGITS
+LIBRARY_ONLY_CEILINGS = {"MAX_PI_DIGITS"}
+
+
+@pytest.mark.parametrize("name", ceiling_names())
+def test_every_ceiling_plus_one_exits_at_once(name):
+    assert name in CEILING_CASES or name in LIBRARY_ONLY_CEILINGS, f"{name} has no CLI case"
+    if name in LIBRARY_ONLY_CEILINGS:
+        return
+    argv, expected = CEILING_CASES[name]
+    env = {**os.environ, "PYTHONPATH": str(Path(oddzeta.__file__).resolve().parent.parent)}
+    env.pop("ODDZETA_CACHE_DIR", None)
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "oddzeta.cli", *argv], env=env, capture_output=True, timeout=60
+    )
+    assert time.perf_counter() - start < 1
+    assert (done.returncode, done.stdout) == (expected, b"")
 
 
 def test_ratio_past_tangent_ceiling_is_resource_error():

@@ -154,9 +154,6 @@ def test_pi_ceiling_refused_before_any_arctangent(monkeypatch):
 
 def test_half_pi():
     assert half_pi(20).to_decimal() == "1.57079632679489661923"
-    assert half_pi(20, compute_pi(20)) == half_pi(20)
-    with pytest.raises(ValueError):
-        half_pi(20, compute_pi(21))  # a caller's pi must be at the scale it is halved to
 
 
 def test_estimate_terms_cases():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from exact_reference import ANCHOR_INTERVAL, AngleEngine, tan_fraction
-from oddzeta import highprec, identities
+from oddzeta import identities
 from oddzeta.coeffs import d_denominator, denominator_step, e_column
 from oddzeta.constants import alt_harmonic, beta_even, eta_odd
 from oddzeta.highprec import GUARD_DIGITS, FixedDecimal, _divround, _series_terms, compute_pi
@@ -134,22 +134,20 @@ def test_rhs_equals_fixed_decimal_ladder(identity, k, theta):
         assert abs(got.err_ulp - expected.err_ulp) <= 1
 
 
-def test_one_pi_per_scale_in_an_identity_check(monkeypatch):
-    scales = []
-
-    def spy(digits):
-        scales.append(digits)
-        return compute_pi(digits)
-
-    for module in (highprec, identities):
-        monkeypatch.setattr(module, "compute_pi", spy)
-    rhs_eval("S1", 1, "pi/2", 80, digits=30)
-    assert scales == [40, 46]  # the angle and the tail bound; the eta sums
-    for identity, k, theta in (("S1", 1, "pi/3"), ("S2", 3, "pi/3"), ("S2", 2, "1/2")):
-        scales.clear()
-        check_identity(identity, k, theta, 1000, 80, digits=30)
-        # a rational angle needs no pi on the Fourier side
-        assert sorted(scales) == [40, 46, *([51] if theta == "pi/3" else [])]
+@pytest.mark.parametrize("theta", ["1/2", "pi/2", "pi/3", "3"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("identity", ["S1", "S2"])
+def test_check_identity_is_rhs_eval_against_fourier_lhs(monkeypatch, identity, k, theta):
+    calls = []
+    for name in ("rhs_eval", "fourier_lhs"):
+        original = getattr(identities, name)
+        monkeypatch.setattr(
+            identities, name, lambda *a, name=name, f=original: calls.append(name) or f(*a)
+        )
+    result = check_identity(identity, k, theta, 1000, 80, digits=30)
+    assert calls == ["rhs_eval", "fourier_lhs"]
+    lhs = fourier_lhs(identity, k, theta, 1000, 30)
+    assert result.residual == abs(lhs - rhs_eval(identity, k, theta, 80, 30))
 
 
 def test_rhs_stability_in_series_terms():

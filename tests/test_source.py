@@ -67,6 +67,25 @@ def test_only_exact_and_coeffs_size_the_tangent_list():
     assert found == []
 
 
+def parameter_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+    a = fn.args
+    return {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if arg}
+
+
+def test_no_function_takes_pi():
+    # each series and identity side computes pi at its own scale; a pi threaded
+    # through saves microseconds and leaves every callee a scale its caller must match
+    package = Path(oddzeta.__file__).parent
+    found = sorted(
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "pi" in parameter_names(node)
+    )
+    assert found == []
+
+
 def test_no_lru_cache_in_package():
     # every result is computed once per call or kept in one explicit store;
     # a memo cache would only hide a duplicate pass
