@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 import os
-import tempfile
 from typing import TYPE_CHECKING
 
 from .errors import ResourceLimitError
@@ -101,6 +100,8 @@ def _load_cache(path: str) -> list[int]:
 
 def _save_cache(path: str, values: list[int]) -> None:
     """Atomically rewrite the cache file; a failed write leaves no temp file behind."""
+    import tempfile  # imported on use: only a run with a cache directory writes one
+
     directory = os.path.dirname(path) or "."
     try:
         os.makedirs(directory, exist_ok=True)

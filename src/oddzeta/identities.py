@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, comb, cos, factorial, isqrt, lgamma, log, log2
-from math import pi as float_pi
 from typing import NamedTuple
 
 from .coeffs import d_denominator, e_column
@@ -35,6 +34,7 @@ from .errors import ResourceLimitError
 from .highprec import (
     FixedDecimal,
     _ceil_div,
+    _chudnovsky,
     _divround,
     _series_terms,
     _working_scale,
@@ -79,37 +79,35 @@ _HALF_PI_TERM_COST = 0.33
 def canonical_theta_token(theta) -> str:
     """Deterministic token for an angle: ``pi/<q>`` or an exact rational string."""
     if isinstance(theta, str):
-        text = theta.strip().replace(" ", "")
-        if text.startswith("pi/"):
-            q = int(text[3:])
+        theta = theta.strip().replace(" ", "")
+        if theta.startswith("pi/"):
+            q = int(theta[3:])
             if q < 2:
                 raise ValueError("pi/<q> angles require q >= 2 to stay inside (0, pi)")
             return f"pi/{q}"
-        mantissa, _, exponent = text.lower().partition("e")
+        mantissa, _, exponent = theta.lower().partition("e")
         exponent = exponent.lstrip("+-").replace("_", "").lstrip("0")
         # read before Fraction builds 10^|exponent|; five digits already pass the limit
         size = sum(c.isdigit() for c in mantissa) + int(exponent[:5] if exponent.isdigit() else 0)
         if size > MAX_THETA_DIGITS:
             raise ValueError(f"theta has more than {MAX_THETA_DIGITS} digits, |exponent| counted")
-        return str(Fraction(text))
-    if isinstance(theta, Fraction):
-        return str(theta)
-    if isinstance(theta, (int, float)):
+    elif not isinstance(theta, (Fraction, int, float)):
+        raise TypeError(f"unsupported theta specification: {theta!r}")
+    try:
         return str(Fraction(theta))
-    raise TypeError(f"unsupported theta specification: {theta!r}")
+    except (ZeroDivisionError, OverflowError):  # n/0, or an infinite float
+        raise ValueError(f"theta={theta} is not a finite number") from None
 
 
-def _theta_mantissa(token: str, scale: int, finer: int = 0) -> tuple[int, int]:
-    """(mantissa, err_ulp) of the angle at ``scale + finer`` digits, range-checked.
+def _theta_mantissa(token: str, scale: int) -> tuple[int, int]:
+    """(mantissa, err_ulp) of the angle at ``scale`` digits, range-checked.
 
     A pi/q angle is divided from :func:`compute_pi` at that scale, computed here.
-    An angle whose enclosure at the working ``scale`` holds 0 is refused, however many
-    digits finer its mantissa is: both sides would then vanish and agree whatever they
-    compute.
+    An angle whose enclosure at the working ``scale`` holds 0 is refused: both sides
+    would then vanish and agree whatever they compute.
     """
-    digits = scale + finer
     if token.startswith("pi/"):
-        m = _divround(compute_pi(digits).mantissa, int(token[3:]))
+        m = _divround(compute_pi(scale).mantissa, int(token[3:]))
     else:
         value = Fraction(token)
         if not 0 < value < _PI_LOWER:
@@ -117,87 +115,92 @@ def _theta_mantissa(token: str, scale: int, finer: int = 0) -> tuple[int, int]:
                 f"theta={token} outside the open interval (0, pi); rational angles "
                 f"must stay below {float(_PI_LOWER)}"
             )
-        m = _divround(value.numerator * 10**digits, value.denominator)
-    if _divround(m, 10**finer) <= 1:
+        m = _divround(value.numerator * 10**scale, value.denominator)
+    if m <= 1:
         raise ValueError(
             f"theta={token} is within 1 ulp of 0 at {scale} working digits; raise --digits"
         )
     return m, 1
 
 
-def _sin_cos_fixed(xm: int, scale: int, x_err: int = 0) -> tuple[int, int, int]:
-    """Taylor sin and cos of x = xm * 10^(-scale) for |x| <= pi.
+def _sin_cos(token: str, bits: int) -> tuple[int, int, int]:
+    """(sin, cos, err) of a range-checked angle in units of 2^-bits, each within err.
 
-    Returns (sin_mantissa, cos_mantissa, err_ulp); the error bound covers
-    term rounding, truncation, and the caller's angle error.
+    The angle is converted once to x 2^-f with f = bits + 64, the guard bits
+    :func:`_chudnovsky` needs: a rational by one floor division, within 1, and pi/q
+    from that pi, within ceil(e_pi / q) + 1.  One Taylor loop runs over
+    t_j = floor(t_(j-1) x / (j 2^f)), below X^j / j! 2^f for X = x 2^-f < 4 by d_j, and
+    adds t_j to cos (even j) or sin (odd j), with the sign of j mod 4.  As
+    d_j <= 4 d_(j-1) / j + 1 and d_1 = 0, every d_j is below 5.  The loop stops at the
+    first t_J = 0, so X^J / J! 2^f < 5, which with f >= 64 puts J above X: the omitted
+    terms of each series alternate and fall from below 5.  Either sum is then within
+    5 J + 5 of its value at X, the angle's error moves it by no more than that error,
+    and rounding to 2^-bits adds 1/2.
     """
-    one = 10**scale
-    x2 = xm * xm
-    unit2 = one * one
-    total_s = t = xm
-    i = 0
+    fine = bits + 64
+    if token.startswith("pi/"):
+        q = int(token[3:])
+        pi, pi_err = _chudnovsky(fine)
+        x, x_err = _divround(pi, q), _ceil_div(pi_err, q) + 1
+    else:
+        num, _, den = token.partition("/")
+        x, x_err = (int(num) << fine) // int(den or 1), 1
+    parts = [0, 0, 0, 0]
+    t, j = 1 << fine, 0
     while t:
-        t = -_divround(t * x2, unit2 * (2 * i + 2) * (2 * i + 3))
-        total_s += t
-        i += 1
-    terms = i
-    total_c = u = one
-    i = 0
-    while u:
-        u = -_divround(u * x2, unit2 * (2 * i + 1) * (2 * i + 2))
-        total_c += u
-        i += 1
-    err = 2 * (terms + i) + 6 + 2 * x_err
-    return total_s, total_c, err
+        parts[j & 3] += t
+        j += 1
+        t = (t * x >> fine) // j
+    half = 1 << 63
+    s = (parts[1] - parts[3] + half) >> 64
+    c = (parts[0] - parts[2] + half) >> 64
+    return s, c, _ceil_div(5 * j + 5 + x_err + half, 1 << 64)
 
 
-def _fine_sin_cos(token: str, scale: int, bits: int) -> tuple[int, int, int, int]:
-    """(sin, cos, err, unit) of theta at a decimal unit below 2^-bits / 1000.
+def _tan_half(s: int, c: int, e: int, bits: int) -> tuple[int, int]:
+    """(t, err) with |tan(theta/2) 2^bits - t| <= err, from :func:`_sin_cos`'s triple.
 
-    Taylor values at 10^-digits < 2^-bits / 1000 (log10 2 < 0.30103): their
-    error rounds away when they are converted to binary.
+    tan(theta/2) = sin / (1 + cos); for a quotient of values within e,
+    |s/d - s'/d'| <= e (d + |s|) / (d (d - e)).
     """
-    digits = _ceil_div(bits * 30103, 100_000) + 3
-    theta, theta_err = _theta_mantissa(token, scale, finer=digits - scale)
-    s, c, e = _sin_cos_fixed(theta, digits, theta_err)
-    return s, c, e, 10**digits
+    d = (1 << bits) + c
+    if d <= e:
+        raise ArithmeticError(f"theta is too close to pi for tan(theta/2) at {bits} bits")
+    return _divround(s << bits, d), _ceil_div(e * (d + abs(s)) << bits, d * (d - e)) + 1
 
 
-def _alternating_trig(token: str, scale: int, terms: int, cosine: bool):
-    """(bits, values, drift) for z_m = (-1)^(m+1) sin(m theta), or cos, m = 1..terms.
+def _alternating_trig(s: int, c: int, e: int, bits: int, terms: int, cosine: bool):
+    """(values, drift) for z_m = (-1)^(m+1) sin(m theta), or cos, m = 1..terms.
 
     ``values`` yields z_m * 2^bits as integers from the three-term recurrence
     z_(m+1) = -2 cos(theta) z_m - z_(m-1), one multiply and one shift per
-    step, started from the exact z_0 (0 for sine, -1 for cosine) and a Taylor
-    z_1.  ``drift`` bounds every value's error in units of 2^-bits.
+    step, started from the exact z_0 (0 for sine, -1 for cosine) and z_1, the
+    :func:`_sin_cos` triple (s, c, e) at 2^-bits.  ``drift`` bounds every value's
+    error in units of 2^-bits.
 
     The error obeys the same recurrence with local error <= 1/2 (the shift)
-    + e_coef |z| 2^-bits, so with |U_j(cos)| <= j+1 it stays below
-    n e_1 + n^2 (1/2 + e_coef) after n values; the n^2/2 the sum gives leaves
+    + 2 e |z| 2^-bits, so with |U_j(cos)| <= j+1 it stays below
+    n e + n^2 (1/2 + 2 e) after n values; the n^2/2 the sum gives leaves
     room for |z| slightly above 2^bits.  The bound holds for any n, so guard
     bits of twice the term count's bit length keep it a few output ulp for
     the whole run, with no re-anchoring.
     """
-    bits = (10**scale).bit_length() + 2 * terms.bit_length() + 4
-    s, c, e, unit = _fine_sin_cos(token, scale, bits)
-    z1 = _divround((c if cosine else s) << bits, unit)
-    coef = _divround(-2 * c << bits, unit)
-    e1, e_coef = _ceil_div(e << bits, unit) + 1, _ceil_div(2 * e << bits, unit) + 1
-    drift = terms * e1 + _ceil_div(terms * terms * (2 * e_coef + 1), 2)
-    half = 1 << (bits - 1)
+    coef, half = -2 * c, 1 << (bits - 1)
+    drift = terms * e + _ceil_div(terms * terms * (4 * e + 1), 2)
 
     def values():
-        prev, z = -(1 << bits) if cosine else 0, z1
+        prev, z = -(1 << bits) if cosine else 0, c if cosine else s
         for _ in range(terms):
             yield z
             prev, z = z, ((coef * z + half) >> bits) - prev
 
-    return bits, values(), drift
+    return values(), drift
 
 
 def _generic_sum(exponent: int, token: str, terms: int, scale: int) -> tuple[int, int, int]:
     """(twice the smoothed sum, its unit, err) of sum_m z_m / m^exponent at a generic theta."""
-    bits, values, drift = _alternating_trig(token, scale, terms, cosine=exponent % 2 == 1)
+    bits = (10**scale).bit_length() + 2 * terms.bit_length() + 4
+    values, drift = _alternating_trig(*_sin_cos(token, bits), bits, terms, exponent % 2 == 1)
     total = 0
     for m, z in enumerate(values, 1):
         last = z // m**exponent
@@ -280,19 +283,10 @@ def _abel_sum(
         raise ValueError("summation by parts needs 0 < p < terms and cut >= 1")
     bits = (10**scale).bit_length() + guard
     one = 1 << bits
-    if token == "pi/2":  # u = -i and c = (1 + i) / 2, exactly
-        u, err_u, c, err_c = (0, -one), 0, (one >> 1, one >> 1), 0
-    else:
-        s, co, e, unit = _fine_sin_cos(token, scale, bits)
-        u = (-_divround(co << bits, unit), -_divround(s << bits, unit))
-        err_u = 2 * (_ceil_div(e << bits, unit) + 1)  # both parts, so twice for the modulus
-        # Im c = s / (2 (1 + cos)); for a quotient of values within e,
-        # |s/d - s'/d'| <= e (d + |s|) / (d (d - e))
-        d = unit + co
-        if d <= e:
-            raise ArithmeticError(f"theta={token} is too close to pi for summation by parts")
-        c = (one >> 1, _divround(s << bits, 2 * d))
-        err_c = _ceil_div(e * (d + abs(s)) << bits, 2 * d * (d - e)) + 1
+    s, co, e = _sin_cos(token, bits)
+    u, err_u = (-co, -s), 2 * e  # both parts, so twice for the modulus
+    tan, err_tan = _tan_half(s, co, e, bits)  # Im c = tan(theta/2) / 2, halved within 1/2
+    c, err_c = (one >> 1, _divround(tan, 2)), err_tan // 2 + 1
     rest = terms - p  # the last sum runs over m = 1..rest
     cut = min(cut, rest)
     tail = 0
@@ -359,25 +353,20 @@ def _abel_sum(
     return -twice, one, 2 * err_t + _ceil_div(err_um, w) + 2
 
 
-def _abel_plan(exponent: int, token: str, terms: int, scale: int) -> tuple[int, int, int] | None:
-    """(p, cut, guard) for :func:`_abel_sum` if its estimated work is below the direct
-    loop's, else None.  Floats only choose; :func:`_abel_sum` certifies the choice.
+def _abel_plan(
+    exponent: int, theta: float, half_pi: bool, terms: int, scale: int
+) -> tuple[int, int, int] | None:
+    """(p, cut, guard) for :func:`_abel_sum` at the angle ``theta`` (``half_pi`` at pi/2) if
+    its estimated work is below the direct loop's, else None.  Floats only choose;
+    :func:`_abel_sum` certifies the choice.
 
     For each p, cut is the least that keeps |c|^p times the dropped part's bound a
     quarter of :func:`_abel_sum`'s allowance, and guard covers 2^p |c|^p times the
     prefix sums' error; the p of least estimated work wins.
     """
-    if token.startswith("pi/"):
-        theta = float_pi / int(token[3:])
-    else:
-        num, _, den = token.partition("/")
-        n, d = int(num), int(den or 1)
-        if not 0 < n * _PI_LOWER.denominator < _PI_LOWER.numerator * d:
-            return None  # the direct loop reports the angle
-        theta = n / d
     log2_c = -log2(2 * cos(theta / 2))  # log2 |c|
     out_bits = (10**scale).bit_length()
-    direct = terms * (_HALF_PI_TERM_COST if token == "pi/2" else 1)
+    direct = terms * (_HALF_PI_TERM_COST if half_pi else 1)
     direct_bits = out_bits + 2 * terms.bit_length() + 4
     best = None
     for p in range(1, terms):
@@ -411,22 +400,24 @@ def _check_fourier_terms(fourier_terms: int) -> None:
 
 def fourier_lhs(identity: str, k: int, theta, fourier_terms: int, digits: int = 30) -> FixedDecimal:
     """Smoothed partial sum of the alternating sine (S1) or cosine (S2) series, summed
-    by parts where :func:`_abel_plan` finds that cheaper, else by the direct loop."""
+    by parts where :func:`_abel_plan` finds that cheaper, else by the direct loop; the
+    angle is range-checked at the working scale first."""
     _check_identity_tag(identity)
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_fourier_terms(fourier_terms)
     token = canonical_theta_token(theta)
     scale = _working_scale(digits)
+    one = 10**scale
     exponent = 2 * k if identity == "S1" else 2 * k + 1
-    plan = _abel_plan(exponent, token, fourier_terms, scale)
+    m, _ = _theta_mantissa(token, scale)
+    plan = _abel_plan(exponent, m / one, token == "pi/2", fourier_terms, scale)
     if plan:
         twice, unit, err = _abel_sum(exponent, token, fourier_terms, scale, *plan)
     elif token == "pi/2":
         twice, unit, err = _half_pi_sum(exponent, fourier_terms, scale)
     else:
         twice, unit, err = _generic_sum(exponent, token, fourier_terms, scale)
-    one = 10**scale
     return FixedDecimal(_divround(twice * one, 2 * unit), scale, _ceil_div(err * one, unit) + 1)
 
 
@@ -463,18 +454,21 @@ def _ladder_side(
     if 1000 * a >= 999 * b:
         raise ValueError(f"theta={token} is too close to pi for a usable ladder tail bound")
     th = FixedDecimal(m, scale, err)
-    # D_n(k) = N_n(1) / d_denominator(n, k), the power carried over the denominator row to row
-    column, den = e_column(1, series_terms), d_denominator(1, e)
-    mantissas, errs = zip(*_series_terms(th.pow_int(e + 1), th.mul(th), column, den, e))
-    acc = FixedDecimal(sum(mantissas), scale, sum(errs)).mul_ratio((-1) ** (k + odd), 2)
-    # |last| rho / (2 (1 - rho)) with rho = a/b
-    acc = acc._replace(err_ulp=acc.err_ulp + abs(mantissas[-1]) * a // (2 * (b - a)) + 1)
-    for r in range(k + odd if eta_terms is None else eta_terms):
+    column = e_column(1, series_terms)
+    # the eta-polynomial terms first, from the top r down: past the tangent index ceiling
+    # the highest eta sum fails before any lower one runs or the D sum builds (e + 1)!
+    poly = FixedDecimal(0, scale)
+    for r in reversed(range(k + odd if eta_terms is None else eta_terms)):
         exponent = e - 2 * r - 1
         # A_(2r+1): ln 2 for r = 0, eta(2r+1) above
         term = sum_series(2 * r + 1, digits + 6).value.mul(th.pow_int(exponent))
-        acc += term.mul_ratio((-1) ** (k - r - 1 + odd), factorial(exponent))
-    return acc
+        poly += term.mul_ratio((-1) ** (k - r - 1 + odd), factorial(exponent))
+    # D_n(k) = N_n(1) / d_denominator(n, k), the power carried over the denominator row to row
+    den = d_denominator(1, e)
+    mantissas, errs = zip(*_series_terms(th.pow_int(e + 1), th.mul(th), column, den, e))
+    acc = FixedDecimal(sum(mantissas), scale, sum(errs)).mul_ratio((-1) ** (k + odd), 2)
+    # |last| rho / (2 (1 - rho)) with rho = a/b
+    return poly + acc._replace(err_ulp=acc.err_ulp + abs(mantissas[-1]) * a // (2 * (b - a)) + 1)
 
 
 class IdentityResidual(NamedTuple):
@@ -548,21 +542,23 @@ def tan_half_residual(theta, fourier_terms: int, digits: int = 15) -> FixedDecim
     token = canonical_theta_token(theta)
     _check_fourier_terms(fourier_terms)
     scale = _working_scale(digits)
-    one = 10**scale
-    bits, values, drift = _alternating_trig(token, scale, fourier_terms, cosine=False)
+    _theta_mantissa(token, scale)  # refuses an angle outside (0, pi) or within 1 ulp of 0
+    # twice the direct loop's bits: 1 + cos(theta), above 2^-57 for any angle below
+    # _PI_LOWER, then stays far above the error of sin and cos in tan(theta/2)
+    bits = 2 * ((10**scale).bit_length() + 2 * fourier_terms.bit_length() + 4)
+    s, c, e = _sin_cos(token, bits)
+    values, drift = _alternating_trig(s, c, e, bits, fourier_terms, cosine=False)
     running = acc = 0
     for z in values:
         running += z
         acc += running
-    # every partial sum carries at most fourier_terms * drift, and so does their mean
-    mean_err = _ceil_div(fourier_terms * drift * one, 1 << bits) + 1
-    mean = FixedDecimal(_divround(acc * one, fourier_terms << bits), scale, mean_err)
-    half_m, half_err = _theta_mantissa(token, scale)
-    sh, ch, errh = _sin_cos_fixed(_divround(half_m, 2), scale, half_err + 1)
-    t_m = _divround(sh * one, ch)
-    quot_err = (errh * (one + abs(t_m))) // abs(ch) + 2
-    tan_half = FixedDecimal(t_m, scale, quot_err)
-    return abs(mean - tan_half.mul_ratio(1, 2))
+    t, err_t = _tan_half(s, c, e, bits)
+    # |mean - t/2| in units of 2^-bits / (2 M): every partial sum carries at most
+    # M drift, and so does their mean, and t/2 carries err_t / 2
+    unit, one = fourier_terms << (bits + 1), 10**scale
+    err = fourier_terms * (2 * fourier_terms * drift + err_t)
+    gap = abs(2 * acc - fourier_terms * t)
+    return FixedDecimal(_divround(gap * one, unit), scale, _ceil_div(err * one, unit) + 1)
 
 
 def residual_sweep(

@@ -9,14 +9,16 @@ integers, the reference for the package's Chudnovsky pi.  :class:`AngleEngine`,
 the reference for the Fourier pass, takes sin and cos of m*theta straight from
 the angle, reduced modulo 2 pi, where the package runs a three-term recurrence
 over m; its pi is :func:`machin_pi`, and its sin and cos are Taylor sums on
-integers written out here.
+integers written out here.  :func:`sin_cos_enclosure`, the reference for the
+package's binary sin and cos, bounds them over an interval of angles with
+Fractions rounded outward.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import ceil, comb, factorial, floor
 
 ANCHOR_INTERVAL = 10_000  # terms between two AngleEngine anchors in the rotation references
 EXTRA_SCALE = 8  # headroom digits for angle reduction and anchor recomputation
@@ -187,6 +189,33 @@ def sin_cos_fixed(xm: int, scale: int) -> tuple[int, int]:
         sums.append(round_div(total, guard))
     s, c = sums
     return (s if xm >= 0 else -s), c
+
+
+def sin_cos_enclosure(x_lo: Fraction, x_hi: Fraction, prec: int):
+    """((cos_lo, cos_hi), (sin_lo, sin_hi)): rational bounds on cos x and sin x for
+    every x in [x_lo, x_hi], 0 < x_lo <= x_hi.
+
+    The Taylor term x^j / j! rises with x > 0, so it lies between its values at the
+    two ends; those are carried as Fractions rounded outward to multiples of 2^-prec,
+    and each sum takes the end that lowers or raises it.  The sums stop before the
+    first term whose upper end is below 2^(2-prec), reached since the upper ends fall
+    by a factor 4 or more, plus one unit, once j >= 4 x; by Lagrange's remainder that
+    upper end bounds what either series omits.
+    """
+    unit = Fraction(1, 1 << prec)
+    lo = hi = Fraction(1)
+    bounds = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]  # cos, sin
+    j = 0
+    while hi >= 4 * unit:
+        part = bounds[j % 2]
+        if j % 4 < 2:
+            part[0], part[1] = part[0] + lo, part[1] + hi
+        else:
+            part[0], part[1] = part[0] - hi, part[1] - lo
+        j += 1
+        lo = floor(lo * x_lo / j / unit) * unit
+        hi = ceil(hi * x_hi / j / unit) * unit
+    return tuple((low - hi, high + hi) for low, high in bounds)
 
 
 class AngleEngine:

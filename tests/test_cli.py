@@ -135,6 +135,25 @@ def test_bad_theta_usage_error():
     assert "theta" in err
 
 
+@pytest.mark.parametrize("theta", ["1/0", "2/0", "1/00"])
+def test_zero_denominator_theta_usage_error(theta):
+    argv = ["identity", "--id", "S1", "--k", "1", "--theta", theta, "--terms", "10"]
+    code, out, err = invoke(argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: theta={theta} is not a finite number\n"
+
+
+def test_k_past_the_tangent_ceiling_exits_before_the_lower_eta_sums():
+    # the ladder's eta sums run from the top r down, so the one past the ceiling fails
+    # before the thousands of lower columns, or the D sum's (2k + 1)!, are built
+    argv = ["identity", "--id", "S1", "--k", "100000", "--theta", "1", "--terms", "10"]
+    start = time.perf_counter()
+    code, out, err = invoke([*argv, "--digits", "5"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert "exceeds configured maximum" in err
+
+
 def test_theta_too_close_to_pi_for_the_ladder_tail_usage_error():
     # 3.1415 is below pi, but (theta/pi)^2 is too near 1 to bound the ladder's tail
     argv = ["identity", "--id", "S1", "--k", "1", "--theta", "3.1415", "--terms", "100"]

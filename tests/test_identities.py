@@ -6,7 +6,13 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from exact_reference import ANCHOR_INTERVAL, AngleEngine, tan_fraction
+from exact_reference import (
+    ANCHOR_INTERVAL,
+    AngleEngine,
+    machin_pi,
+    sin_cos_enclosure,
+    tan_fraction,
+)
 from oddzeta import identities
 from oddzeta.coeffs import d_denominator, denominator_step, e_column
 from oddzeta.constants import alt_harmonic, beta_even, eta_odd
@@ -43,6 +49,9 @@ def test_canonical_theta_tokens():
     assert canonical_theta_token(Fraction(3, 2)) == "3/2"
     with pytest.raises(ValueError):
         canonical_theta_token("pi/1")
+    for infinite in ("1/0", "2/0", "1/00", float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="not a finite number"):
+            canonical_theta_token(infinite)
     with pytest.raises(TypeError):
         canonical_theta_token([1])
 
@@ -169,8 +178,9 @@ def test_fourier_lhs_half_pi_converges_to_catalan():
 
 
 def test_fourier_side_judges_the_angle_at_the_working_scale():
-    # the Fourier side holds the angle 9 digits finer, where 1e-45 is still 10^4 ulp;
-    # at the 40 working digits it is within 1 ulp of 0, as the ladder side finds
+    # the Fourier side holds the angle in binary 64 bits finer, where 1e-45 is still
+    # far above its unit; at the 40 working digits it is within 1 ulp of 0, as the
+    # ladder side finds
     for theta in ("1e-45", "pi/" + str(10**45)):
         for side in (fourier_lhs, rhs_eval):
             with pytest.raises(ValueError, match="raise --digits"):
@@ -295,14 +305,33 @@ def test_generic_angle_takes_one_taylor_sin_cos(monkeypatch):
     # the recurrence starts from the exact z_0 and one Taylor z_1, and a
     # rational angle needs no pi
     calls = []
-    sin_cos, pi = identities._sin_cos_fixed, identities.compute_pi
-    monkeypatch.setattr(
-        identities, "_sin_cos_fixed", lambda *a: calls.append("sin_cos") or sin_cos(*a)
-    )
-    monkeypatch.setattr(identities, "compute_pi", lambda *a: calls.append("pi") or pi(*a))
+    for name, tag in (("_sin_cos", "sin_cos"), ("compute_pi", "pi"), ("_chudnovsky", "pi")):
+        original = getattr(identities, name)
+        spy = lambda *a, t=tag, f=original: calls.append(t) or f(*a)  # noqa: E731
+        monkeypatch.setattr(identities, name, spy)
     for identity in ("S1", "S2"):
         fourier_lhs(identity, 1, "1", 25_000, digits=20)
     assert calls == ["sin_cos"] * 2
+
+
+@pytest.mark.parametrize("digits", [1, 30, 300, 1000])
+@pytest.mark.parametrize(
+    "token", ["1/2", "1", "3", "1/1000000", "314159264/100000000", "pi/2", "pi/3"]
+)
+def test_sin_cos_within_its_bound_of_a_rational_enclosure(token, digits):
+    # the enclosure is far narrower than 2^-bits, so it must lie inside the bound
+    bits = (10 ** (digits + GUARD_DIGITS)).bit_length() + 8
+    s, c, err = identities._sin_cos(token, bits)
+    assert err <= 1
+    if token.startswith("pi/"):
+        scale, q = digits + GUARD_DIGITS + 10, int(token[3:])
+        pi = machin_pi(scale)  # within a unit of 10^-scale
+        angle = (Fraction(pi - 1, q * 10**scale), Fraction(pi + 1, q * 10**scale))
+    else:
+        angle = (Fraction(token), Fraction(token))
+    cos_range, sin_range = sin_cos_enclosure(*angle, bits + 20)
+    for value, (lo, hi) in ((s, sin_range), (c, cos_range)):
+        assert value - err <= lo * 2**bits and hi * 2**bits <= value + err, (token, value)
 
 
 def test_generic_angle_past_the_int_to_str_limit():
@@ -399,6 +428,12 @@ def test_identity_validation():
         tan_half_residual("1", 1)
 
 
+def plan_for(exponent, token, terms, scale):
+    """:func:`identities._abel_plan` at the angle the token names, read as fourier_lhs reads it."""
+    theta = float(working_theta(token, scale - GUARD_DIGITS).as_fraction())
+    return identities._abel_plan(exponent, theta, token == "pi/2", terms, scale)
+
+
 def assert_kernel_within_bounds_of_direct_loop(exponent, token, terms, scale, plan):
     # both triples are twice the smoothed sum over their unit, with an error bound
     twice, unit, err = identities._abel_sum(exponent, token, terms, scale, *plan)
@@ -419,7 +454,7 @@ def test_abel_kernel_within_bounds_of_direct_loop(k, token):
     # from M = p + 1, where nothing is cut, to 10^5; at 29/10 and 3, |c| > 1
     scale = 20 + GUARD_DIGITS
     for exponent in (2 * k, 2 * k + 1):
-        plan = identities._abel_plan(exponent, token, 100_000, scale)
+        plan = plan_for(exponent, token, 100_000, scale)
         p, cut, _ = plan
         for terms in (p + 1, p + 2, cut + p - 1, cut + p, cut + p + 1, 3 * cut, 100_000):
             assert_kernel_within_bounds_of_direct_loop(exponent, token, terms, scale, plan)
@@ -436,7 +471,7 @@ def test_abel_kernel_within_bounds_at_rational_angles(theta, k, sine, terms, dig
     exponent = 2 * k if sine else 2 * k + 1
     scale = digits + GUARD_DIGITS
     token = canonical_theta_token(theta)
-    plan = identities._abel_plan(exponent, token, 100_000, scale)
+    plan = plan_for(exponent, token, 100_000, scale)
     if plan[0] < terms:
         assert_kernel_within_bounds_of_direct_loop(exponent, token, terms, scale, plan)
 
@@ -446,7 +481,7 @@ def test_abel_kernel_refuses_a_cut_its_certificate_rejects():
     scale = 20 + GUARD_DIGITS
     with pytest.raises(ArithmeticError, match="tail above the guard"):
         identities._abel_sum(2, "1", 100_000, scale, 10, 100, 30)
-    p, cut, guard = identities._abel_plan(2, "1", 100_000, scale)
+    p, cut, guard = plan_for(2, "1", 100_000, scale)
     with pytest.raises(ArithmeticError, match="tail above the guard"):
         identities._abel_sum(2, "1", 100_000, scale, p, cut // 2, guard)
 

@@ -20,6 +20,7 @@ UNUSED_BY_CONSTANT = (
     "json",
     "oddzeta.oracle",
     "oddzeta.identities",
+    "tempfile",
 )
 
 
@@ -150,11 +151,17 @@ def test_fraction_only_where_allowed():
 
 
 def run_fresh(script: str) -> list[str]:
-    """stdout lines of ``script`` run in a new interpreter that imports this package."""
+    """stdout lines of ``script`` run in a new interpreter that imports this package.
+
+    The interpreter runs without ``site`` (``-S``), which may itself import modules
+    such as ``tempfile``, and without a cache directory, so a module loaded only by
+    the package shows.
+    """
     src = str(Path(oddzeta.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
+    env.pop("ODDZETA_CACHE_DIR", None)
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
