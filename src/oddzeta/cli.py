@@ -20,7 +20,7 @@ import argparse
 import os
 import sys
 
-from .coeffs import build_table, table_entries, table_to_csv
+from .coeffs import build_table
 from .constants import compute_constant
 from .errors import ResourceLimitError, TailRatioError
 from .highprec import term_ratio_sequence
@@ -80,51 +80,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_doc(command: str, **fields) -> str:
-    import json
+def _write(args: argparse.Namespace, out, rows, columns, line: str, doc) -> None:
+    """Print ``rows``, dicts of ints and strings, in the one format ``args.fmt`` names.
 
-    doc = {"schema": JSON_SCHEMA_VERSION, "command": command}
-    doc.update(fields)
-    return json.dumps(doc, separators=(",", ":"))
+    plain fills ``line`` from each row; csv prints the ``columns`` header, then each
+    row's values under it; json prints the dict ``doc()`` returns under the schema
+    header.  A number becomes text only in the format that prints it.
+    """
+    if args.fmt == "json":
+        import json
+
+        head = {"schema": JSON_SCHEMA_VERSION, "command": args.command}
+        print(json.dumps({**head, **doc()}, separators=(",", ":")), file=out)
+        return
+    if args.fmt == "csv":
+        print(",".join(columns), file=out)
+        line = ",".join(f"{{{c}}}" for c in columns)
+    for row in rows:
+        print(line.format_map(row), file=out)
 
 
 def _cmd_constant(args: argparse.Namespace, out) -> int:
     value = compute_constant(args.name, args.digits)
-    if args.fmt == "plain":
-        print(value.value.to_decimal(), file=out)
-    elif args.fmt == "csv":
-        print("name,digits,value", file=out)
-        print(f"{value.name},{args.digits},{value.value.to_decimal()}", file=out)
-    else:
-        print(
-            _json_doc(
-                "constant",
-                name=value.name,
-                digits=args.digits,
-                value=value.value.to_decimal(),
-                method=value.method,
-                k=value.k,
-                terms_used=value.terms_used,
-            ),
-            file=out,
-        )
+    row = {"name": value.name, "digits": args.digits, "value": value.value.to_decimal()}
+    extra = {"method": value.method, "k": value.k, "terms_used": value.terms_used}
+    _write(args, out, [row], ("name", "digits", "value"), "{value}", lambda: {**row, **extra})
     return EXIT_OK
 
 
 def _cmd_coeffs(args: argparse.Namespace, out) -> int:
-    table = build_table(args.k, args.n)
+    rows = [
+        {"k": k, "n": n, "numerator": v.numerator, "denominator": v.denominator}
+        for k, column in enumerate(build_table(args.k, args.n), 1)
+        for n, v in enumerate(column, 1)
+    ]
     # exact E_n(k) pass Python's default int->str digit limit near n = 780
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        if args.fmt == "json":
-            print(_json_doc("coeffs", entries=table_entries(table)), file=out)
-        elif args.fmt == "plain":
-            for k, column in enumerate(table, 1):
-                for n, v in enumerate(column, 1):
-                    print(f"k={k} n={n} E={v.numerator}/{v.denominator}", file=out)
-        else:
-            out.write(table_to_csv(table))
+        _write(
+            args,
+            out,
+            rows,
+            ("k", "n", "numerator", "denominator"),
+            "k={k} n={n} E={numerator}/{denominator}",
+            lambda: {"entries": [
+                {"k": r["k"], "n": r["n"], "value": f"{r['numerator']}/{r['denominator']}"}
+                for r in rows
+            ]},
+        )
     finally:
         sys.set_int_max_str_digits(limit)
     return EXIT_OK
@@ -134,54 +138,32 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     from . import oracle
 
     names = [args.name] if args.name else oracle.default_battery()
-    reports = [oracle.verify(name, args.digits) for name in names]
-    all_ok = all(r.matched_digits >= args.digits for r in reports)
+    rows = [oracle.verify(name, args.digits).to_json_dict() for name in names]
+    all_ok = all(r["matched_digits"] >= args.digits for r in rows)
+    _write(
+        args,
+        out,
+        rows,
+        ("name", "computed", "reference", "matched_digits", "terms_used"),
+        "{name}: matched_digits={matched_digits} terms_used={terms_used} "
+        "computed={computed} reference={reference}",
+        lambda: {"digits": args.digits, "all_passed": all_ok, "reports": rows},
+    )
     if args.fmt == "plain":
-        for r in reports:
-            print(
-                f"{r.name}: matched_digits={r.matched_digits} terms_used={r.terms_used} "
-                f"computed={r.computed} reference={r.reference}",
-                file=out,
-            )
         print(f"result: {'ok' if all_ok else 'FAILED'} (required {args.digits} digits)", file=out)
-    elif args.fmt == "csv":
-        print("name,computed,reference,matched_digits,terms_used", file=out)
-        for r in reports:
-            print(
-                f"{r.name},{r.computed},{r.reference},{r.matched_digits},{r.terms_used}",
-                file=out,
-            )
-    else:
-        print(
-            _json_doc(
-                "verify",
-                digits=args.digits,
-                all_passed=all_ok,
-                reports=[r.to_json_dict() for r in reports],
-            ),
-            file=out,
-        )
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
 def _cmd_ratio(args: argparse.Namespace, out) -> int:
-    seq = term_ratio_sequence(args.k, args.n, digits=12)
-    if args.fmt == "plain":
-        for n, value in seq:
-            print(f"n={n} ratio={value.to_decimal()}", file=out)
-    elif args.fmt == "csv":
-        print("n,ratio", file=out)
-        for n, value in seq:
-            print(f"{n},{value.to_decimal()}", file=out)
-    else:
-        print(
-            _json_doc(
-                "ratio",
-                k=args.k,
-                ratios=[{"n": n, "value": v.to_decimal()} for n, v in seq],
-            ),
-            file=out,
-        )
+    rows = [{"n": n, "ratio": v.to_decimal()} for n, v in term_ratio_sequence(args.k, args.n, 12)]
+    _write(
+        args,
+        out,
+        rows,
+        ("n", "ratio"),
+        "n={n} ratio={ratio}",
+        lambda: {"k": args.k, "ratios": [{"n": r["n"], "value": r["ratio"]} for r in rows]},
+    )
     return EXIT_OK
 
 
@@ -189,35 +171,21 @@ def _cmd_identity(args: argparse.Namespace, out) -> int:
     from . import identities
 
     result = identities.check_identity(
-        args.identity_id,
-        args.k,
-        args.theta,
-        args.fourier_terms,
-        args.series_terms,
-        digits=args.digits,
+        args.identity_id, args.k, args.theta, args.fourier_terms, args.series_terms, args.digits
     )
-    if args.fmt == "plain":
-        print(
-            f"identity={result.identity} k={result.k} theta={result.theta_token} "
-            f"fourier_terms={result.fourier_terms} series_terms={result.series_terms} "
-            f"residual={result.residual.to_sci(6)}",
-            file=out,
-        )
-    elif args.fmt == "csv":
+    if args.fmt == "csv":  # the sweep's own CSV, which scripts/residual_sweep.py prints too
         out.write(identities.sweep_to_csv([result]))
-    else:
-        print(
-            _json_doc(
-                "identity",
-                identity=result.identity,
-                k=result.k,
-                theta=result.theta_token,
-                fourier_terms=result.fourier_terms,
-                series_terms=result.series_terms,
-                residual=result.residual.to_sci(6),
-            ),
-            file=out,
-        )
+        return EXIT_OK
+    row = {
+        "identity": result.identity,
+        "k": result.k,
+        "theta": result.theta_token,
+        "fourier_terms": result.fourier_terms,
+        "series_terms": result.series_terms,
+        "residual": result.residual.to_sci(6),
+    }
+    line = " ".join(f"{key}={{{key}}}" for key in row)
+    _write(args, out, [row], (), line, lambda: row)
     return EXIT_OK
 
 

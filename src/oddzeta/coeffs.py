@@ -43,8 +43,6 @@ __all__ = [
     "e_column",
     "e_denominator",
     "f_ratio",
-    "table_entries",
-    "table_to_csv",
 ]
 
 MAX_TABLE_CELLS = 2_000_000
@@ -149,21 +147,3 @@ def build_table(k_max: int, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
         tuple(Fraction(num, e_denominator(n, k)) for n, num in enumerate(e_column(k, n_max), 1))
         for k in range(1, k_max + 1)
     )
-
-
-def table_to_csv(table: tuple[tuple[Fraction, ...], ...]) -> str:
-    """CSV dump with header ``k,n,numerator,denominator``, k-major order."""
-    lines = ["k,n,numerator,denominator"]
-    for k, column in enumerate(table, 1):
-        for n, v in enumerate(column, 1):
-            lines.append(f"{k},{n},{v.numerator},{v.denominator}")
-    return "\n".join(lines) + "\n"
-
-
-def table_entries(table: tuple[tuple[Fraction, ...], ...]) -> list[dict]:
-    """``{k, n, value: "num/den"}`` objects, k-major order."""
-    return [
-        {"k": k, "n": n, "value": f"{v.numerator}/{v.denominator}"}
-        for k, column in enumerate(table, 1)
-        for n, v in enumerate(column, 1)
-    ]

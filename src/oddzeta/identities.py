@@ -81,9 +81,12 @@ def canonical_theta_token(theta) -> str:
     if isinstance(theta, str):
         theta = theta.strip().replace(" ", "")
         if theta.startswith("pi/"):
-            q = int(theta[3:])
+            try:
+                q = int(theta[3:])
+            except ValueError:  # not an integer: refused with the q < 2 angles
+                q = 0
             if q < 2:
-                raise ValueError("pi/<q> angles require q >= 2 to stay inside (0, pi)")
+                raise ValueError(f"theta={theta}: a pi/<q> angle needs an integer q >= 2")
             return f"pi/{q}"
         mantissa, _, exponent = theta.lower().partition("e")
         exponent = exponent.lstrip("+-").replace("_", "").lstrip("0")

@@ -41,6 +41,8 @@ __all__ = [
 
 #: digits past the request at which :func:`verify` evaluates both sides
 VERIFY_EXTRA_DIGITS = 2
+#: deepest acceleration a reference sum runs, about 30 600 digits
+MAX_ACCELERATION_DEPTH = 40_000
 
 # digits gained per acceleration term: log10(3 + sqrt 8) = 0.7655...
 _ACCEL_LOG10_NUM = 765_551
@@ -113,7 +115,7 @@ def _accelerated_sum(
 ) -> FixedDecimal:
     """fn/fd * sum_j (-1)^j / (1 + stride j)^s, accelerated deep enough for ``digits``."""
     depth = acceleration_depth(digits + 3)
-    if depth > 40_000:
+    if depth > MAX_ACCELERATION_DEPTH:
         raise ResourceLimitError(f"acceleration depth {depth} beyond supported range")
     return accelerated_alternating(stride, s, depth, digits, factor)
 

@@ -4,6 +4,7 @@ import ast
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -82,10 +83,11 @@ def test_verify_smoke_battery():
 def test_verify_single_name_json():
     code, out, _ = invoke(["verify", "--name", "catalan", "--digits", "10", "--format", "json"])
     assert code == EXIT_OK
-    doc = json.loads(out)
-    assert doc["all_passed"] is True
-    assert doc["reports"][0]["name"] == "catalan"
-    assert "elapsed_ms" in doc["reports"][0]
+    assert re.sub(r'"elapsed_ms":\d+', '"elapsed_ms":0', out) == (
+        '{"schema":1,"command":"verify","digits":10,"all_passed":true,"reports":[{'
+        '"name":"catalan","computed":"0.915965594177","reference":"0.915965594177",'
+        '"matched_digits":11,"terms_used":32,"elapsed_ms":0}]}\n'
+    )
 
 
 def test_verify_exit_code_on_failure(monkeypatch):
@@ -130,9 +132,11 @@ def test_unknown_constant_usage_error():
 
 
 def test_bad_theta_usage_error():
-    code, _, err = invoke(["identity", "--id", "S1", "--k", "1", "--theta", "9"])
-    assert code == EXIT_USAGE
-    assert "theta" in err
+    for theta in ("9", "pi/3.0", "pi/"):
+        code, out, err = invoke(["identity", "--id", "S1", "--k", "1", "--theta", theta])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: theta={theta}")
+    assert "needs an integer q >= 2" in err
 
 
 @pytest.mark.parametrize("theta", ["1/0", "2/0", "1/00"])
@@ -274,8 +278,9 @@ CEILING_CASES = {
         EXIT_USAGE,
     ),
 }
-# ceilings no command can reach: compute_pi's digits stay far below MAX_PI_DIGITS
-LIBRARY_ONLY_CEILINGS = {"MAX_PI_DIGITS"}
+# ceilings no command can reach: compute_pi's digits stay far below MAX_PI_DIGITS, and
+# the oracle's depth at the digit ceiling far below MAX_ACCELERATION_DEPTH (test_oracle.py)
+LIBRARY_ONLY_CEILINGS = {"MAX_ACCELERATION_DEPTH", "MAX_PI_DIGITS"}
 
 
 @pytest.mark.parametrize("name", ceiling_names())

@@ -8,15 +8,7 @@ from hypothesis import given, strategies as st
 
 from exact_reference import E_STEPWISE, d_closed, e_recurrence
 from oddzeta import coeffs
-from oddzeta.coeffs import (
-    build_table,
-    d_coeff,
-    e_coeff,
-    e_column,
-    f_ratio,
-    table_entries,
-    table_to_csv,
-)
+from oddzeta.coeffs import build_table, d_coeff, e_coeff, e_column, f_ratio
 from oddzeta.errors import ResourceLimitError
 
 
@@ -154,29 +146,6 @@ def test_table_bounds_checked():
 def test_table_cell_ceiling():
     with pytest.raises(ResourceLimitError):
         build_table(2000, 2000)
-
-
-def test_csv_dump_exact():
-    assert table_to_csv(build_table(1, 1)) == "k,n,numerator,denominator\n1,1,1,4\n"
-
-
-def test_csv_dump_rows_ordered():
-    text = table_to_csv(build_table(2, 2))
-    assert text.splitlines() == [
-        "k,n,numerator,denominator",
-        "1,1,1,4",
-        "1,2,1,96",
-        "2,1,5,24",
-        "2,2,3,320",
-    ]
-
-
-def test_json_dump():
-    # the JSON bytes themselves are pinned by the golden ``coeffs --format json`` case
-    assert table_entries(build_table(2, 1)) == [
-        {"k": 1, "n": 1, "value": "1/4"},
-        {"k": 2, "n": 1, "value": "5/24"},
-    ]
 
 
 def test_argument_validation():

@@ -54,6 +54,8 @@ COMMANDS = [
     ["verify", "--digits", "100"],
     ["verify", "--digits", "300"],
     ["ratio", "--k", "2", "--n", "20"],
+    ["ratio", "--k", "2", "--n", "20", "--format", "csv"],
+    ["ratio", "--k", "2", "--n", "20", "--format", "json"],
     ["identity", "--id", "S1", "--k", "1", "--theta", "pi/2", "--terms", "2000"],
     ["identity", "--id", "S2", "--k", "1", "--theta", "1", "--terms", "2000"],
     # the benchmark's longest generic-angle runs

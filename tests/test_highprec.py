@@ -40,6 +40,7 @@ def test_add_sub_mul_enclosures(ma, sa, ea, mb, sb, eb):
             assert enclosure_contains(a + b, exact_a + exact_b)
             assert enclosure_contains(a - b, exact_a - exact_b)
             assert enclosure_contains(a.mul(b), exact_a * exact_b)
+        assert enclosure_contains(-a, -exact_a)
 
 
 @given(mantissas, scales, errs, st.integers(min_value=0, max_value=25))

@@ -47,8 +47,9 @@ def test_canonical_theta_tokens():
     assert canonical_theta_token(0.5) == "1/2"
     assert canonical_theta_token(1.0) == "1"
     assert canonical_theta_token(Fraction(3, 2)) == "3/2"
-    with pytest.raises(ValueError):
-        canonical_theta_token("pi/1")
+    for bad in ("pi/1", "pi/3.0", "pi/"):
+        with pytest.raises(ValueError, match=r"a pi/<q> angle needs an integer q >= 2"):
+            canonical_theta_token(bad)
     for infinite in ("1/0", "2/0", "1/00", float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="not a finite number"):
             canonical_theta_token(infinite)
@@ -424,6 +425,10 @@ def test_identity_validation():
         fourier_lhs("S1", 1, "1", 1)
     with pytest.raises(ValueError):
         rhs_eval("S1", 1, "1", 0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        rhs_eval("S1", 0, "1", 20)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        eta_from_half_pi_identity(0)
     with pytest.raises(ValueError):
         tan_half_residual("1", 1)
 

@@ -15,6 +15,7 @@ from oddzeta.constants import compute_constant, parse_constant_name
 from oddzeta.errors import ResourceLimitError, UnknownConstantError
 from oddzeta.highprec import FixedDecimal
 from oddzeta.oracle import (
+    MAX_ACCELERATION_DEPTH,
     VERIFY_EXTRA_DIGITS,
     accelerated_alternating,
     acceleration_depth,
@@ -222,13 +223,13 @@ def test_references_refuse_arguments_outside_their_series(call):
 
 def test_depth_ceiling_refused_before_the_weights():
     # depth 40 506 is past the 40 000 ceiling; the refusal must come before any weight
-    assert acceleration_depth(31_003) == 40_506
+    assert acceleration_depth(31_003) == 40_506 > MAX_ACCELERATION_DEPTH
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError):
         reference_eta(3, 31_000)
     assert time.perf_counter() - start < 1.0
     # the CLI's 1000-digit ceiling, verified two digits past, stays well inside it
-    assert acceleration_depth(DIGITS_CEILING + VERIFY_EXTRA_DIGITS + 3) < 40_000
+    assert acceleration_depth(DIGITS_CEILING + VERIFY_EXTRA_DIGITS + 3) < MAX_ACCELERATION_DEPTH
 
 
 @pytest.mark.parametrize("fn,arg", [(reference_eta, 3), (reference_beta, 2), (reference_zeta_even, 1)])

@@ -107,7 +107,7 @@ def test_no_lru_cache_in_package():
 # references built on their own rational loop.  Every computation path applies its
 # exact factors with FixedDecimal.mul_ratio on integer pairs instead.
 FRACTION_PLACES = {
-    "coeffs": {"import", "d_coeff", "e_coeff", "f_ratio", "build_table", "table_to_csv", "table_entries"},
+    "coeffs": {"import", "d_coeff", "e_coeff", "f_ratio", "build_table"},
     "exact": {"import", "bernoulli"},
     "highprec": {"import", "as_fraction", "bounds"},
     "identities": {"import", "_PI_LOWER", "canonical_theta_token", "_theta_mantissa"},
