@@ -16,16 +16,17 @@ timing appears only in the JSON ``elapsed_ms`` field.
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .coeffs import build_table
 from .constants import compute_constant
 from .errors import ResourceLimitError, TailRatioError
 from .highprec import term_ratio_sequence
 
-__all__ = ["build_parser", "main", "run"]
+__all__ = ["main", "run"]
 
 JSON_SCHEMA_VERSION = 1
 DIGITS_CEILING = 1000
@@ -35,52 +36,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# identities.IDENTITY_TAGS, spelled out so that building the parser does not import identities
+# identities.IDENTITY_TAGS, spelled out so that parsing argv does not import identities
 IDENTITY_CHOICES = ("S1", "S2")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oddzeta",
-        description=(
-            "Alternating zeta-family constants (Catalan, Apery, odd zeta values) "
-            "from exact-rational series in powers of pi/2, with oracle verification."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_const = sub.add_parser("constant", help="print one constant")
-    p_const.add_argument("name")
-    p_const.add_argument("--digits", type=int, default=30)
-    p_const.add_argument("--format", dest="fmt", choices=("plain", "csv", "json"), default="plain")
-
-    p_coeffs = sub.add_parser("coeffs", help="dump exact coefficients E_n(k)")
-    p_coeffs.add_argument("--k", type=int, required=True, help="largest series index k")
-    p_coeffs.add_argument("--n", type=int, required=True, help="largest row index n")
-    p_coeffs.add_argument("--format", dest="fmt", choices=("csv", "json", "plain"), default="csv")
-
-    p_verify = sub.add_parser("verify", help="compare constants against the oracle")
-    p_verify.add_argument("--name", default=None, help="single constant (default: battery)")
-    p_verify.add_argument("--digits", type=int, default=30)
-    p_verify.add_argument("--format", dest="fmt", choices=("plain", "csv", "json"), default="plain")
-
-    p_ratio = sub.add_parser("ratio", help="term-ratio diagnostic |E_(n+1)/E_n| (pi/2)^2")
-    p_ratio.add_argument("--k", type=int, required=True)
-    p_ratio.add_argument("--n", type=int, required=True, help="number of ratios to print")
-    p_ratio.add_argument("--format", dest="fmt", choices=("plain", "csv", "json"), default="plain")
-
-    p_ident = sub.add_parser("identity", help="Fourier-identity residual")
-    p_ident.add_argument("--id", dest="identity_id", choices=IDENTITY_CHOICES, required=True)
-    p_ident.add_argument("--k", type=int, required=True)
-    p_ident.add_argument("--theta", required=True, help='angle in (0, pi); accepts e.g. "1.0" or "pi/2"')
-    p_ident.add_argument("--terms", dest="fourier_terms", type=int, default=10_000)
-    p_ident.add_argument("--series-terms", dest="series_terms", type=int, default=80)
-    p_ident.add_argument("--digits", type=int, default=30)
-    p_ident.add_argument("--format", dest="fmt", choices=("plain", "csv", "json"), default="plain")
-    return parser
-
-
-def _write(args: argparse.Namespace, out, rows, columns, line: str, doc) -> None:
+def _write(args: SimpleNamespace, out, rows, columns, line: str, doc) -> None:
     """Print ``rows``, dicts of ints and strings, in the one format ``args.fmt`` names.
 
     plain fills ``line`` from each row; csv prints the ``columns`` header, then each
@@ -100,7 +60,7 @@ def _write(args: argparse.Namespace, out, rows, columns, line: str, doc) -> None
         print(line.format_map(row), file=out)
 
 
-def _cmd_constant(args: argparse.Namespace, out) -> int:
+def _cmd_constant(args: SimpleNamespace, out) -> int:
     value = compute_constant(args.name, args.digits)
     row = {"name": value.name, "digits": args.digits, "value": value.value.to_decimal()}
     extra = {"method": value.method, "k": value.k, "terms_used": value.terms_used}
@@ -108,7 +68,7 @@ def _cmd_constant(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
-def _cmd_coeffs(args: argparse.Namespace, out) -> int:
+def _cmd_coeffs(args: SimpleNamespace, out) -> int:
     rows = [
         {"k": k, "n": n, "numerator": v.numerator, "denominator": v.denominator}
         for k, column in enumerate(build_table(args.k, args.n), 1)
@@ -134,7 +94,7 @@ def _cmd_coeffs(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace, out) -> int:
+def _cmd_verify(args: SimpleNamespace, out) -> int:
     from . import oracle
 
     names = [args.name] if args.name else oracle.default_battery()
@@ -154,7 +114,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_ratio(args: argparse.Namespace, out) -> int:
+def _cmd_ratio(args: SimpleNamespace, out) -> int:
     rows = [{"n": n, "ratio": v.to_decimal()} for n, v in term_ratio_sequence(args.k, args.n, 12)]
     _write(
         args,
@@ -167,7 +127,7 @@ def _cmd_ratio(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
-def _cmd_identity(args: argparse.Namespace, out) -> int:
+def _cmd_identity(args: SimpleNamespace, out) -> int:
     from . import identities
 
     result = identities.check_identity(
@@ -189,30 +149,204 @@ def _cmd_identity(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "constant": _cmd_constant,
-    "coeffs": _cmd_coeffs,
-    "verify": _cmd_verify,
-    "ratio": _cmd_ratio,
-    "identity": _cmd_identity,
+_FORMATS = ("plain", "csv", "json")
+_REQUIRED = object()
+
+# command -> (handler, summary, positionals, options).  An option is (flag, dest,
+# converter, default): the converter is int, str or a tuple of choices, and the
+# default _REQUIRED makes the option required.  Every command also takes -h/--help.
+COMMANDS = {
+    "constant": (_cmd_constant, "print one constant", ("name",), (
+        ("--digits", "digits", int, 30),
+        ("--format", "fmt", _FORMATS, "plain"),
+    )),
+    "coeffs": (_cmd_coeffs, "dump exact coefficients E_n(k), k and n from 1", (), (
+        ("--k", "k", int, _REQUIRED),
+        ("--n", "n", int, _REQUIRED),
+        ("--format", "fmt", ("csv", "json", "plain"), "csv"),
+    )),
+    "verify": (_cmd_verify, "compare one constant, or the battery, against the oracle", (), (
+        ("--name", "name", str, None),
+        ("--digits", "digits", int, 30),
+        ("--format", "fmt", _FORMATS, "plain"),
+    )),
+    "ratio": (_cmd_ratio, "term-ratio diagnostic |E_(n+1)/E_n| (pi/2)^2 for n = 1..N", (), (
+        ("--k", "k", int, _REQUIRED),
+        ("--n", "n", int, _REQUIRED),
+        ("--format", "fmt", _FORMATS, "plain"),
+    )),
+    "identity": (_cmd_identity, "Fourier-identity residual at theta in (0, pi): 1, 2/3, pi/2", (), (
+        ("--id", "identity_id", IDENTITY_CHOICES, _REQUIRED),
+        ("--k", "k", int, _REQUIRED),
+        ("--theta", "theta", str, _REQUIRED),
+        ("--terms", "fourier_terms", int, 10_000),
+        ("--series-terms", "series_terms", int, 80),
+        ("--digits", "digits", int, 30),
+        ("--format", "fmt", _FORMATS, "plain"),
+    )),
 }
+
+_ABOUT = (
+    "Alternating zeta-family constants (Catalan, Apery, odd zeta values) from\n"
+    "exact-rational series in powers of pi/2, with oracle verification."
+)
+# the numbers an option may take as its value although they begin with "-"
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+class UsageError(ValueError):
+    """A command line that names no runnable command: exit 2 before any work."""
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: oddzeta [-h] {{{','.join(COMMANDS)}}} ..."
+    _, _, positionals, options = COMMANDS[command]
+    words = [f"usage: oddzeta {command} [-h]", *(f"<{p}>" for p in positionals)]
+    for flag, _, convert, default in options:
+        meta = "|".join(convert) if isinstance(convert, tuple) else convert.__name__.upper()
+        words.append(f"{flag} {meta}" if default is _REQUIRED else f"[{flag} {meta}]")
+    return " ".join(words)
+
+
+def _help(command: str | None) -> str:
+    """The synopsis ``-h`` prints, from the command table."""
+    if command is None:
+        width = max(map(len, COMMANDS))
+        lines = [f"  {name:<{width}}  {entry[1]}" for name, entry in COMMANDS.items()]
+        return "\n".join([_usage(None), "", _ABOUT, "", "commands:", *lines])
+    _, summary, _, options = COMMANDS[command]
+    defaults = [f"{flag} {v}" for flag, _, _, v in options if v not in (None, _REQUIRED)]
+    return "\n".join([_usage(command), "", summary, f"defaults: {', '.join(defaults)}"])
+
+
+def _is_option(token: str) -> bool:
+    """True where ``token`` names an option, as argparse reads it: a leading "-" that is
+    not the whole token, not a negative number and not followed by a space."""
+    return (
+        token.startswith("-")
+        and token != "-"
+        and not _NEGATIVE_NUMBER.fullmatch(token)
+        and " " not in token
+    )
+
+
+def _fail(command: str | None, message: str) -> UsageError:
+    return UsageError(f"oddzeta{f' {command}' if command else ''}: {message}\n{_usage(command)}")
+
+
+def _flag(token: str, flags, command: str | None) -> str | None:
+    """The flag an option token names by itself or by a unique prefix, "--help" for
+    any -h..., or None for an unknown option; an ambiguous prefix raises UsageError."""
+    if not token.startswith("--"):
+        return "--help" if token.startswith("-h") else None
+    name = token.partition("=")[0]
+    found = [name] if name in flags else [f for f in flags if f.startswith(name)]
+    if len(found) > 1:
+        raise _fail(command, f"ambiguous option {name}: could match {', '.join(found)}")
+    return found[0] if found else None
+
+
+def _help_for(token: str, command: str | None) -> str:
+    if token != "-h" and (not token.startswith("--") or "=" in token):
+        raise _fail(command, f"-h/--help takes no value, got {token}")
+    return _help(command)
+
+
+def _parse(argv) -> SimpleNamespace | str:
+    """The namespace ``argv`` names, or the help text that one of its -h/--help asks for.
+
+    Options come before or after the positional; ``--opt=value`` and a unique prefix of
+    ``--opt`` work, and the last repeat of an option wins.  After ``--`` every token is
+    a positional.  The errors come as argparse's do: an ambiguous prefix before anything
+    else, a malformed value where it is read, and an unknown option, a surplus or
+    missing positional or a missing required option only after the whole line, so that
+    a -h read first still prints help.
+    """
+    argv, command, extras = list(argv), None, []
+    while argv and command is None:  # up to the command, only -h/--help is known
+        token = argv.pop(0)
+        if token == "--" or not _is_option(token):
+            if token not in COMMANDS:
+                raise _fail(None, f"unknown command {token!r}; choose from {', '.join(COMMANDS)}")
+            command = token
+        elif _flag(token, ("--help",), None):
+            return _help_for(token, None)
+        else:
+            extras.append(token)
+    if command is None:
+        raise _fail(None, "a command is required")
+
+    _, _, positionals, options = COMMANDS[command]
+    flags = {flag: (dest, convert) for flag, dest, convert, _ in options}
+    flags["--help"] = None
+    for token in argv[: argv.index("--")] if "--" in argv else argv:
+        if _is_option(token):
+            _flag(token, flags, command)
+    values = {dest: default for _, dest, _, default in options}
+    given, filled = [], False  # filled: the last token was read as a positional
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            rest = list(tokens)
+            # it goes with the positional it stands next to, else it is surplus
+            if not (filled or (rest and len(given) < len(positionals))):
+                extras.append(token)
+            given += rest
+            break
+        if not _is_option(token):
+            given.append(token)
+            filled = len(given) <= len(positionals)
+            continue
+        filled = False
+        flag = _flag(token, flags, command)
+        if flag is None:
+            extras.append(token)
+            continue
+        if flag == "--help":
+            return _help_for(token, command)
+        _, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or _is_option(value):
+                raise _fail(command, f"{flag} expects a value")
+        dest, convert = flags[flag]
+        if isinstance(convert, tuple):
+            if value not in convert:
+                raise _fail(command, f"{flag} must be one of {', '.join(convert)}, got {value!r}")
+        elif convert is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _fail(command, f"{flag} expects an integer, got {value!r}") from None
+        values[dest] = value
+    extras += given[len(positionals):]
+    missing = [f"<{p}>" for p in positionals[len(given):]]
+    missing += [flag for flag, dest, _, _ in options if values[dest] is _REQUIRED]
+    if missing:
+        raise _fail(command, f"missing {', '.join(missing)}")
+    if extras:
+        raise _fail(command, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, **dict(zip(positionals, given)), **values)
 
 
 def run(argv, out=None, err=None) -> int:
-    """Parse and execute; returns the process exit code."""
+    """Parse and execute; returns the process exit code.
+
+    Help goes to ``out``; usage errors, like every other error, go to ``err``.
+    """
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = _parse(argv)
+        if isinstance(args, str):
+            print(args, file=out)
+            return EXIT_OK
         digits = getattr(args, "digits", 30)
         if not 1 <= digits <= DIGITS_CEILING:
             raise ResourceLimitError(f"digits must lie in 1..{DIGITS_CEILING}, got {digits}")
-        return _COMMANDS[args.command](args, out)
-    except (ValueError, TypeError) as exc:  # UnknownConstantError is a ValueError
+        return COMMANDS[args.command][0](args, out)
+    except (ValueError, TypeError) as exc:  # UsageError and UnknownConstantError are ValueErrors
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
     except (ResourceLimitError, TailRatioError) as exc:

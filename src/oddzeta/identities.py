@@ -25,8 +25,7 @@ must shrink as the term count grows.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import ceil, comb, cos, factorial, isqrt, lgamma, log, log2
+from math import ceil, comb, cos, factorial, gcd, isqrt, lgamma, log, log2
 from typing import NamedTuple
 
 from .coeffs import d_denominator, e_column
@@ -58,8 +57,8 @@ __all__ = [
 
 IDENTITY_TAGS = ("S1", "S2")
 
-# safe strict lower bound for pi; rational theta must stay below it
-_PI_LOWER = Fraction(314159265, 10**8)
+# safe strict lower bound for pi, as (p, q); rational theta must stay below it
+_PI_LOWER = (314159265, 10**8)
 # most digits a string angle may have, |exponent| counted as digits: its numerator and
 # denominator then stay printable, since Python prints at most 4300 digits of an integer
 MAX_THETA_DIGITS = 4000
@@ -77,29 +76,73 @@ _HALF_PI_TERM_COST = 0.33
 
 
 def canonical_theta_token(theta) -> str:
-    """Deterministic token for an angle: ``pi/<q>`` or an exact rational string."""
-    if isinstance(theta, str):
-        theta = theta.strip().replace(" ", "")
-        if theta.startswith("pi/"):
-            try:
-                q = int(theta[3:])
-            except ValueError:  # not an integer: refused with the q < 2 angles
-                q = 0
-            if q < 2:
-                raise ValueError(f"theta={theta}: a pi/<q> angle needs an integer q >= 2")
-            return f"pi/{q}"
-        mantissa, _, exponent = theta.lower().partition("e")
-        exponent = exponent.lstrip("+-").replace("_", "").lstrip("0")
-        # read before Fraction builds 10^|exponent|; five digits already pass the limit
-        size = sum(c.isdigit() for c in mantissa) + int(exponent[:5] if exponent.isdigit() else 0)
-        if size > MAX_THETA_DIGITS:
-            raise ValueError(f"theta has more than {MAX_THETA_DIGITS} digits, |exponent| counted")
-    elif not isinstance(theta, (Fraction, int, float)):
-        raise TypeError(f"unsupported theta specification: {theta!r}")
+    """Deterministic token for an angle: ``pi/<q>``, or the reduced ``p/q`` or ``p``
+    that ``str(Fraction(theta))`` gives; a string is read in integers."""
+    if not isinstance(theta, str):
+        from fractions import Fraction  # imported on use: the command line passes strings
+
+        if not isinstance(theta, (Fraction, int, float)):
+            raise TypeError(f"unsupported theta specification: {theta!r}")
+        try:
+            return str(Fraction(theta))
+        except (ZeroDivisionError, OverflowError):  # an infinite float
+            raise ValueError(f"theta={theta} is not a finite number") from None
+    theta = theta.strip().replace(" ", "")
+    if theta.startswith("pi/"):
+        try:
+            q = int(theta[3:])
+        except ValueError:  # not an integer: refused with the q < 2 angles
+            q = 0
+        if q < 2:
+            raise ValueError(f"theta={theta}: a pi/<q> angle needs an integer q >= 2")
+        return f"pi/{q}"
+    num, den = _read_rational(theta)
+    if den == 0:
+        raise ValueError(f"theta={theta} is not a finite number")
+    g = gcd(num, den)
+    return f"{num // g}" if den == g else f"{num // g}/{den // g}"
+
+
+def _digit_groups(text: str) -> bool:
+    """True where ``text`` is decimal digits in groups joined by single underscores."""
+    return all(group.isdecimal() for group in text.split("_"))
+
+
+def _read_rational(theta: str) -> tuple[int, int]:
+    """(p, q), unreduced, of ``[+-]p/q`` or ``[+-]d[.d][e[+-]d]`` with digits in _ groups,
+    the strings Fraction reads once stripped.  Its size, the digits and |exponent|
+    counted, is refused above MAX_THETA_DIGITS before 10^|exponent| is built."""
+    sign = -1 if theta.startswith("-") else 1
+    body = theta[1:] if theta.startswith(("+", "-")) else theta
+    p, slash, q = body.partition("/")
+    if slash:
+        whole, frac, exponent = p, "", ""
+        valid = _digit_groups(p) and _digit_groups(q)
+    else:
+        mantissa, e, exponent = body.replace("E", "e").partition("e")
+        whole, _, frac = mantissa.partition(".")
+        valid = (
+            (_digit_groups(whole) or (not whole and frac[:1].isdecimal()))
+            and (not frac or _digit_groups(frac))
+            and (not e or _digit_groups(exponent.removeprefix("+").removeprefix("-")))
+        )
+    if not valid:
+        raise ValueError(f"theta={theta} is not a number, a ratio p/q of integers or pi/<q>")
+    whole, frac, q = whole.replace("_", ""), frac.replace("_", ""), q.replace("_", "")
     try:
-        return str(Fraction(theta))
-    except (ZeroDivisionError, OverflowError):  # n/0, or an infinite float
-        raise ValueError(f"theta={theta} is not a finite number") from None
+        shift = int(exponent or 0)
+    except ValueError:  # past int()'s digit limit, so far past the ceiling
+        shift = MAX_THETA_DIGITS
+    if len(whole) + len(frac) + len(q) + abs(shift) > MAX_THETA_DIGITS:
+        raise ValueError(f"theta has more than {MAX_THETA_DIGITS} digits, |exponent| counted")
+    num, den = sign * int(whole + frac or 0), int(q or 1) * 10 ** len(frac)
+    return (num * 10**shift, den) if shift >= 0 else (num, den * 10**-shift)
+
+
+def _rational(token: str) -> tuple[int, int]:
+    """(p, q) of a canonical rational token ``p/q`` or ``p``."""
+    num, _, den = token.partition("/")
+    return int(num), int(den or 1)
 
 
 def _theta_mantissa(token: str, scale: int) -> tuple[int, int]:
@@ -112,13 +155,13 @@ def _theta_mantissa(token: str, scale: int) -> tuple[int, int]:
     if token.startswith("pi/"):
         m = _divround(compute_pi(scale).mantissa, int(token[3:]))
     else:
-        value = Fraction(token)
-        if not 0 < value < _PI_LOWER:
+        num, den = _rational(token)
+        if not 0 < num * _PI_LOWER[1] < _PI_LOWER[0] * den:
             raise ValueError(
                 f"theta={token} outside the open interval (0, pi); rational angles "
-                f"must stay below {float(_PI_LOWER)}"
+                f"must stay below {_PI_LOWER[0] / _PI_LOWER[1]}"
             )
-        m = _divround(value.numerator * 10**scale, value.denominator)
+        m = _divround(num * 10**scale, den)
     if m <= 1:
         raise ValueError(
             f"theta={token} is within 1 ulp of 0 at {scale} working digits; raise --digits"
@@ -146,8 +189,8 @@ def _sin_cos(token: str, bits: int) -> tuple[int, int, int]:
         pi, pi_err = _chudnovsky(fine)
         x, x_err = _divround(pi, q), _ceil_div(pi_err, q) + 1
     else:
-        num, _, den = token.partition("/")
-        x, x_err = (int(num) << fine) // int(den or 1), 1
+        num, den = _rational(token)
+        x, x_err = (num << fine) // den, 1
     parts = [0, 0, 0, 0]
     t, j = 1 << fine, 0
     while t:

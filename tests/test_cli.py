@@ -11,10 +11,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exact_reference import tan_number
 import oddzeta
+from oddzeta import cli
 from oddzeta.cli import (
+    COMMANDS,
     DIGITS_CEILING,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -210,6 +213,121 @@ def test_digit_ceiling_resource_error(digits):
 def test_missing_subcommand_usage():
     code, _, _ = invoke([])
     assert code == EXIT_USAGE
+
+
+# argv -> the phrase its usage error names
+USAGE_ERRORS = {
+    (): "a command is required",
+    ("nope",): "unknown command 'nope'",
+    ("constant",): "missing <name>",
+    ("constant", "catalan", "extra"): "unrecognized arguments: extra",
+    ("constant", "catalan", "--digits", "x"): "--digits expects an integer, got 'x'",
+    ("constant", "catalan", "--digits"): "--digits expects a value",
+    ("constant", "catalan", "--format", "xml"): "--format must be one of plain, csv, json",
+    ("identity", "--id", "S3", "--k", "1", "--theta", "1"): "--id must be one of S1, S2, got 'S3'",
+    ("constant", "catalan", "--bogus", "1"): "unrecognized arguments: --bogus 1",
+    ("identity", "--id", "S1", "--k", "1", "--t", "1"): "--t: could match --theta, --terms",
+    ("coeffs", "--k", "1"): "missing --n",
+    ("constant", "catalan", "--digits", "5", "--"): "unrecognized arguments: --",
+    ("constant", "catalan", "-hx"): "-h/--help takes no value",
+}
+
+
+@pytest.mark.parametrize(
+    "argv,phrase", USAGE_ERRORS.items(), ids=[" ".join(a) or "no command" for a in USAGE_ERRORS]
+)
+def test_usage_error_reaches_the_err_stream(argv, phrase, capsys):
+    code, out, err = invoke(list(argv))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: oddzeta")
+    assert phrase in err
+    assert "\nusage: oddzeta" in err
+    assert capsys.readouterr() == ("", "")  # nothing on the process's own streams
+
+
+HELP_ARGV = [["-h"], ["--help"], ["--he"], ["constant", "catalan", "--he"], ["constant", "-h", "x"]]
+
+
+@pytest.mark.parametrize("argv", [*HELP_ARGV, *([c, "-h"] for c in COMMANDS)], ids=" ".join)
+def test_help_prints_a_synopsis_to_the_out_stream(argv, capsys):
+    code, out, err = invoke(argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("usage: oddzeta")
+    command = argv[0] if argv[0] in COMMANDS else None
+    if command is None:
+        assert all(f"  {name}  " in out for name in COMMANDS)
+    else:
+        assert all(f"{option[0]} " in out for option in COMMANDS[command][3])
+    assert capsys.readouterr() == ("", "")
+
+
+def argparse_reference(argv):
+    """("ok", namespace dict), ("help",) or ("error",): what the argparse tree that the
+    command table replaced made of ``argv``."""
+    import argparse
+    import contextlib
+
+    parser = argparse.ArgumentParser(prog="oddzeta")
+    sub = parser.add_subparsers(dest="command", required=True)
+    formats = ("plain", "csv", "json")
+    p = sub.add_parser("constant")
+    p.add_argument("name")
+    p.add_argument("--digits", type=int, default=30)
+    p.add_argument("--format", dest="fmt", choices=formats, default="plain")
+    p = sub.add_parser("coeffs")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--format", dest="fmt", choices=("csv", "json", "plain"), default="csv")
+    p = sub.add_parser("verify")
+    p.add_argument("--name", default=None)
+    p.add_argument("--digits", type=int, default=30)
+    p.add_argument("--format", dest="fmt", choices=formats, default="plain")
+    p = sub.add_parser("ratio")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--format", dest="fmt", choices=formats, default="plain")
+    p = sub.add_parser("identity")
+    p.add_argument("--id", dest="identity_id", choices=("S1", "S2"), required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--theta", required=True)
+    p.add_argument("--terms", dest="fourier_terms", type=int, default=10_000)
+    p.add_argument("--series-terms", dest="series_terms", type=int, default=80)
+    p.add_argument("--digits", type=int, default=30)
+    p.add_argument("--format", dest="fmt", choices=formats, default="plain")
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return "ok", vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return ("help",) if exc.code == 0 else ("error",)
+
+
+def table_parse(argv):
+    try:
+        parsed = cli._parse(argv)
+    except cli.UsageError:
+        return ("error",)
+    return ("help",) if isinstance(parsed, str) else ("ok", vars(parsed))
+
+
+ARGV_TOKENS = [
+    "catalan", "x", "-", "--", "-h", "--help", "--he", "--h", "-hx", "--help=x", "-5", "-1.5",
+    "-x", "--digits", "--dig", "--d", "--digits=7", "--dig=1_2", "--digits=", "12", "1_2",
+    " 4 ", "-1 2", "--format", "--fo=json", "json", "xml", "--name", "--id", "S1", "S3",
+    "--k", "--n", "--t", "--theta", "--theta=pi/2", "--terms=5", "--series", "--bogus",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(st.sampled_from([*COMMANDS, "nope"]), st.sampled_from(ARGV_TOKENS)),
+    st.lists(st.sampled_from([*COMMANDS, *ARGV_TOKENS]), max_size=7),
+)
+def test_argv_parses_as_the_argparse_tree_did(first, rest):
+    # every form argparse accepted gives the same namespace, help stays help, and every
+    # form it refused is refused
+    argv = [first, *rest]
+    assert table_parse(argv) == argparse_reference(argv)
 
 
 def test_plain_output_deterministic():

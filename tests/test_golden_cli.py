@@ -74,6 +74,28 @@ COMMANDS = [
     ["identity", "--id", "S1", "--k", "3", "--theta", "2", "--terms", "10000", "--format", "json"],
     ["constant", "bogus"],
     ["constant", "catalan", "--digits", "2000"],
+    # argv forms the parser accepts: =, a unique prefix, options before the positional,
+    # the last repeat winning, -- before the positional and int()'s underscores
+    ["constant", "catalan", "--digits=12"],
+    ["constant", "catalan", "--dig", "12"],
+    ["constant", "--digits", "12", "catalan"],
+    ["constant", "catalan", "--digits", "12", "--digits", "13"],
+    ["constant", "--", "catalan"],
+    ["constant", "catalan", "--digits", "1_2"],
+    ["identity", "--id", "S1", "--k", "1", "--theta=pi/2", "--terms=2000"],
+    # argv forms it refuses with exit 2, each before any work
+    [],
+    ["nope"],
+    ["constant"],
+    ["constant", "catalan", "extra"],
+    ["constant", "catalan", "--digits", "x"],
+    ["constant", "catalan", "--digits"],
+    ["constant", "catalan", "--format", "xml"],
+    ["identity", "--id", "S3", "--k", "1", "--theta", "1"],
+    ["constant", "catalan", "--bogus", "1"],
+    ["identity", "--id", "S1", "--k", "1", "--t", "1"],
+    # a negative count parses, and the digit range refuses it with exit 3
+    ["constant", "catalan", "--digits", "-5"],
 ]
 
 

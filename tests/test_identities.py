@@ -1,5 +1,6 @@
 """Fourier-identity residuals, specializations, and angle handling."""
 
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -55,6 +56,51 @@ def test_canonical_theta_tokens():
             canonical_theta_token(infinite)
     with pytest.raises(TypeError):
         canonical_theta_token([1])
+
+
+def digit_run(group_size=4, max_groups=3):
+    """Digits in groups joined by "_", as Fraction and int() read them, or a malformed
+    run: an empty group, a stray letter or a doubled, leading or trailing "_"."""
+    group = st.text("0123456789", min_size=1, max_size=group_size)
+    return st.one_of(
+        st.lists(group, min_size=1, max_size=max_groups).map("_".join),
+        st.sampled_from(["", "_", "1__2", "_1", "1_", "d", "1d", "x"]),
+    )
+
+
+sign = st.sampled_from(["", "+", "-"])
+decimal_angle = st.tuples(
+    sign,
+    digit_run(),
+    st.sampled_from(["", "."]),
+    st.one_of(st.just(""), digit_run()),
+    st.sampled_from(["", "e", "E", "e+", "e-", "E-"]),
+    # at most three exponent digits, below the MAX_THETA_DIGITS ceiling
+    st.one_of(st.just(""), digit_run(group_size=1)),
+).map("".join)
+ratio_angle = st.tuples(sign, digit_run(), st.just("/"), digit_run()).map("".join)
+junk_angle = st.text("0123456789_.eE+-/ d", max_size=5)
+
+
+@given(st.one_of(decimal_angle, ratio_angle, junk_angle))
+def test_theta_token_is_the_reduced_fraction(text):
+    # read in integers, a string angle gives the token str(Fraction(text)) gives, and is
+    # refused with a ValueError naming theta= wherever Fraction refuses it
+    try:
+        expected = str(Fraction(text.strip().replace(" ", "")))
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    if expected is None:
+        with pytest.raises(ValueError, match="^theta="):
+            canonical_theta_token(text)
+    else:
+        assert canonical_theta_token(text) == expected
+
+
+def test_theta_token_refuses_a_malformed_angle_by_name():
+    for bad in ("", ".", "1.2.3", "1e", "1/2e3", "1/-2", "1__0", "one"):
+        with pytest.raises(ValueError, match=rf"^theta={re.escape(bad)} is not a number"):
+            canonical_theta_token(bad)
 
 
 def test_theta_open_interval_enforced():

@@ -13,11 +13,14 @@ from oddzeta.constants import compute_constant
 
 # modules a series `constant` command never uses; importing them would only slow a cold process
 UNUSED_BY_CONSTANT = (
+    "argparse",
     "dataclasses",
     "decimal",
     "fractions",
+    "gettext",
     "inspect",
     "json",
+    "locale",
     "oddzeta.oracle",
     "oddzeta.identities",
     "tempfile",
@@ -110,7 +113,7 @@ FRACTION_PLACES = {
     "coeffs": {"import", "d_coeff", "e_coeff", "f_ratio", "build_table"},
     "exact": {"import", "bernoulli"},
     "highprec": {"import", "as_fraction", "bounds"},
-    "identities": {"import", "_PI_LOWER", "canonical_theta_token", "_theta_mantissa"},
+    "identities": {"canonical_theta_token"},
     "oracle": {"reference_ln2", "reference_pi"},
 }
 
@@ -196,6 +199,20 @@ def test_verify_command_loads_no_fraction_module():
     )
     assert lines[-1] == "0 []"
     assert lines[-2] == "result: ok (required 10 digits)"
+
+
+@pytest.mark.parametrize("theta", ["1/2", "0.5", "2", "1e0", "pi/3"])
+def test_identity_command_loads_no_fraction_module_or_argparse(theta):
+    # the command line reads argv from its own table and the angle in integers
+    lines = run_fresh(
+        "import sys\n"
+        "import oddzeta.cli\n"
+        f"code = oddzeta.cli.run(['identity', '--id', 'S1', '--k', '1', '--theta', {theta!r},"
+        " '--terms', '1000'])\n"
+        "print(code, sorted({'fractions', 'decimal', 'argparse'} & set(sys.modules)))\n"
+    )
+    assert lines[-1] == "0 []"
+    assert lines[-2].startswith("identity=S1 k=1 theta=")
 
 
 def test_every_export_resolves_on_first_use():
