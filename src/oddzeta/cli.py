@@ -97,7 +97,7 @@ def _cmd_coeffs(args: SimpleNamespace, out) -> int:
 def _cmd_verify(args: SimpleNamespace, out) -> int:
     from . import oracle
 
-    names = [args.name] if args.name else oracle.default_battery()
+    names = [args.name] if args.name is not None else oracle.default_battery()
     rows = [oracle.verify(name, args.digits).to_json_dict() for name in names]
     all_ok = all(r["matched_digits"] >= args.digits for r in rows)
     _write(

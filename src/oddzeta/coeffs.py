@@ -7,8 +7,7 @@ Two coefficient families are produced here, both exact rationals:
   and recurrence D_n(k) = D_n(k-1) / (2n + k - 1).
 * ``e_coeff(n, k)``: the coefficients of (pi/2)^(2n+k-1) in the expansions
   of the alternating constants A_k (beta values for even k, eta values for
-  odd k).  Odd-index columns form a closed recursion; even-index columns
-  depend on the odd ones only.
+  odd k).
 
 Both are read from one process-wide store of integer numerators keyed by k.
 Every E_n(k) is N_n(k) / den(n, k) over the closed-form denominator
@@ -16,11 +15,18 @@ Every E_n(k) is N_n(k) / den(n, k) over the closed-form denominator
     den(n, k) = (2n+k-1)! * 4^n * P_k,   P_k = prod_{odd 3 <= r <= k} (2^r - 1),
 
 and D_n(k) = N_n(1) / ((2n+k-1)! * 4^n), since N_n(1) = 2 T_n.  Over these
-denominators the E recurrence becomes integer multiply-adds with binomial
-weights, so a column is built without a gcd; ``d_coeff``, ``e_coeff``,
-``f_ratio`` and ``build_table`` reduce to a ``Fraction`` only where they are
-read.  A column grows lazily to the rows asked for, and the odd columns its
-recurrence reads grow with it.
+denominators the E recurrence reads, with j = k // 2 and B = P_(k - k mod 2),
+
+    N_n(k) = (-1)^j (T_n B - sum_{r<j} (-1)^r N_n(2r+1) C(2n+k-1, 2n+2r) B / P_(2r+1)),
+
+shifted left by k bits for odd k (the factor 2^k / (2^k - 1)).  So N_n(k) = T_n Q_k(n)
+with Q_k an integer-valued polynomial of degree below k, by induction on odd k:
+Q_1 = 2, and C(2n+k-1, 2n+2r) = C(2n+k-1, k-1-2r) has degree k-1-2r in n.  A column
+is therefore built from its own Q_k alone, and no column reads another's rows: the
+recurrence run with every T_n = 1 gives Q_k(1..k) without tangent numbers, their k
+differences extend Q_k a row at a time by k-1 subtractions, and row n is T_n Q_k(n).
+Nothing is reduced by a gcd; ``d_coeff``, ``e_coeff``, ``f_ratio`` and
+``build_table`` make a ``Fraction`` only where one is read.
 """
 
 from __future__ import annotations
@@ -47,8 +53,9 @@ __all__ = [
 
 MAX_TABLE_CELLS = 2_000_000
 
-# k -> [N_1(k), N_2(k), ...]; columns only grow, stored entries never change
-_columns: dict[int, list[int]] = {}
+# k -> ([N_1(k), N_2(k), ...], [Delta^j Q_k at the next row, j < k]); columns only
+# grow, stored numerators never change
+_columns: dict[int, tuple[list[int], list[int]]] = {}
 
 
 def _check_n_k(n: int, k: int) -> None:
@@ -63,30 +70,51 @@ def _odd_product(k: int) -> int:
     return prod((1 << r) - 1 for r in range(3, k + 1, 2))
 
 
-def _column(k: int, rows: int) -> list[int]:
-    """The stored column N_.(k), grown to at least ``rows`` entries.
+def _leading_differences(values: list[int]) -> list[int]:
+    """Delta^j v_0 for j = 0..len(values)-1, where Delta v_i = v_i - v_(i+1)."""
+    out = []
+    while values:
+        out.append(values[0])
+        values = [x - y for x, y in zip(values, values[1:])]
+    return out
 
-    With j = k // 2 and B = P_(k - k mod 2), the E recurrence over den(n, k) reads
-    N_n(k) = (-1)^j (T_n B - sum_{r<j} (-1)^r N_n(2r+1) C(2n+k-1, 2n+2r) B / P_(2r+1)),
-    shifted left by k bits for odd k (the factor 2^k / (2^k - 1)).
+
+def _quotient_differences(k: int) -> list[int]:
+    """Delta^j Q_k(1) for j < k, from Q_k(1..k): the E recurrence with every T_n = 1.
+
+    Over the common base B = P_(k - k mod 2), odd column c = 2r+1 < k is carried as the
+    integers (-1)^r Q_c(n) B / P_c: the recurrence's bracket, shifted by c bits and
+    divided exactly by 2^c - 1 = P_c / P_(c-1).  So it multiplies by binomials only,
+    with C(2n+c-1, 2n+2r) read as C(2n+c-1, c-1-2r).
     """
-    column = _columns.setdefault(k, [])
+    base = _odd_product(k - k % 2)
+    odd: list[list[int]] = []
+    for c in (*range(1, k, 2), k):
+        values = [
+            base - sum(row[n - 1] * comb(2 * n + c - 1, c - 1 - 2 * r) for r, row in enumerate(odd))
+            << c % 2 * c
+            for n in range(1, k + 1)
+        ]
+        if c == k:
+            return _leading_differences([(-1) ** (k // 2) * v for v in values])
+        odd.append([v // ((1 << c) - 1) for v in values])
+
+
+def _column(k: int, rows: int) -> list[int]:
+    """The stored column N_.(k), grown to at least ``rows`` entries as T_n Q_k(n)."""
+    column, steps = _columns.setdefault(k, ([], []))
     have = len(column)
     if have < rows:
         # reaching the last row first checks the index ceiling before any work is
         # done, and writes the disk cache once per column, not once per row
         tangent_number(rows)
-        j = k // 2
-        odd = [_column(2 * r + 1, rows) for r in range(j)]
-        base = _odd_product(k - k % 2)
-        weights = [(-1) ** r * (base // _odd_product(2 * r + 1)) for r in range(j)]
-        sign, shift = (-1) ** j, k % 2 * k
+        if not steps:
+            steps.extend(_quotient_differences(k))
         for n in range(have + 1, rows + 1):
-            top = 2 * n + k - 1
-            inner = sum(
-                odd[r][n - 1] * comb(top, 2 * n + 2 * r) * weights[r] for r in range(j)
-            )
-            column.append(sign * (tangent_number(n) * base - inner) << shift)
+            column.append(tangent_number(n) * steps[0])
+            # Delta^j Q_k(n+1) = Delta^j Q_k(n) - Delta^(j+1) Q_k(n); Delta^(k-1) is constant
+            for i in range(k - 1):
+                steps[i] -= steps[i + 1]
     return column
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from math import ceil, comb, cos, factorial, gcd, isqrt, lgamma, log, log2
 from typing import NamedTuple
 
-from .coeffs import d_denominator, e_column
+from .coeffs import _leading_differences, d_denominator, e_column
 from .errors import ResourceLimitError
 from .highprec import (
     FixedDecimal,
@@ -38,7 +38,6 @@ from .highprec import (
     _series_terms,
     _working_scale,
     compute_pi,
-    estimate_terms,
     sum_series,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "IdentityResidual",
     "canonical_theta_token",
     "check_identity",
-    "eta_from_half_pi_identity",
     "fourier_lhs",
     "residual_sweep",
     "rhs_eval",
@@ -296,15 +294,6 @@ def _horner(coefs, errs, z, err_z: int, bits: int):
     return acc, err
 
 
-def _leading_differences(values: list[int]) -> list[int]:
-    """Delta^j v_0 for j = 0..len(values)-1, where Delta v_i = v_i - v_(i+1)."""
-    out = []
-    while values:
-        out.append(values[0])
-        values = [x - y for x, y in zip(values, values[1:])]
-    return out
-
-
 def _abel_sum(
     exponent: int, token: str, terms: int, scale: int, p: int, cut: int, guard: int
 ) -> tuple[int, int, int]:
@@ -474,16 +463,11 @@ def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) 
         + sum_{r<k} (-1)^(k-r-1) A_(2r+1) theta^(2k-2r-1) / (2k-2r-1)!
     S2: (-1)^(k+1)/2 * sum_n D_n(2k+1) theta^(2n+2k)
         + sum_{r<=k} (-1)^(k-r) A_(2r+1) theta^(2k-2r) / (2k-2r)!
+
+    Each S1/S2 difference follows from the parity of the column index e = 2k (S1)
+    or 2k+1 (S2).
     """
-    return _ladder_side(identity, k, canonical_theta_token(theta), series_terms, digits)
-
-
-def _ladder_side(
-    identity: str, k: int, token: str, series_terms: int, digits: int, eta_terms: int | None = None
-) -> FixedDecimal:
-    """The :func:`rhs_eval` sum; with ``eta_terms``, only the eta-polynomial terms
-    r < ``eta_terms``.  Each S1/S2 difference follows from the parity of the column
-    index e = 2k (S1) or 2k+1 (S2)."""
+    token = canonical_theta_token(theta)
     _check_identity_tag(identity)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -504,7 +488,7 @@ def _ladder_side(
     # the eta-polynomial terms first, from the top r down: past the tangent index ceiling
     # the highest eta sum fails before any lower one runs or the D sum builds (e + 1)!
     poly = FixedDecimal(0, scale)
-    for r in reversed(range(k + odd if eta_terms is None else eta_terms)):
+    for r in reversed(range(k + odd)):
         exponent = e - 2 * r - 1
         # A_(2r+1): ln 2 for r = 0, eta(2r+1) above
         term = sum_series(2 * r + 1, digits + 6).value.mul(th.pow_int(exponent))
@@ -561,21 +545,6 @@ def check_identity(
         series_terms=series_terms,
         residual=abs(lhs - rhs),
     )
-
-
-def eta_from_half_pi_identity(k: int, digits: int = 30) -> FixedDecimal:
-    """Recompute eta(2k+1) from the cosine identity specialized at theta = pi/2.
-
-    At pi/2 the S2 Fourier sum is eta(2k+1) / 2^(2k+1), and the r = k term of
-    the ladder side is eta(2k+1) itself.  Solving for it gives
-    A_(2k+1) = -(S2 ladder side without its r = k term) * 2^(2k+1)/(2^(2k+1) - 1),
-    an independent route that must agree with the series-path eta values.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    side = _ladder_side("S2", k, "pi/2", estimate_terms(digits, 2 * k + 1), digits, k)
-    two_power = 1 << (2 * k + 1)
-    return side.mul_ratio(-two_power, two_power - 1).rescale(digits)
 
 
 def tan_half_residual(theta, fourier_terms: int, digits: int = 15) -> FixedDecimal:

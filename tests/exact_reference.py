@@ -4,8 +4,11 @@ Nothing here shares code with the package beyond ``fractions.Fraction``:
 tangent coefficients come from the derivative recurrence (not Bernoulli
 numbers), ladder coefficients from the closed-form product (not the
 recurrence), and the step formulas are written out literally, one per
-integration step.  :func:`machin_pi` is Machin's arctangent formula on
-integers, the reference for the package's Chudnovsky pi.  :class:`AngleEngine`,
+integration step.  :func:`odd_column_numerators`, the reference for the
+package's integer coefficient columns, runs the recursion through the odd
+columns that the package's per-column quotient polynomials replace.
+:func:`machin_pi` is Machin's arctangent formula on integers, the reference
+for the package's Chudnovsky pi.  :class:`AngleEngine`,
 the reference for the Fourier pass, takes sin and cos of m*theta straight from
 the angle, reduced modulo 2 pi, where the package runs a three-term recurrence
 over m; its pi is :func:`machin_pi`, and its sin and cos are Taylor sums on
@@ -111,6 +114,37 @@ def e_recurrence(n: int, k: int) -> Fraction:
     )
     value = Fraction((-1) ** j, 2) * d_closed(n, k) + (-1) ** (j + 1) * odd_part
     return value if k % 2 == 0 else value / (1 - Fraction(1, 1 << k))
+
+
+def odd_column_numerators(k_max: int, rows: int) -> dict[int, list[int]]:
+    """Columns 1..k_max of integer numerators N_n(k), n <= ``rows``, by the odd-column recursion.
+
+    E_n(k) = N_n(k) / ((2n+k-1)! 4^n P_k) with P_k = prod_(odd 3 <= r <= k) (2^r - 1).
+    With j = k // 2 and B = P_(k - k mod 2), :func:`e_recurrence` over these
+    denominators reads N_n(k) = (-1)^j (T_n B - sum_(r<j) (-1)^r N_n(2r+1)
+    C(2n+k-1, 2n+2r) B / P_(2r+1)), times 2^k for odd k: every column reads the
+    stored rows of the odd columns below it.  This is how the package built its
+    columns before each came from its own quotient polynomial.
+    """
+
+    def odd_product(k: int) -> int:
+        product = 1
+        for r in range(3, k + 1, 2):
+            product *= (1 << r) - 1
+        return product
+
+    columns: dict[int, list[int]] = {}
+    for k in (*range(1, k_max + 1, 2), *range(2, k_max + 1, 2)):
+        j, base = k // 2, odd_product(k - k % 2)
+        columns[k] = [
+            (-1) ** j * (tan_number(n) * base - sum(
+                (-1) ** r * columns[2 * r + 1][n - 1] * comb(2 * n + k - 1, 2 * n + 2 * r)
+                * (base // odd_product(2 * r + 1))
+                for r in range(j)
+            )) << (k % 2 * k)
+            for n in range(1, rows + 1)
+        ]
+    return columns
 
 
 def accelerated_alternating_fractions(term, depth: int) -> tuple[Fraction, Fraction]:

@@ -134,6 +134,13 @@ def test_unknown_constant_usage_error():
     assert "catalan" in err
 
 
+def test_verify_empty_name_is_an_unknown_constant():
+    # an empty --name names no constant; it must not fall back to the whole battery
+    code, out, err = invoke(["verify", "--name=", "--digits", "5"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unknown constant ''" in err
+
+
 def test_bad_theta_usage_error():
     for theta in ("9", "pi/3.0", "pi/"):
         code, out, err = invoke(["identity", "--id", "S1", "--k", "1", "--theta", theta])

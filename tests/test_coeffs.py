@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from exact_reference import E_STEPWISE, d_closed, e_recurrence
+from exact_reference import E_STEPWISE, d_closed, e_recurrence, odd_column_numerators, tan_number
 from oddzeta import coeffs
 from oddzeta.coeffs import build_table, d_coeff, e_coeff, e_column, f_ratio
 from oddzeta.errors import ResourceLimitError
@@ -63,9 +63,32 @@ def test_column_build_makes_no_fraction(cold_store, monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", spy)
     e_column(10, 242)
     assert made == []
-    assert sorted(coeffs._columns) == [1, 3, 5, 7, 9, 10]
-    assert all(type(v) is int for column in coeffs._columns.values() for v in column)
-    assert min(len(column) for column in coeffs._columns.values()) == 242
+    # column 10 alone is stored: its rows and the k differences of its quotient polynomial
+    assert sorted(coeffs._columns) == [10]
+    column, steps = coeffs._columns[10]
+    assert all(type(v) is int for v in column + steps)
+    assert (len(column), len(steps)) == (242, 10)
+
+
+def test_columns_equal_the_odd_column_recursion(cold_store):
+    # each column grown in steps across row k equals the recursion through the odd columns
+    reference = odd_column_numerators(40, 300)
+    for k in range(1, 41):
+        for rows in (k - 1, k, k + 1, 300):
+            if rows >= 1:
+                assert e_column(k, rows) == reference[k][:rows]
+
+
+@given(st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=60))
+def test_numerators_are_tangent_numbers_times_a_polynomial(k, start):
+    # N_n(k) = T_n Q_k(n), and Q_k has degree below k: its k-th difference vanishes
+    rows = start + k
+    column = e_column(k, rows)
+    assert all(num % tan_number(n) == 0 for n, num in enumerate(column, 1))
+    quotients = [num // tan_number(n) for n, num in enumerate(column, 1)][start - 1:]
+    for _ in range(k):
+        quotients = [b - a for a, b in zip(quotients, quotients[1:])]
+    assert quotients == [0]
 
 
 def test_e_base_column_equals_ladder_base():
@@ -126,7 +149,7 @@ def test_build_table_full_grid_matches_steps():
 def test_build_table_reads_shared_store(monkeypatch):
     # overlapping tables (as for D and D + 2 digits) read one store and build nothing twice
     large = build_table(3, 30)
-    stored = list(coeffs._columns[3])
+    stored = list(coeffs._columns[3][0])
 
     def no_growth(n):
         raise AssertionError(f"the store was grown again, to {n} rows")

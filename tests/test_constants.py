@@ -77,11 +77,11 @@ def test_value_records_are_immutable():
 
 
 def test_constant_builds_only_the_columns_it_sums(cold_store):
-    # beta(10) sums column 10, whose recurrence reads only the odd columns below it
+    # beta(10) sums column 10, which is built from its own quotient polynomial alone
     from oddzeta import coeffs
 
     compute_constant("beta_even(5)", 30)
-    assert sorted(coeffs._columns) == [1, 3, 5, 7, 9, 10]
+    assert sorted(coeffs._columns) == [10]
 
 
 def test_alt_harmonic_thirty_digits_vs_log_oracle():

@@ -94,6 +94,8 @@ COMMANDS = [
     ["identity", "--id", "S3", "--k", "1", "--theta", "1"],
     ["constant", "catalan", "--bogus", "1"],
     ["identity", "--id", "S1", "--k", "1", "--t", "1"],
+    # an empty name is an unknown constant, not the whole battery
+    ["verify", "--name=", "--digits", "5"],
     # a negative count parses, and the digit range refuses it with exit 3
     ["constant", "catalan", "--digits", "-5"],
 ]

@@ -21,7 +21,6 @@ from oddzeta.highprec import GUARD_DIGITS, FixedDecimal, _divround, _series_term
 from oddzeta.identities import (
     canonical_theta_token,
     check_identity,
-    eta_from_half_pi_identity,
     fourier_lhs,
     residual_sweep,
     rhs_eval,
@@ -272,13 +271,6 @@ def test_residual_shrinks_with_more_terms(identity, k, theta):
     assert residual_fraction(large) < residual_fraction(small)
 
 
-def test_eta_from_half_pi_identity_matches_series_path():
-    for k in (1, 2):
-        via_identity = eta_from_half_pi_identity(k, 30)
-        via_series = eta_odd(k, 30).value
-        assert abs((via_identity - via_series).as_fraction()) < Fraction(1, 10**20)
-
-
 def test_tan_half_informational_check():
     residual = tan_half_residual("1", 50_000, digits=15)
     assert residual.as_fraction() < Fraction(1, 10**3)
@@ -473,8 +465,6 @@ def test_identity_validation():
         rhs_eval("S1", 1, "1", 0)
     with pytest.raises(ValueError, match="k must be >= 1"):
         rhs_eval("S1", 0, "1", 20)
-    with pytest.raises(ValueError, match="k must be >= 1"):
-        eta_from_half_pi_identity(0)
     with pytest.raises(ValueError):
         tan_half_residual("1", 1)
 

@@ -247,9 +247,6 @@ DIGITS_TAKERS = {
     "identities.check_identity": lambda d: oddzeta.identities.check_identity(
         "S1", 1, "1", 100, 20, d
     ),
-    "identities.eta_from_half_pi_identity": lambda d: (
-        oddzeta.identities.eta_from_half_pi_identity(1, d)
-    ),
     "identities.fourier_lhs": lambda d: oddzeta.identities.fourier_lhs("S2", 1, "pi/2", 100, d),
     "identities.residual_sweep": lambda d: oddzeta.identities.residual_sweep(
         [1], ["1"], lambda k: 100, 20, d
