@@ -27,7 +27,6 @@ _EXPORTS = {
     "zeta_even_closed": "constants",
     "zeta_odd": "constants",
     "ResourceLimitError": "errors",
-    "TailRatioError": "errors",
     "UnknownConstantError": "errors",
     "bernoulli": "exact",
     "FixedDecimal": "highprec",

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 from .coeffs import build_table
 from .constants import compute_constant
-from .errors import ResourceLimitError, TailRatioError
+from .errors import ResourceLimitError
 from .highprec import term_ratio_sequence
 
 __all__ = ["main", "run"]
@@ -349,7 +349,7 @@ def run(argv, out=None, err=None) -> int:
     except (ValueError, TypeError) as exc:  # UsageError and UnknownConstantError are ValueErrors
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
-    except (ResourceLimitError, TailRatioError) as exc:
+    except ResourceLimitError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_RESOURCE
 

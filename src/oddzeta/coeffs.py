@@ -27,6 +27,25 @@ recurrence run with every T_n = 1 gives Q_k(1..k) without tangent numbers, their
 differences extend Q_k a row at a time by k-1 subtractions, and row n is T_n Q_k(n).
 Nothing is reduced by a gcd; ``d_coeff``, ``e_coeff``, ``f_ratio`` and
 ``build_table`` make a ``Fraction`` only where one is read.
+
+Every column is a moment sequence, and in every column served each series term is
+positive and below a quarter of the one before.  With lambda(s) = sum_(m odd) m^-s, the tangent series and DLMF 25.6.2 give
+T_n / (2n-1)! = 2 4^n lambda(2n) / pi^(2n) (DLMF 4.19.4), so the term of row n is
+
+    E_n(k) (pi/2)^(2n+k-1) = (pi/2)^(k-1) R_k(n) lambda(2n) / 4^n,
+    R_k(n) = 2 Q_k(n) / (P_k (2n)(2n+1)...(2n+k-1)) = sum_(j<k) c_j / (2n+j),
+
+by partial fractions, with c_j = 2 (-1)^j C(k-1, j) Q_k(-j/2) / (P_k (k-1)!).  So
+R_k(n) = int_0^1 s^(2n-1) w_k(s) ds for w_k(s) = sum_(j<k) c_j s^j.  If w_k > 0 on (0, 1),
+then R_k(n) > 0 and R_k(n+1) < R_k(n); lambda(2n+2) < lambda(2n) too, so every term of
+column k is positive and below a quarter of the one before, and the terms after row N
+sum to less than t_N / 3, a third of the last term summed.  In the Bernstein basis of
+degree k-1 (Farouki, CAGD 29, 2012), w_k = sum_i b_i C(k-1, i) s^i (1-s)^(k-1-i) with
+b_i = 2 Delta^i u_0 / (P_k (k-1)!) for u_j = Q_k(-j/2), and so w_k > 0 on (0, 1) where
+``_leading_differences([u_0, ..., u_(k-1)])`` is positive throughout.  The u_j are
+integers: the recurrence with every T_n = 1, run at 2n = 0, -1, ..., -(k-1), with
+C(x, m) = (-1)^m C(m-x-1, m) for x < 0.  ``tests/test_coeffs.py`` checks them for every
+k up to MAX_COLUMN_INDEX, and a larger index is refused before any work.
 """
 
 from __future__ import annotations
@@ -52,6 +71,10 @@ __all__ = [
 ]
 
 MAX_TABLE_CELLS = 2_000_000
+# the largest column served, k = 60 of beta_even, eta_odd and zeta_odd: every column up
+# to it is proven a moment sequence, and its head Q_k(1..k) takes about 0.4 s on a
+# 2-CPU Xeon VM
+MAX_COLUMN_INDEX = 121
 
 # k -> ([N_1(k), N_2(k), ...], [Delta^j Q_k at the next row, j < k]); columns only
 # grow, stored numerators never change
@@ -63,6 +86,11 @@ def _check_n_k(n: int, k: int) -> None:
         raise ValueError("n must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
+
+
+def _check_column_index(k: int) -> None:
+    if k > MAX_COLUMN_INDEX:
+        raise ResourceLimitError(f"column index {k} exceeds configured maximum {MAX_COLUMN_INDEX}")
 
 
 def _odd_product(k: int) -> int:
@@ -102,6 +130,7 @@ def _quotient_differences(k: int) -> list[int]:
 
 def _column(k: int, rows: int) -> list[int]:
     """The stored column N_.(k), grown to at least ``rows`` entries as T_n Q_k(n)."""
+    _check_column_index(k)
     column, steps = _columns.setdefault(k, ([], []))
     have = len(column)
     if have < rows:
@@ -167,6 +196,7 @@ def build_table(k_max: int, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
     from fractions import Fraction
 
     _check_n_k(n_max, k_max)
+    _check_column_index(k_max)
     if k_max * n_max > MAX_TABLE_CELLS:
         raise ResourceLimitError(
             f"table of {k_max}x{n_max} cells exceeds ceiling {MAX_TABLE_CELLS}"

@@ -8,7 +8,6 @@ the classical Bernoulli closed form, read from the same coefficient store.
 
 from __future__ import annotations
 
-import re
 from math import factorial
 from typing import NamedTuple
 
@@ -133,9 +132,6 @@ _PARAMETRIC_NAMES = {
     "zeta_even": zeta_even_closed,
 }
 
-_NAME_RE = re.compile(r"^([a-z_]+)\((\d+)\)$")
-
-
 def valid_name_summary() -> str:
     plain = sorted(_PLAIN_NAMES)
     parametric = sorted(f"{base}(k)" for base in _PARAMETRIC_NAMES)
@@ -150,11 +146,11 @@ def parse_constant_name(name: str) -> tuple[str, int | None]:
     """
     if name in _PLAIN_NAMES:
         return name, None
-    match = _NAME_RE.match(name)
-    if match and match.group(1) in _PARAMETRIC_NAMES:
-        param = int(match.group(2))
-        if param >= 1:
-            return match.group(1), param
+    base, _, rest = name.partition("(")
+    digits = rest[:-1]
+    if base in _PARAMETRIC_NAMES and rest.endswith(")") and digits.isascii() and digits.isdigit():
+        if int(digits) >= 1:
+            return base, int(digits)
     raise UnknownConstantError(
         f"unknown constant {name!r}; valid identifiers: {valid_name_summary()}"
     )

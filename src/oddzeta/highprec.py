@@ -21,7 +21,7 @@ from math import isqrt
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from .coeffs import denominator_step, e_column, e_denominator
-from .errors import ResourceLimitError, TailRatioError
+from .errors import ResourceLimitError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -281,8 +281,16 @@ def _series_terms(
     rigorous while Q shrinks with the terms.
 
     With ``stop``, the loop is :func:`sum_series`'s: it ends at the first row n >= 5
-    whose term is at most 100 ulp, and raises :class:`TailRatioError` once a term
-    past row 5 decays slower than 1/3 of a predecessor above a 1000 ulp noise floor.
+    whose term is at most 100 ulp, and that term's bound is 2, or 1 for a zero N.  With
+    rho = qe / Q and m the row's mantissa, qe |n'| 2^-(f-c) <= rho (|m| + 1/2), and the
+    rest of x 2^-(f-c) is at most as much where N was not cut (|n'| >= 1) and below
+    2^-62 (|m| + 1/2) where it was (|n'| > 2^63 Q); so x 2^-(f-c) < 1 while
+    rho < 10^-3 and |m| <= 100.  For :func:`sum_series`, whose power is (pi/2)^(k+1)
+    with k <= 121 at a scale d >= 11, rho stays below 10^-6: it starts below
+    pe / P + 2^-62, with pe / P < 200 10^-d (``pow_int`` adds its factors' relative
+    bounds and 2 / P a product), and each of at most 5000 rows (the tangent index
+    ceiling) adds below 2 se / S + 2^-61, with se / S < 3 10^-d, since every later Q
+    is at least 2^63.
     """
     unit = 10**power.scale
     frac = unit.bit_length() + 64
@@ -293,7 +301,6 @@ def _series_terms(
     # step_n = 4 (2n+index)(2n+index+1) and its growth step_(n+1) - step_n, which
     # rises by 32 a row
     divisor, grow = 4 * (index + 2) * (index + 3), 8 * (2 * index + 7)
-    prev = 0
     terms = []
     append = terms.append
     for n, num in enumerate(column, 1):
@@ -312,16 +319,8 @@ def _series_terms(
             mantissa = q * num << -shift
             err = (x << -shift) + 2 if num else 1
         append((mantissa, err))
-        if stop:
-            magnitude = abs(mantissa)
-            if n > 5 and prev > 1000 and 3 * magnitude > prev + 8:
-                raise TailRatioError(
-                    f"consecutive term ratio exceeded 1/3 at n={n}, k={index}: "
-                    f"|t_n|={magnitude} vs |t_(n-1)|={prev}"
-                )
-            if magnitude <= 100 and n >= 5:
-                break
-            prev = magnitude
+        if stop and n >= 5 and abs(mantissa) <= 100:
+            break
         qs = q * s
         bound = (q + qe) * se + s * qe
         drop = qs.bit_length() - divisor.bit_length() - mantissa.bit_length() - 64
@@ -343,9 +342,12 @@ def sum_series(k: int, digits: int) -> SeriesResult:
     once to :func:`estimate_terms` rows, and :func:`_series_terms` carries the
     power of pi/2 over its denominator, as one binary quotient, row to row on
     plain integers, and stops the sum.
-    The reported error bound covers per-term rounding plus a geometric tail
-    bound |last| * (1/3) / (1 - 1/3); a runtime check aborts if observed
-    consecutive terms ever decay slower than 1/3 past burn-in.
+    The reported error bound adds to the per-term bounds |m_N| // 2 + 1 ulp for the
+    omitted tail, m_N being the last term's mantissa.  The tail is below t_N / 3, a
+    third of the true last term, for every column the store serves (the moment lemma
+    in :mod:`oddzeta.coeffs`), and t_N <= |m_N| + err_N <= |m_N| + 2 at the stop row
+    (:func:`_series_terms`).  Since |m| // 2 + 1 >= (|m| + 2) / 3 for every |m| >= 0,
+    the added term covers (|m_N| + err_N) / 3 and so the tail.
     """
     column = e_column(k, estimate_terms(digits, k))
     work = _working_scale(digits)
@@ -365,8 +367,9 @@ def sum_series(k: int, digits: int) -> SeriesResult:
 def term_ratio_sequence(k: int, n_count: int, digits: int = 15) -> list[tuple[int, FixedDecimal]]:
     """Diagnostic sequence |E_(n+1)(k) / E_n(k)| * (pi/2)^2 for n = 1..n_count.
 
-    The sequence settles near 1/4, which is what makes the geometric tail
-    bound in :func:`sum_series` sound.
+    The sequence tends to 1/4 and, by the moment lemma in :mod:`oddzeta.coeffs`,
+    stays below it at every n: that is the geometric tail bound of :func:`sum_series`,
+    proven, not read off these values.
     """
     if n_count < 1:
         raise ValueError("n_count must be >= 1")

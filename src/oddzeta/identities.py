@@ -477,9 +477,11 @@ def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) 
     odd = e % 2
     scale = _working_scale(digits)
     m, err = _theta_mantissa(token, scale)
-    # geometric bound on the omitted ladder tail: the term ratio is strictly
-    # below (theta/pi)^2 for every n, bounded here by a/b with outward rounding;
-    # judged before the column is read, which may cost tangent numbers to series_terms
+    # geometric bound on the omitted ladder tail: the term ratio is strictly below
+    # (theta/pi)^2 for every n, the moment lemma of coeffs at angle theta, since
+    # D_n(e) theta^(2n+e-1) = 4 theta^(e-1) lambda(2n) y^(2n) / ((2n)...(2n+e-1)) with
+    # y = theta/pi; bounded here by a/b with outward rounding, and judged before the
+    # column is read, which may cost tangent numbers to series_terms
     a, b = (m + 2) ** 2, (compute_pi(scale).mantissa - 2) ** 2
     if 1000 * a >= 999 * b:
         raise ValueError(f"theta={token} is too close to pi for a usable ladder tail bound")

@@ -6,7 +6,8 @@ numbers), ladder coefficients from the closed-form product (not the
 recurrence), and the step formulas are written out literally, one per
 integration step.  :func:`odd_column_numerators`, the reference for the
 package's integer coefficient columns, runs the recursion through the odd
-columns that the package's per-column quotient polynomials replace.
+columns that the package's per-column quotient polynomials replace;
+:func:`quotient_values` runs it with every T_n = 1, at any half-integer n.
 :func:`machin_pi` is Machin's arctangent formula on integers, the reference
 for the package's Chudnovsky pi.  :class:`AngleEngine`,
 the reference for the Fourier pass, takes sin and cos of m*theta straight from
@@ -116,35 +117,53 @@ def e_recurrence(n: int, k: int) -> Fraction:
     return value if k % 2 == 0 else value / (1 - Fraction(1, 1 << k))
 
 
-def odd_column_numerators(k_max: int, rows: int) -> dict[int, list[int]]:
-    """Columns 1..k_max of integer numerators N_n(k), n <= ``rows``, by the odd-column recursion.
+def poly_comb(x: int, m: int) -> int:
+    """C(x, m) = x (x-1) ... (x-m+1) / m! for any integer x, m >= 0: (-1)^m C(m-x-1, m)
+    below 0."""
+    return comb(x, m) if x >= 0 else (-1) ** m * comb(m - x - 1, m)
+
+
+def odd_column_recursion(k_max: int, points, tangents) -> dict[int, list[int]]:
+    """Columns 1..k_max of the recursion through the odd columns, at 2n = each of ``points``
+    with T_n = the matching entry of ``tangents``.
 
     E_n(k) = N_n(k) / ((2n+k-1)! 4^n P_k) with P_k = prod_(odd 3 <= r <= k) (2^r - 1).
     With j = k // 2 and B = P_(k - k mod 2), :func:`e_recurrence` over these
     denominators reads N_n(k) = (-1)^j (T_n B - sum_(r<j) (-1)^r N_n(2r+1)
-    C(2n+k-1, 2n+2r) B / P_(2r+1)), times 2^k for odd k: every column reads the
-    stored rows of the odd columns below it.  This is how the package built its
-    columns before each came from its own quotient polynomial.
+    C(2n+k-1, k-1-2r) B / P_(2r+1)), times 2^k for odd k: every column reads the
+    rows of the odd columns below it.  The binomial is a polynomial in n, so with
+    every T_n = 1 the recursion gives Q_k at any half-integer n, N_n(k) = T_n Q_k(n).
     """
-
-    def odd_product(k: int) -> int:
-        product = 1
-        for r in range(3, k + 1, 2):
-            product *= (1 << r) - 1
-        return product
-
+    odd = [1, 1]  # P_0, P_1, ..., P_k_max
+    for r in range(2, k_max + 1):
+        odd.append(odd[-1] * ((1 << r) - 1 if r % 2 else 1))
     columns: dict[int, list[int]] = {}
     for k in (*range(1, k_max + 1, 2), *range(2, k_max + 1, 2)):
-        j, base = k // 2, odd_product(k - k % 2)
+        j, base = k // 2, odd[k - k % 2]
+        weights = [(-1) ** r * (base // odd[2 * r + 1]) for r in range(j)]
         columns[k] = [
-            (-1) ** j * (tan_number(n) * base - sum(
-                (-1) ** r * columns[2 * r + 1][n - 1] * comb(2 * n + k - 1, 2 * n + 2 * r)
-                * (base // odd_product(2 * r + 1))
-                for r in range(j)
+            (-1) ** j * (t * base - sum(
+                w * columns[2 * r + 1][i] * poly_comb(x + k - 1, k - 1 - 2 * r)
+                for r, w in enumerate(weights)
             )) << (k % 2 * k)
-            for n in range(1, rows + 1)
+            for i, (x, t) in enumerate(zip(points, tangents))
         ]
     return columns
+
+
+def odd_column_numerators(k_max: int, rows: int) -> dict[int, list[int]]:
+    """Columns 1..k_max of integer numerators N_n(k), n <= ``rows``, by the odd-column
+    recursion: how the package built its columns before each came from its own
+    quotient polynomial."""
+    tangents = [tan_number(n) for n in range(1, rows + 1)]
+    return odd_column_recursion(k_max, range(2, 2 * rows + 1, 2), tangents)
+
+
+def quotient_values(k_max: int, points) -> dict[int, list[int]]:
+    """Q_k(x / 2) for k = 1..k_max and each integer x of ``points``: the odd-column
+    recursion with every T_n = 1."""
+    points = list(points)
+    return odd_column_recursion(k_max, points, [1] * len(points))
 
 
 def accelerated_alternating_fractions(term, depth: int) -> tuple[Fraction, Fraction]:

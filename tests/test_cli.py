@@ -25,7 +25,7 @@ from oddzeta.cli import (
     EXIT_VERIFY_FAILED,
     run,
 )
-from oddzeta.coeffs import MAX_TABLE_CELLS
+from oddzeta.coeffs import MAX_COLUMN_INDEX, MAX_TABLE_CELLS
 from oddzeta.exact import MAX_TANGENT_INDEX
 from oddzeta.identities import MAX_FOURIER_TERMS, MAX_THETA_DIGITS
 
@@ -393,8 +393,13 @@ CEILING_CASES = {
         [*IDENTITY_S1, "--theta", "1", "--terms", str(MAX_FOURIER_TERMS + 1)],
         EXIT_RESOURCE,
     ),
+    "MAX_COLUMN_INDEX": (
+        ["constant", f"beta_even({(MAX_COLUMN_INDEX + 1) // 2})", "--digits", "10"],
+        EXIT_RESOURCE,
+    ),
+    # the widest table whose columns are all served, one row too long
     "MAX_TABLE_CELLS": (
-        ["coeffs", "--k", "1000", "--n", str(MAX_TABLE_CELLS // 1000 + 1)],
+        ["coeffs", "--k", str(MAX_COLUMN_INDEX), "--n", str(MAX_TABLE_CELLS // MAX_COLUMN_INDEX + 1)],
         EXIT_RESOURCE,
     ),
     "MAX_TANGENT_INDEX": (["coeffs", "--k", "1", "--n", str(MAX_TANGENT_INDEX + 1)], EXIT_RESOURCE),
@@ -422,6 +427,25 @@ def test_every_ceiling_plus_one_exits_at_once(name):
     )
     assert time.perf_counter() - start < 1
     assert (done.returncode, done.stdout) == (expected, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--k", str(MAX_COLUMN_INDEX + 1), "--n", "1"],
+        ["ratio", "--k", str(MAX_COLUMN_INDEX + 1), "--n", "2"],
+        ["identity", "--id", "S2", "--k", str(MAX_COLUMN_INDEX // 2 + 1), "--theta", "1"],
+    ],
+    ids=["coeffs", "ratio", "identity"],
+)
+def test_column_past_the_ceiling_exits_at_once(argv):
+    # coeffs would build columns 1..MAX_COLUMN_INDEX before it reached the next one, and
+    # the S2 ladder sums its highest eta value, column 2k + 1, first
+    start = time.perf_counter()
+    code, out, err = invoke(argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert f"exceeds configured maximum {MAX_COLUMN_INDEX}" in err
 
 
 def test_ratio_past_tangent_ceiling_is_resource_error():

@@ -1,12 +1,19 @@
 """Ladder and series coefficients: recurrences vs step formulas, exactly."""
 
 from fractions import Fraction
-from math import gcd
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
-from exact_reference import E_STEPWISE, d_closed, e_recurrence, odd_column_numerators, tan_number
+from exact_reference import (
+    E_STEPWISE,
+    d_closed,
+    e_recurrence,
+    odd_column_numerators,
+    quotient_values,
+    tan_number,
+)
 from oddzeta import coeffs
 from oddzeta.coeffs import build_table, d_coeff, e_coeff, e_column, f_ratio
 from oddzeta.errors import ResourceLimitError
@@ -89,6 +96,51 @@ def test_numerators_are_tangent_numbers_times_a_polynomial(k, start):
     for _ in range(k):
         quotients = [b - a for a, b in zip(quotients, quotients[1:])]
     assert quotients == [0]
+
+
+def test_every_served_column_is_a_moment_sequence():
+    # w_k's Bernstein coefficients are positive multiples of the leading differences of
+    # Q_k(0), Q_k(-1/2), ..., Q_k(-(k-1)/2): all positive means w_k > 0 on (0, 1), and
+    # so every term of column k is below a quarter of the one before (coeffs docstring)
+    top = coeffs.MAX_COLUMN_INDEX
+    values = quotient_values(top, [*range(0, -top, -1), *range(2, 2 * top + 1, 2)])
+    for k in range(1, top + 1):
+        assert min(coeffs._leading_differences(values[k][:k])) > 0, k
+    # the reference is the package's Q_k: k values fix a polynomial of degree below k
+    for k in (*range(1, 31), 60, 61, top - 1, top):
+        quotients = values[k][top:top + k]
+        assert coeffs._leading_differences(quotients) == coeffs._quotient_differences(k), k
+
+
+def test_series_rows_are_moments_of_the_bernstein_weight():
+    # R_k(n) = 2 4^n (2n-1)! E_n(k) / T_n is sum_(j<k) c_j / (2n+j), the n-th moment of
+    # w_k = sum_j c_j s^j, and w_k's Bernstein coefficients are the leading differences
+    # of u_j = Q_k(-j/2) times 2 / (P_k (k-1)!)
+    top = 20
+    values = quotient_values(top, range(0, -top, -1))
+    limits = {}
+    for k in range(1, top + 1):
+        u = values[k][:k]
+        unit = Fraction(2, prod((1 << r) - 1 for r in range(3, k + 1, 2)) * factorial(k - 1))
+        c = [unit * (-1) ** j * comb(k - 1, j) * u[j] for j in range(k)]
+        for n in range(1, 51):
+            moment = Fraction(2 * 4**n * factorial(2 * n - 1), tan_number(n)) * e_coeff(n, k)
+            assert moment == sum(cj / (2 * n + j) for j, cj in enumerate(c)), (k, n)
+        bernstein = [sum(comb(i, j) * c[j] / comb(k - 1, j) for j in range(i + 1)) for i in range(k)]
+        assert bernstein == [unit * d for d in coeffs._leading_differences(u)]
+        limits[k] = sum(c) / 4
+    # F_n(k) tends to K(k) = w_k(1) / 4
+    assert (limits[1], limits[3], limits[4]) == (1, Fraction(4, 7), Fraction(17, 42))
+    assert abs(f_ratio(400, 3) - limits[3]) < Fraction(1, 10**6)
+
+
+def test_column_index_ceiling_is_checked_before_any_work(cold_store):
+    top = coeffs.MAX_COLUMN_INDEX
+    past = top + 1
+    for call in (lambda: e_column(past, 1), lambda: e_coeff(1, past), lambda: build_table(past, 1)):
+        with pytest.raises(ResourceLimitError, match=f"{past} exceeds configured maximum {top}$"):
+            call()
+    assert coeffs._columns == {} and cold_store == []
 
 
 def test_e_base_column_equals_ladder_base():

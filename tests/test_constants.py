@@ -132,7 +132,10 @@ def test_provenance_fields():
 def test_parse_constant_name():
     assert parse_constant_name("catalan") == ("catalan", None)
     assert parse_constant_name("zeta_odd(3)") == ("zeta_odd", 3)
-    for bad in ("zeta", "zeta_odd(0)", "zeta_odd(-1)", "beta_even", "catalan(2)", ""):
+    assert parse_constant_name("zeta_odd(02)") == ("zeta_odd", 2)
+    # a trailing newline, and digits outside ASCII, are not the identifier's digits
+    bad_forms = ("zeta_odd(2)\n", "catalan\n", "zeta_odd(\u0663)", "zeta_odd(\u00b2)", "zeta_odd(2")
+    for bad in ("zeta", "zeta_odd(0)", "zeta_odd(-1)", "beta_even", "catalan(2)", "", *bad_forms):
         with pytest.raises(UnknownConstantError):
             parse_constant_name(bad)
 

@@ -96,6 +96,9 @@ COMMANDS = [
     ["identity", "--id", "S1", "--k", "1", "--t", "1"],
     # an empty name is an unknown constant, not the whole battery
     ["verify", "--name=", "--digits", "5"],
+    # a trailing newline, or a digit outside ASCII (Arabic-Indic three), is no identifier
+    ["constant", "zeta_odd(2)\n", "--digits", "5"],
+    ["constant", "zeta_odd(\u0663)", "--digits", "5"],
     # a negative count parses, and the digit range refuses it with exit 3
     ["constant", "catalan", "--digits", "-5"],
 ]

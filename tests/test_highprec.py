@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 from exact_reference import machin_pi
 from oddzeta import highprec
 from oddzeta.coeffs import denominator_step, e_column, e_denominator
-from oddzeta.errors import ResourceLimitError, TailRatioError
+from oddzeta.errors import ResourceLimitError
 from oddzeta.highprec import (
     GUARD_DIGITS,
     FixedDecimal,
@@ -405,18 +405,6 @@ def test_sum_series_doubling_agreement():
         assert abs(low.mantissa - high.mantissa) <= 100  # first 13 digits agree
 
 
-def test_sum_series_tail_ratio_guard(monkeypatch):
-    # a synthetic column whose entries stop decaying (E_n(k) = 1) must trip the runtime check
-    from oddzeta import highprec
-    from oddzeta.coeffs import e_denominator
-
-    monkeypatch.setattr(
-        highprec, "e_column", lambda k, rows: [e_denominator(n, k) for n in range(1, rows + 1)]
-    )
-    with pytest.raises(TailRatioError):
-        sum_series(1, 5)
-
-
 def test_term_ratio_sequence_near_quarter():
     for k in range(1, 7):
         ratios = dict(term_ratio_sequence(k, 60, digits=12))
@@ -437,3 +425,49 @@ def test_validation_errors():
         sum_series(0, 10)
     with pytest.raises(ValueError):
         sum_series(1, 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 60, 61, 120, 121])
+def test_stop_row_bound_is_at_most_two(k):
+    # _series_terms' argument: qe / q stays below 10^-6 on every row, so the term that
+    # stops the sum has a bound of at most 2 and |m| // 2 + 1 covers (|m| + err) / 3
+    for digits in (1, 2, 30, 300):
+        hp = half_pi(digits + GUARD_DIGITS)
+        column = e_column(k, estimate_terms(digits, k))
+        terms, rows = series_rows(
+            lambda: highprec._series_terms(
+                hp.pow_int(k + 1), hp.mul(hp), column, e_denominator(1, k), k, stop=True
+            )
+        )
+        assert all(qe * 10**6 < q for q, qe, _, _ in rows)
+        mantissa, err = terms[-1]
+        assert abs(mantissa) <= 100 and err <= 2
+        assert 3 * (abs(mantissa) // 2 + 1) >= abs(mantissa) + err
+
+
+def column_constant(k: int) -> str:
+    """The name whose value is A_k: ln 2, beta(k) for even k, eta(k) for odd k > 1."""
+    if k == 1:
+        return "alt_harmonic"
+    return f"beta_even({k // 2})" if k % 2 == 0 else f"eta_odd({k // 2})"
+
+
+@given(st.integers(min_value=1, max_value=61), st.integers(min_value=1, max_value=300))
+@example(1, 2)
+@example(61, 300)
+def test_proven_tail_covers_what_the_sum_omits(k, digits):
+    # A_k minus the terms_used terms that sum_series summed, both taken 12 digits past its
+    # working scale, is positive, below a third of the last term and below the tail it adds
+    from oddzeta.oracle import reference_for
+
+    result, extra = sum_series(k, digits), 12
+    hp = half_pi(digits + GUARD_DIGITS + extra)
+    column = e_column(k, result.terms_used)
+    terms = highprec._series_terms(hp.pow_int(k + 1), hp.mul(hp), column, e_denominator(1, k), k)
+    reference = reference_for(column_constant(k), hp.scale)
+    omitted = reference.mantissa - sum(m for m, _ in terms)
+    slack = reference.err_ulp + sum(err for _, err in terms)
+    last, last_err = terms[-1]
+    assert 0 < omitted - slack
+    assert 3 * (omitted + slack) < last - last_err
+    assert omitted + slack <= result.tail_bound.mantissa * 10**extra
