@@ -12,12 +12,14 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 limit; a reader that closes stdout early ends the run with 0.  Data goes to
 stdout, diagnostics to stderr; plain and csv output is byte-deterministic,
 timing appears only in the JSON ``elapsed_ms`` field.
+
+``main`` flushes both streams and then ends the process at once, without the
+interpreter's teardown; a library caller uses ``run``, which only returns.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -190,8 +192,6 @@ _ABOUT = (
     "Alternating zeta-family constants (Catalan, Apery, odd zeta values) from\n"
     "exact-rational series in powers of pi/2, with oracle verification."
 )
-# the numbers an option may take as its value although they begin with "-"
-_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
 class UsageError(ValueError):
@@ -222,13 +222,12 @@ def _help(command: str | None) -> str:
 
 def _is_option(token: str) -> bool:
     """True where ``token`` names an option, as argparse reads it: a leading "-" that is
-    not the whole token, not a negative number and not followed by a space."""
-    return (
-        token.startswith("-")
-        and token != "-"
-        and not _NEGATIVE_NUMBER.fullmatch(token)
-        and " " not in token
-    )
+    not the whole token, not followed by a space and not a negative number (-5, -.5 or
+    -1.5 in any decimal digits, argparse's ``-\\d+|-\\d*\\.\\d+``), which an option
+    may take as its value."""
+    whole, point, fraction = token[1:].partition(".")
+    number = (whole + fraction).isdecimal() and (fraction or not point)
+    return token.startswith("-") and token != "-" and not number and " " not in token
 
 
 def _fail(command: str | None, message: str) -> UsageError:
@@ -355,13 +354,22 @@ def run(argv, out=None, err=None) -> int:
 
 
 def main() -> None:
+    """Run ``sys.argv``, flush stdout and stderr, and end the process with ``os._exit``.
+
+    The teardown it skips frees memory the exit returns anyway; every file the run
+    writes is closed before ``run`` returns.  An exception that escapes ``run`` still
+    takes the normal exit, with its traceback and exit code 1.
+    """
+    # a stream closed before the start (``>&-``) is None: write to os.devnull instead
+    out, err = (s if s is not None else open(os.devnull, "w") for s in (sys.stdout, sys.stderr))
     try:
-        code = run(sys.argv[1:])
-        sys.stdout.flush()
+        code = run(sys.argv[1:], out, err)
+        out.flush()
     except BrokenPipeError:  # the reader closed stdout early (``| head``): end quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         code = EXIT_OK
-    sys.exit(code)
+    err.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -51,13 +51,9 @@ k up to MAX_COLUMN_INDEX, and a larger index is refused before any work.
 from __future__ import annotations
 
 from math import comb, factorial, prod
-from typing import TYPE_CHECKING
 
 from .errors import ResourceLimitError
 from .exact import tangent_number
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "build_table",

@@ -8,12 +8,12 @@ the classical Bernoulli closed form, read from the same coefficient store.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import factorial
-from typing import NamedTuple
 
 from .coeffs import e_column
 from .errors import UnknownConstantError
-from .highprec import FixedDecimal, _working_scale, compute_pi, sum_series
+from .highprec import _working_scale, compute_pi, sum_series
 
 __all__ = [
     "ConstantValue",
@@ -34,18 +34,16 @@ CLOSED_FORM_METHOD = "closed-form"
 ZETA_ODD_EXTRA_DIGITS = 2  # zeta(2k+1) sums A_(2k+1) this many digits past the request
 
 
-class ConstantValue(NamedTuple):
-    """A computed constant with its provenance.
+class ConstantValue(
+    namedtuple("ConstantValue", "name value method k terms_used", defaults=(None, None))
+):
+    """A computed constant, its ``value`` a FixedDecimal, with its provenance.
 
     ``k`` and ``terms_used`` describe the series evaluation; both are None
     for closed-form values.
     """
 
-    name: str
-    value: FixedDecimal
-    method: str
-    k: int | None = None
-    terms_used: int | None = None
+    __slots__ = ()
 
 
 def _series_constant(name: str, k: int, digits: int) -> ConstantValue:

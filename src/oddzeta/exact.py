@@ -11,12 +11,8 @@ from __future__ import annotations
 
 import operator
 import os
-from typing import TYPE_CHECKING
 
 from .errors import ResourceLimitError
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = ["CACHE_DIR_ENV", "bernoulli", "tangent_number"]
 

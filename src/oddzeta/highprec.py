@@ -17,14 +17,11 @@ denominator or by a power of ten.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import isqrt
-from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from .coeffs import denominator_step, e_column, e_denominator
 from .errors import ResourceLimitError
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "GUARD_DIGITS",
@@ -61,12 +58,10 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-class FixedDecimal(NamedTuple):
+class FixedDecimal(namedtuple("FixedDecimal", "mantissa scale err_ulp", defaults=(0,))):
     """Fixed-point decimal ``mantissa * 10^(-scale)`` with error ``<= err_ulp`` ulp."""
 
-    mantissa: int
-    scale: int
-    err_ulp: int = 0
+    __slots__ = ()
 
     def as_fraction(self) -> Fraction:
         """Midpoint of the enclosure (ignores err_ulp)."""
@@ -111,8 +106,8 @@ class FixedDecimal(NamedTuple):
     def __abs__(self) -> "FixedDecimal":
         return FixedDecimal(abs(self.mantissa), self.scale, self.err_ulp)
 
-    def __mul__(self, other: object) -> NoReturn:
-        # without this a NamedTuple repeats itself: FixedDecimal(15, 1) * 2 is a 6-tuple
+    def __mul__(self, other: object):
+        # without this a tuple repeats itself: FixedDecimal(15, 1) * 2 is a 6-tuple
         raise TypeError(
             "FixedDecimal does not support '*': use mul for a FixedDecimal factor "
             "or mul_ratio for an exact ratio"

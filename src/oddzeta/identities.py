@@ -25,8 +25,8 @@ must shrink as the term count grows.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import ceil, comb, cos, factorial, gcd, isqrt, lgamma, log, log2
-from typing import NamedTuple
 
 from .coeffs import _leading_differences, d_denominator, e_column
 from .errors import ResourceLimitError
@@ -503,16 +503,14 @@ def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) 
     return poly + acc._replace(err_ulp=acc.err_ulp + abs(mantissas[-1]) * a // (2 * (b - a)) + 1)
 
 
-class IdentityResidual(NamedTuple):
+class IdentityResidual(
+    namedtuple(
+        "IdentityResidual", "identity k theta theta_token fourier_terms series_terms residual"
+    )
+):
     """|Fourier partial sum - ladder series| for one (identity, k, theta) check."""
 
-    identity: str
-    k: int
-    theta: FixedDecimal
-    theta_token: str
-    fourier_terms: int
-    series_terms: int
-    residual: FixedDecimal
+    __slots__ = ()
 
 
 def check_identity(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import NamedTuple
+from collections import namedtuple
 
 from .constants import compute_constant, parse_constant_name, valid_name_summary
 from .errors import ResourceLimitError, UnknownConstantError
@@ -214,15 +214,13 @@ def reference_for(name: str, digits: int) -> FixedDecimal:
     raise UnknownConstantError(f"unknown constant {name!r}; valid: {valid_name_summary()}")
 
 
-class VerificationReport(NamedTuple):
-    """Outcome of one production-vs-reference comparison; never raises on mismatch."""
+class VerificationReport(
+    namedtuple("VerificationReport", "name computed reference matched_digits terms_used elapsed")
+):
+    """Outcome of one production-vs-reference comparison, ``elapsed`` in seconds; never
+    raises on mismatch."""
 
-    name: str
-    computed: str
-    reference: str
-    matched_digits: int
-    terms_used: int
-    elapsed: float
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

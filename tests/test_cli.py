@@ -1,6 +1,8 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
 import ast
+import contextlib
+import hashlib
 import io
 import json
 import os
@@ -272,7 +274,6 @@ def argparse_reference(argv):
     """("ok", namespace dict), ("help",) or ("error",): what the argparse tree that the
     command table replaced made of ``argv``."""
     import argparse
-    import contextlib
 
     parser = argparse.ArgumentParser(prog="oddzeta")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -335,6 +336,25 @@ def test_argv_parses_as_the_argparse_tree_did(first, rest):
     # form it refused is refused
     argv = [first, *rest]
     assert table_parse(argv) == argparse_reference(argv)
+
+
+# the pieces of a negative number, the characters next to them, and any decimal digit,
+# other digits (superscripts, circled numbers) and spaces
+NUMBER_PIECES = st.one_of(
+    st.sampled_from([*"0123456789.-", "\n", "e"]),
+    st.characters(categories=["Nd", "No", "Zs"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(NUMBER_PIECES, max_size=6) | st.text(max_size=4))
+def test_negative_number_test_is_the_regex_argparse_used(body):
+    # the regex, kept here as the reference, is what _is_option once compiled; its \d is
+    # any Unicode decimal digit
+    for token in (body, f"-{body}"):
+        number = re.fullmatch(r"-\d+|-\d*\.\d+", token)
+        option = token.startswith("-") and token != "-" and not number and " " not in token
+        assert cli._is_option(token) == option
 
 
 def test_plain_output_deterministic():
@@ -496,3 +516,117 @@ def test_reader_closing_the_pipe_ends_quietly(argv, unbuffered, lines):
     stderr = child.stderr.read()
     assert child.wait(timeout=60) == EXIT_OK
     assert stderr == b""
+
+
+# a -c wrapper of main whose oracle reports a mismatch, so that verify exits 1
+FAILING_ORACLE = (
+    "from oddzeta import cli, oracle\n"
+    "report = oracle.VerificationReport('catalan', '0.9', '0.8', 0, 5, 0.0)\n"
+    "oracle.verify = lambda name, digits: report\n"
+    "cli.main()\n"
+)
+
+
+def cli_process(args, cache_dir=None, **streams):
+    """The finished ``python <args>``, with this checkout's package on the path and a cache
+    directory only where ``cache_dir`` names one; stdout and stderr are pipes unless
+    ``streams`` says otherwise."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env.pop("ODDZETA_CACHE_DIR", None)
+    if cache_dir is not None:
+        env["ODDZETA_CACHE_DIR"] = str(cache_dir)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **streams)
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "pipe"])
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["constant", "catalan", "--digits", "30"], EXIT_OK),
+        (["verify", "--digits", "30"], EXIT_OK),
+        (["constant", "-h"], EXIT_OK),
+        (["verify", "--name", "catalan", "--digits", "10"], EXIT_VERIFY_FAILED),
+        (["constant", "bogus"], EXIT_USAGE),
+        (["constant", "catalan", "--digits", "2000"], EXIT_RESOURCE),
+    ],
+    ids=["constant", "battery", "help", "failed", "usage", "resource"],
+)
+def test_main_prints_what_run_returns(argv, expected, to_file, tmp_path, monkeypatch):
+    # main ends the process with os._exit, so whatever waits in a stream's buffer
+    # arrives only through main's own flushes: a file's block buffer holds all of it
+    if expected == EXIT_VERIFY_FAILED:
+        from oddzeta import oracle
+
+        fake = oracle.VerificationReport("catalan", "0.9", "0.8", 0, 5, 0.0)
+        monkeypatch.setattr(oracle, "verify", lambda name, digits: fake)
+        args = ["-c", FAILING_ORACLE, *argv]
+    else:
+        args = ["-m", "oddzeta.cli", *argv]
+    code, out, err = invoke(argv)
+    assert code == expected
+    path = tmp_path / "stdout"
+    with open(path, "wb") if to_file else contextlib.nullcontext(subprocess.PIPE) as stdout:
+        done = cli_process(args, stdout=stdout)
+    written = path.read_bytes() if to_file else done.stdout
+    assert (done.returncode, written, done.stderr) == (code, out.encode(), err.encode())
+
+
+COEFFS_CSV = ["coeffs", "--k", "1", "--n", "1500", "--format", "csv"]
+
+
+def test_main_writes_a_long_table_whole_to_a_file(tmp_path):
+    # 11.6 MB of CSV, flushed block by block and once more by main before it exits
+    path = tmp_path / "table.csv"
+    with open(path, "wb") as stdout:
+        done = cli_process(["-m", "oddzeta.cli", *COEFFS_CSV], stdout=stdout)
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+    data = path.read_bytes()
+    # what run() prints for the same argv, recorded: building it again takes seconds
+    assert len(data) == 11_605_581
+    assert hashlib.sha256(data).hexdigest() == (
+        "7124648ea98301d1f1e9ae4fe8702b260699f5888d1faf5d30252b93615b86d3"
+    )
+
+
+def test_main_leaves_a_complete_cache_file(tmp_path, cold_store):
+    from oddzeta import exact
+
+    argv = ["constant", "apery", "--digits", "100"]
+    done = cli_process(["-m", "oddzeta.cli", *argv], cache_dir=tmp_path)
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+    assert invoke(argv)[:2] == (EXIT_OK, done.stdout.decode())
+    path = tmp_path / exact.CACHE_FILENAME
+    lines = path.read_text().splitlines(keepends=True)
+    # every index the run read is there, every line whole, and every value checks out
+    assert len(lines) == len(exact._tangents) > 0
+    assert exact._load_cache(str(path)) == exact._tangents
+
+
+def test_an_exception_escaping_run_takes_the_normal_exit():
+    script = (
+        "from oddzeta import cli\n"
+        "def fail(name, digits):\n"
+        "    raise RuntimeError('boom')\n"
+        "cli.compute_constant = fail\n"
+        "cli.main()\n"
+    )
+    done = cli_process(["-c", script, "constant", "catalan"])
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr.startswith(b"Traceback (most recent call last):\n")
+    assert done.stderr.endswith(b"RuntimeError: boom\n")
+
+
+@pytest.mark.parametrize("closed", [1, 2], ids=["stdout", "stderr"])
+@pytest.mark.parametrize(
+    "argv", [["constant", "catalan", "--digits", "12"], ["constant", "bogus"]], ids=["ok", "usage"]
+)
+def test_a_stream_closed_at_the_start_is_discarded(argv, closed):
+    # ``>&-`` or ``2>&-`` leaves the interpreter no such stream (sys.stdout or sys.stderr
+    # is None): what would go there is lost, and the run's exit code and the other
+    # stream are what run gives
+    code, out, err = invoke(argv)
+    streams = {"stdout": None} if closed == 1 else {"stderr": None}
+    done = cli_process(["-m", "oddzeta.cli", *argv], preexec_fn=lambda: os.close(closed), **streams)
+    kept = done.stderr if closed == 1 else done.stdout
+    assert (done.returncode, kept) == (code, (err if closed == 1 else out).encode())

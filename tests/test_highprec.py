@@ -82,7 +82,7 @@ def test_sci_rendering():
 
 
 def test_star_is_refused_in_favour_of_mul_and_mul_ratio():
-    # a NamedTuple would otherwise repeat itself: FixedDecimal(15, 1) * 2 is a 6-tuple
+    # a tuple would otherwise repeat itself: FixedDecimal(15, 1) * 2 is a 6-tuple
     fd = FixedDecimal(15, 1)
     for product in (lambda: fd * 2, lambda: 2 * fd, lambda: fd * fd):
         with pytest.raises(TypeError, match=r"\bmul\b.*\bmul_ratio\b"):

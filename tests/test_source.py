@@ -105,14 +105,15 @@ def test_no_lru_cache_in_package():
     assert found == []
 
 
-# where the name Fraction may appear, by module: "import" is a module-level import;
-# the rest are functions that take or return one, parse an angle, or are oracle
-# references built on their own rational loop.  Every computation path applies its
-# exact factors with FixedDecimal.mul_ratio on integer pairs instead.
+# where the name Fraction may appear, by module: functions that take or return one,
+# parse an angle, or are oracle references built on their own rational loop.  No module
+# imports it at its top ("import"), where every cold start would pay for it, and every
+# computation path applies its exact factors with FixedDecimal.mul_ratio on integer
+# pairs instead.
 FRACTION_PLACES = {
-    "coeffs": {"import", "d_coeff", "e_coeff", "f_ratio", "build_table"},
-    "exact": {"import", "bernoulli"},
-    "highprec": {"import", "as_fraction", "bounds"},
+    "coeffs": {"d_coeff", "e_coeff", "f_ratio", "build_table"},
+    "exact": {"bernoulli"},
+    "highprec": {"as_fraction", "bounds"},
     "identities": {"canonical_theta_token"},
     "oracle": {"reference_ln2", "reference_pi"},
 }
@@ -213,6 +214,79 @@ def test_identity_command_loads_no_fraction_module_or_argparse(theta):
     )
     assert lines[-1] == "0 []"
     assert lines[-2].startswith("identity=S1 k=1 theta=")
+
+
+# stdlib modules that cost a cold -S start about 10 ms together and that nothing in the
+# package needs: the records are collections.namedtuple classes, and argv and constant
+# names are read with str methods
+NOT_IMPORTED = ("enum", "re", "typing")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constant", "catalan", "--digits", "10"],
+        ["constant", "zeta_even(3)", "--digits", "10", "--format", "csv"],
+        ["verify", "--digits", "10"],
+        ["identity", "--id", "S2", "--k", "2", "--theta", "1/2", "--terms", "1000"],
+        ["identity", "--id", "S1", "--k", "1", "--theta", "pi/3", "--terms", "1000"],
+    ],
+    ids=" ".join,
+)
+def test_command_loads_no_re_typing_or_enum(argv):
+    lines = run_fresh(
+        "import io, sys\n"
+        "import oddzeta.cli\n"
+        f"print(sorted(set({NOT_IMPORTED!r}) & set(sys.modules)))\n"
+        f"code = oddzeta.cli.run({argv!r}, out=io.StringIO())\n"
+        f"print(code, sorted(set({NOT_IMPORTED!r}) & set(sys.modules)))\n"
+    )
+    assert lines == ["[]", "0 []"]
+
+
+RECORDS = {
+    "highprec.FixedDecimal": (("mantissa", "scale", "err_ulp"), {"err_ulp": 0}),
+    "constants.ConstantValue": (
+        ("name", "value", "method", "k", "terms_used"), {"k": None, "terms_used": None}
+    ),
+    "oracle.VerificationReport": (
+        ("name", "computed", "reference", "matched_digits", "terms_used", "elapsed"), {}
+    ),
+    "identities.IdentityResidual": (
+        ("identity", "k", "theta", "theta_token", "fourier_terms", "series_terms", "residual"), {}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_slotted_named_tuples(name):
+    # each record keeps a named tuple's fields, defaults, repr and _replace, and has no
+    # per-instance __dict__
+    module, _, cls_name = name.partition(".")
+    cls = getattr(getattr(oddzeta, module), cls_name)
+    fields, defaults = RECORDS[name]
+    assert (cls.__name__, cls._fields, cls._field_defaults) == (cls_name, fields, defaults)
+    record = cls(*range(len(fields)))
+    assert not hasattr(record, "__dict__")
+    assert repr(record) == f"{cls_name}({', '.join(f'{f}={i}' for i, f in enumerate(fields))})"
+    changed = record._replace(**{fields[0]: -1})
+    assert type(changed) is cls and changed == (-1, *range(1, len(fields)))
+
+
+def test_only_cli_main_ends_the_process():
+    # os._exit skips every finally block and buffer flush of the host process, so no
+    # library call may reach it: only the command line's main, after its own flushes
+    package = Path(oddzeta.__file__).parent
+    found = sorted(
+        f"{path.name} {top.name if isinstance(top, ast.FunctionDef) else 'module'}"
+        for path in package.glob("*.py")
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Attribute) and node.attr == "_exit")
+        or (isinstance(node, ast.Name) and node.id == "_exit")
+        or (isinstance(node, ast.alias) and node.name == "_exit")
+    )
+    assert found == ["cli.py main"]
 
 
 def test_every_export_resolves_on_first_use():
