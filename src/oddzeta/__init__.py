@@ -13,7 +13,6 @@ from importlib import import_module
 # exported name -> the submodule that defines it; nothing is imported until a
 # name is first read, so that ``import oddzeta.cli`` loads only what a command uses
 _EXPORTS = {
-    "build_table": "coeffs",
     "d_coeff": "coeffs",
     "e_coeff": "coeffs",
     "f_ratio": "coeffs",

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import os
 import sys
+from math import gcd
 from types import SimpleNamespace
 
-from .coeffs import build_table
+from .coeffs import e_column, e_denominator
 from .constants import compute_constant
 from .errors import ResourceLimitError
 from .highprec import term_ratio_sequence
@@ -71,11 +72,16 @@ def _cmd_constant(args: SimpleNamespace, out) -> int:
 
 
 def _cmd_coeffs(args: SimpleNamespace, out) -> int:
-    rows = [
-        {"k": k, "n": n, "numerator": v.numerator, "denominator": v.denominator}
-        for k, column in enumerate(build_table(args.k, args.n), 1)
-        for n, v in enumerate(column, 1)
-    ]
+    # the top column is read first, so that its checks and both ceilings refuse before
+    # any other column is built
+    top = e_column(args.k, args.n)
+    columns = [e_column(k, args.n) for k in range(1, args.k)] + [top]
+    rows = []
+    for k, column in enumerate(columns, 1):
+        for n, num in enumerate(column, 1):
+            den = e_denominator(n, k)
+            g = gcd(num, den)  # den > 0, so E_n(k) in lowest terms, 0 as 0/1
+            rows.append({"k": k, "n": n, "numerator": num // g, "denominator": den // g})
     # exact E_n(k) pass Python's default int->str digit limit near n = 780
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

@@ -25,8 +25,8 @@ Q_1 = 2, and C(2n+k-1, 2n+2r) = C(2n+k-1, k-1-2r) has degree k-1-2r in n.  A col
 is therefore built from its own Q_k alone, and no column reads another's rows: the
 recurrence run with every T_n = 1 gives Q_k(1..k) without tangent numbers, their k
 differences extend Q_k a row at a time by k-1 subtractions, and row n is T_n Q_k(n).
-Nothing is reduced by a gcd; ``d_coeff``, ``e_coeff``, ``f_ratio`` and
-``build_table`` make a ``Fraction`` only where one is read.
+Nothing is reduced by a gcd until it is read: ``d_coeff``, ``e_coeff`` and ``f_ratio``
+make a ``Fraction``, and the ``coeffs`` command divides each cell by one gcd.
 
 Every column is a moment sequence, and in every column served each series term is
 positive and below a quarter of the one before.  With lambda(s) = sum_(m odd) m^-s, the tangent series and DLMF 25.6.2 give
@@ -56,7 +56,6 @@ from .errors import ResourceLimitError
 from .exact import tangent_number
 
 __all__ = [
-    "build_table",
     "d_coeff",
     "d_denominator",
     "denominator_step",
@@ -66,7 +65,6 @@ __all__ = [
     "f_ratio",
 ]
 
-MAX_TABLE_CELLS = 2_000_000
 # the largest column served, k = 60 of beta_even, eta_odd and zeta_odd: every column up
 # to it is proven a moment sequence, and its head Q_k(1..k) takes about 0.4 s on a
 # 2-CPU Xeon VM
@@ -186,18 +184,3 @@ def e_column(k: int, rows: int) -> list[int]:
     _check_n_k(rows, k)
     return _column(k, rows)[:rows]
 
-
-def build_table(k_max: int, n_max: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Columns 1..k_max of the store, each cut to rows 1..n_max: ``table[k-1][n-1]`` is E_n(k)."""
-    from fractions import Fraction
-
-    _check_n_k(n_max, k_max)
-    _check_column_index(k_max)
-    if k_max * n_max > MAX_TABLE_CELLS:
-        raise ResourceLimitError(
-            f"table of {k_max}x{n_max} cells exceeds ceiling {MAX_TABLE_CELLS}"
-        )
-    return tuple(
-        tuple(Fraction(num, e_denominator(n, k)) for n, num in enumerate(e_column(k, n_max), 1))
-        for k in range(1, k_max + 1)
-    )

@@ -27,7 +27,7 @@ from oddzeta.cli import (
     EXIT_VERIFY_FAILED,
     run,
 )
-from oddzeta.coeffs import MAX_COLUMN_INDEX, MAX_TABLE_CELLS
+from oddzeta.coeffs import MAX_COLUMN_INDEX, e_coeff
 from oddzeta.exact import MAX_TANGENT_INDEX
 from oddzeta.identities import MAX_FOURIER_TERMS, MAX_THETA_DIGITS
 
@@ -74,6 +74,40 @@ def test_coeffs_plain():
     code, out, _ = invoke(["coeffs", "--k", "2", "--n", "1", "--format", "plain"])
     assert code == EXIT_OK
     assert out.splitlines() == ["k=1 n=1 E=1/4", "k=2 n=1 E=5/24"]
+
+
+def test_coeffs_matches_point_queries():
+    # each printed cell is E_n(k) in lowest terms, as the Fraction e_coeff returns
+    code, out, _ = invoke(["coeffs", "--k", "6", "--n", "40"])
+    assert code == EXIT_OK
+    header, *lines = out.splitlines()
+    assert header == "k,n,numerator,denominator" and len(lines) == 6 * 40
+    for line in lines:
+        k, n, numerator, denominator = map(int, line.split(","))
+        value = e_coeff(n, k)
+        assert (numerator, denominator) == (value.numerator, value.denominator)
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["--k", str(MAX_COLUMN_INDEX + 1), "--n", "1"], EXIT_RESOURCE),
+        (["--k", str(MAX_COLUMN_INDEX), "--n", str(MAX_TANGENT_INDEX + 1)], EXIT_RESOURCE),
+        # the widest table once refused as over two million cells
+        (["--k", str(MAX_COLUMN_INDEX), "--n", "16529"], EXIT_RESOURCE),
+        (["--k", "0", "--n", "1"], EXIT_USAGE),
+        (["--k", "1", "--n", "0"], EXIT_USAGE),
+    ],
+    ids=["column", "tangent", "widest", "k", "n"],
+)
+def test_coeffs_refusal_builds_no_column(argv, expected, cold_store):
+    from oddzeta import coeffs
+
+    start = time.perf_counter()
+    code, out, _ = invoke(["coeffs", *argv])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (expected, "")
+    assert not any(column for column, _ in coeffs._columns.values()) and cold_store == []
 
 
 def test_verify_smoke_battery():
@@ -417,11 +451,6 @@ CEILING_CASES = {
         ["constant", f"beta_even({(MAX_COLUMN_INDEX + 1) // 2})", "--digits", "10"],
         EXIT_RESOURCE,
     ),
-    # the widest table whose columns are all served, one row too long
-    "MAX_TABLE_CELLS": (
-        ["coeffs", "--k", str(MAX_COLUMN_INDEX), "--n", str(MAX_TABLE_CELLS // MAX_COLUMN_INDEX + 1)],
-        EXIT_RESOURCE,
-    ),
     "MAX_TANGENT_INDEX": (["coeffs", "--k", "1", "--n", str(MAX_TANGENT_INDEX + 1)], EXIT_RESOURCE),
     "MAX_THETA_DIGITS": (
         [*IDENTITY_S1, "--theta", "1" * (MAX_THETA_DIGITS + 1), "--terms", "100"],
@@ -505,16 +534,16 @@ def test_reader_closing_the_pipe_ends_quietly(argv, unbuffered, lines):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     env["PYTHONUNBUFFERED"] = unbuffered
     env.pop("ODDZETA_CACHE_DIR", None)
-    child = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "oddzeta.cli", *argv],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    assert [child.stdout.readline() for _ in range(lines)] == [b"k=1 n=1 E=1/4\n"] * lines
-    child.stdout.close()
-    stderr = child.stderr.read()
-    assert child.wait(timeout=60) == EXIT_OK
+    ) as child:
+        assert [child.stdout.readline() for _ in range(lines)] == [b"k=1 n=1 E=1/4\n"] * lines
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=60) == EXIT_OK
     assert stderr == b""
 
 

@@ -15,7 +15,7 @@ from exact_reference import (
     tan_number,
 )
 from oddzeta import coeffs
-from oddzeta.coeffs import build_table, d_coeff, e_coeff, e_column, f_ratio
+from oddzeta.coeffs import d_coeff, e_coeff, e_column, f_ratio
 from oddzeta.errors import ResourceLimitError
 
 
@@ -137,7 +137,7 @@ def test_series_rows_are_moments_of_the_bernstein_weight():
 def test_column_index_ceiling_is_checked_before_any_work(cold_store):
     top = coeffs.MAX_COLUMN_INDEX
     past = top + 1
-    for call in (lambda: e_column(past, 1), lambda: e_coeff(1, past), lambda: build_table(past, 1)):
+    for call in (lambda: e_column(past, 1), lambda: e_coeff(1, past)):
         with pytest.raises(ResourceLimitError, match=f"{past} exceeds configured maximum {top}$"):
             call()
     assert coeffs._columns == {} and cold_store == []
@@ -169,58 +169,25 @@ def test_coefficients_canonical_form(n, k):
         assert gcd(abs(value.numerator), value.denominator) == 1
 
 
-def test_build_table_single_cell():
-    assert build_table(1, 1) == ((Fraction(1, 4),),)
-
-
-def test_build_table_matches_point_queries():
-    table = build_table(3, 2)
-    assert table[2][1] == e_coeff(2, 3)
-    for k in range(1, 4):
-        for n in range(1, 3):
-            assert table[k - 1][n - 1] == e_coeff(n, k)
-
-
-def test_build_table_deterministic_and_immutable():
-    a = build_table(4, 10)
-    b = build_table(4, 10)
-    assert a == b
-    assert isinstance(a, tuple) and all(isinstance(column, tuple) for column in a)
-    with pytest.raises(TypeError):
-        a[0] = ()
-
-
-def test_build_table_full_grid_matches_steps():
-    table = build_table(5, 50)
-    for k in range(2, 6):
-        step = E_STEPWISE[k]
-        for n in range(1, 51):
-            assert table[k - 1][n - 1] == step(n)
-
-
-def test_build_table_reads_shared_store(monkeypatch):
-    # overlapping tables (as for D and D + 2 digits) read one store and build nothing twice
-    large = build_table(3, 30)
+def test_e_column_reads_shared_store(monkeypatch):
+    # overlapping reads (as for D and D + 2 digits) read one store and build nothing twice
+    large = e_column(3, 30)
     stored = list(coeffs._columns[3][0])
 
     def no_growth(n):
         raise AssertionError(f"the store was grown again, to {n} rows")
 
     monkeypatch.setattr(coeffs, "tangent_number", no_growth)
-    small = build_table(3, 20)
-    assert small == tuple(column[:20] for column in large)
+    small = e_column(3, 20)
+    assert small == large[:20]
+    assert all(a is b for a, b in zip(small, stored))
     assert all(a is b for a, b in zip(e_column(3, 30), stored))
 
 
 def test_table_bounds_checked():
-    # the table holds exactly k_max columns of n_max rows, however far the store has grown
+    # a read holds exactly the rows asked for, however far the store has grown
     e_column(2, 40)
-    assert [len(column) for column in build_table(2, 3)] == [3, 3]
-
-
-def test_table_cell_ceiling():
-    with pytest.raises(ResourceLimitError):
-        build_table(2000, 2000)
+    assert [len(e_column(k, 3)) for k in (1, 2)] == [3, 3]
 
 
 def test_argument_validation():

@@ -101,6 +101,9 @@ COMMANDS = [
     ["constant", "zeta_odd(\u0663)", "--digits", "5"],
     # a negative count parses, and the digit range refuses it with exit 3
     ["constant", "catalan", "--digits", "-5"],
+    # the top column past the tangent ceiling refuses with exit 3 before any column is built
+    ["coeffs", "--k", "121", "--n", "5001"],
+    ["coeffs", "--k", "121", "--n", "16529"],
 ]
 
 

@@ -111,7 +111,7 @@ def test_no_lru_cache_in_package():
 # computation path applies its exact factors with FixedDecimal.mul_ratio on integer
 # pairs instead.
 FRACTION_PLACES = {
-    "coeffs": {"d_coeff", "e_coeff", "f_ratio", "build_table"},
+    "coeffs": {"d_coeff", "e_coeff", "f_ratio"},
     "exact": {"bernoulli"},
     "highprec": {"as_fraction", "bounds"},
     "identities": {"canonical_theta_token"},
@@ -202,6 +202,19 @@ def test_verify_command_loads_no_fraction_module():
     assert lines[-2] == "result: ok (required 10 digits)"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "plain"])
+def test_coeffs_command_loads_no_fraction_module(fmt):
+    # the cells are printed from the integer store, each reduced by one gcd
+    lines = run_fresh(
+        "import sys\n"
+        "import oddzeta.cli\n"
+        f"code = oddzeta.cli.run(['coeffs', '--k', '2', '--n', '3', '--format', {fmt!r}])\n"
+        "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    assert lines[-1] == "0 []"
+    assert lines[-2] in ("2,3,13,20160", "k=2 n=3 E=13/20160")
+
+
 @pytest.mark.parametrize("theta", ["1/2", "0.5", "2", "1e0", "pi/3"])
 def test_identity_command_loads_no_fraction_module_or_argparse(theta):
     # the command line reads argv from its own table and the angle in integers
@@ -228,6 +241,9 @@ NOT_IMPORTED = ("enum", "re", "typing")
         ["constant", "catalan", "--digits", "10"],
         ["constant", "zeta_even(3)", "--digits", "10", "--format", "csv"],
         ["verify", "--digits", "10"],
+        ["coeffs", "--k", "2", "--n", "3"],
+        ["coeffs", "--k", "2", "--n", "3", "--format", "plain"],
+        ["ratio", "--k", "2", "--n", "3"],
         ["identity", "--id", "S2", "--k", "2", "--theta", "1/2", "--terms", "1000"],
         ["identity", "--id", "S1", "--k", "1", "--theta", "pi/3", "--terms", "1000"],
     ],
