@@ -2,9 +2,9 @@
 """Residual sweep of the Fourier identities over the standard angle grid.
 
 Writes ``identity,k,theta,fourier_terms,residual`` CSV rows to stdout for
-theta in {0.5, 1.0, pi/2, 2.0, 3.0} and k in 1..3, using a million Fourier
-terms for k = 1 and ten thousand for k >= 2 (the slow-decay case needs the
-long run; the others do not).
+theta in {1/2, 1, pi/2, 2, 3}, printed in those forms, and k in 1..3,
+using a million Fourier terms for k = 1 and ten thousand for k >= 2 (the
+slow-decay case needs the long run; the others do not).
 
 The sine-only identity at k = 0, which equals (1/2) tan(theta/2) only in
 the Cesaro sense, is reported to stderr as an informational line with a

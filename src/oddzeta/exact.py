@@ -64,7 +64,8 @@ def _cache_path() -> str | None:
 
 
 def _load_cache(path: str) -> list[int]:
-    """Longest clean, checked prefix T_1, T_2, ... of a cache file; [] if it cannot be read.
+    """Longest clean, checked prefix T_1, T_2, ... of a cache file, read no further than
+    MAX_TANGENT_INDEX lines; [] if it cannot be read.
 
     Format: one ``n<TAB>hex(T_n)`` line per index, in increasing order of n.
     A line that is not in exactly that canonical form ends the prefix, and so
@@ -77,7 +78,7 @@ def _load_cache(path: str) -> list[int]:
     factorial_mod = 1  # (2n-1)! mod p
     try:
         with open(path, encoding="ascii") as fh:
-            for n, line in enumerate(fh, 1):
+            for n, line in zip(range(1, MAX_TANGENT_INDEX + 1), fh):
                 value = int(line.partition("\t")[2], 16)
                 if value < 1 or line != f"{n}\t{value:x}\n":
                     break
@@ -130,7 +131,7 @@ def tangent_number(n: int) -> int:
         return _tangents[n - 1]
     path = _cache_path()
     if path and not _tangents:
-        _tangents.extend(_load_cache(path)[:MAX_TANGENT_INDEX])
+        _tangents.extend(_load_cache(path))
         if n <= len(_tangents):
             return _tangents[n - 1]
     while len(_tangents) < n:

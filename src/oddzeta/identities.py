@@ -143,13 +143,14 @@ def _rational(token: str) -> tuple[int, int]:
     return int(num), int(den or 1)
 
 
-def _theta_mantissa(token: str, scale: int) -> tuple[int, int]:
-    """(mantissa, err_ulp) of the angle at ``scale`` digits, range-checked.
+def _angle(theta, scale: int) -> tuple[str, int]:
+    """(token, mantissa) of the angle at ``scale`` digits, range-checked and within 1 ulp.
 
     A pi/q angle is divided from :func:`compute_pi` at that scale, computed here.
     An angle whose enclosure at the working ``scale`` holds 0 is refused: both sides
     would then vanish and agree whatever they compute.
     """
+    token = canonical_theta_token(theta)
     if token.startswith("pi/"):
         m = _divround(compute_pi(scale).mantissa, int(token[3:]))
     else:
@@ -164,7 +165,21 @@ def _theta_mantissa(token: str, scale: int) -> tuple[int, int]:
         raise ValueError(
             f"theta={token} is within 1 ulp of 0 at {scale} working digits; raise --digits"
         )
-    return m, 1
+    return token, m
+
+
+def _exponent(identity: str, k: int) -> int:
+    """The exponent e of an (identity, k) check, 2k for S1 and 2k + 1 for S2, both checked."""
+    if identity not in IDENTITY_TAGS:
+        raise ValueError(f"identity must be one of {IDENTITY_TAGS}, got {identity!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return 2 * k + (identity == "S2")
+
+
+def _direct_bits(scale: int, terms: int) -> int:
+    """Bits of the generic direct loop: the output's, and guard bits for its drift."""
+    return (10**scale).bit_length() + 2 * terms.bit_length() + 4
 
 
 def _sin_cos(token: str, bits: int) -> tuple[int, int, int]:
@@ -243,7 +258,7 @@ def _alternating_trig(s: int, c: int, e: int, bits: int, terms: int, cosine: boo
 
 def _generic_sum(exponent: int, token: str, terms: int, scale: int) -> tuple[int, int, int]:
     """(twice the smoothed sum, its unit, err) of sum_m z_m / m^exponent at a generic theta."""
-    bits = (10**scale).bit_length() + 2 * terms.bit_length() + 4
+    bits = _direct_bits(scale, terms)
     values, drift = _alternating_trig(*_sin_cos(token, bits), bits, terms, exponent % 2 == 1)
     total = 0
     for m, z in enumerate(values, 1):
@@ -402,7 +417,7 @@ def _abel_plan(
     log2_c = -log2(2 * cos(theta / 2))  # log2 |c|
     out_bits = (10**scale).bit_length()
     direct = terms * (_HALF_PI_TERM_COST if half_pi else 1)
-    direct_bits = out_bits + 2 * terms.bit_length() + 4
+    direct_bits = _direct_bits(scale, terms)
     best = None
     for p in range(1, terms):
         fixed = _ABEL_FIXED_COST + _ABEL_ORDER_COST * p + _ABEL_SQUARE_COST * p * p
@@ -419,11 +434,6 @@ def _abel_plan(
     return best[1:] if best else None
 
 
-def _check_identity_tag(identity: str) -> None:
-    if identity not in IDENTITY_TAGS:
-        raise ValueError(f"identity must be one of {IDENTITY_TAGS}, got {identity!r}")
-
-
 def _check_fourier_terms(fourier_terms: int) -> None:
     if fourier_terms < 2:
         raise ValueError("fourier_terms must be >= 2")
@@ -436,16 +446,12 @@ def _check_fourier_terms(fourier_terms: int) -> None:
 def fourier_lhs(identity: str, k: int, theta, fourier_terms: int, digits: int = 30) -> FixedDecimal:
     """Smoothed partial sum of the alternating sine (S1) or cosine (S2) series, summed
     by parts where :func:`_abel_plan` finds that cheaper, else by the direct loop; the
-    angle is range-checked at the working scale first."""
-    _check_identity_tag(identity)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    tag, k, term count and angle are checked first, the angle at the working scale."""
+    exponent = _exponent(identity, k)
     _check_fourier_terms(fourier_terms)
-    token = canonical_theta_token(theta)
     scale = _working_scale(digits)
     one = 10**scale
-    exponent = 2 * k if identity == "S1" else 2 * k + 1
-    m, _ = _theta_mantissa(token, scale)
+    token, m = _angle(theta, scale)
     plan = _abel_plan(exponent, m / one, token == "pi/2", fourier_terms, scale)
     if plan:
         twice, unit, err = _abel_sum(exponent, token, fourier_terms, scale, *plan)
@@ -467,16 +473,12 @@ def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) 
     Each S1/S2 difference follows from the parity of the column index e = 2k (S1)
     or 2k+1 (S2).
     """
-    token = canonical_theta_token(theta)
-    _check_identity_tag(identity)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    e = _exponent(identity, k)
     if series_terms < 1:
         raise ValueError("series_terms must be >= 1")
-    e = 2 * k if identity == "S1" else 2 * k + 1
     odd = e % 2
     scale = _working_scale(digits)
-    m, err = _theta_mantissa(token, scale)
+    token, m = _angle(theta, scale)
     # geometric bound on the omitted ladder tail: the term ratio is strictly below
     # (theta/pi)^2 for every n, the moment lemma of coeffs at angle theta, since
     # D_n(e) theta^(2n+e-1) = 4 theta^(e-1) lambda(2n) y^(2n) / ((2n)...(2n+e-1)) with
@@ -485,7 +487,7 @@ def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) 
     a, b = (m + 2) ** 2, (compute_pi(scale).mantissa - 2) ** 2
     if 1000 * a >= 999 * b:
         raise ValueError(f"theta={token} is too close to pi for a usable ladder tail bound")
-    th = FixedDecimal(m, scale, err)
+    th = FixedDecimal(m, scale, 1)
     column = e_column(1, series_terms)
     # the eta-polynomial terms first, from the top r down: past the tangent index ceiling
     # the highest eta sum fails before any lower one runs or the D sum builds (e + 1)!
@@ -505,7 +507,7 @@ def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) 
 
 class IdentityResidual(
     namedtuple(
-        "IdentityResidual", "identity k theta theta_token fourier_terms series_terms residual"
+        "IdentityResidual", "identity k theta_token fourier_terms series_terms residual"
     )
 ):
     """|Fourier partial sum - ladder series| for one (identity, k, theta) check."""
@@ -523,28 +525,19 @@ def check_identity(
 ) -> IdentityResidual:
     """|:func:`fourier_lhs` - :func:`rhs_eval`| for one (identity, k, theta) check.
 
-    Each side computes pi at its own scale where it needs it: a pi/q angle, the
-    ladder's tail bound and each of its eta sums.  The Fourier term count and the
-    angle are checked first, and the ladder runs before the Fourier side: it judges
-    the angle against its tail bound and then reads the tangent number at
-    ``series_terms`` before any other work, so an angle too close to pi or a count
-    past the tangent index ceiling is refused before either sum runs.
+    The inputs are refused in this order, each before any sum runs: the Fourier term
+    count, then the angle's form, read here to the token the record names; then
+    :func:`rhs_eval` checks the identity tag, k and ``series_terms``, refuses an angle
+    outside (0, pi) or too close to pi for its tail bound, and reads the tangent number
+    at ``series_terms``, so a count past the tangent index ceiling is refused before
+    :func:`fourier_lhs` runs.  Each side reads the angle once and computes pi at its own
+    scale where it needs it: a pi/q angle, the ladder's tail bound and each eta sum.
     """
     _check_fourier_terms(fourier_terms)
     token = canonical_theta_token(theta)
-    scale = _working_scale(digits)
-    m, err = _theta_mantissa(token, scale)  # a bad angle fails before either side runs
     rhs = rhs_eval(identity, k, token, series_terms, digits)
     lhs = fourier_lhs(identity, k, token, fourier_terms, digits)
-    return IdentityResidual(
-        identity=identity,
-        k=k,
-        theta=FixedDecimal(m, scale, err),
-        theta_token=token,
-        fourier_terms=fourier_terms,
-        series_terms=series_terms,
-        residual=abs(lhs - rhs),
-    )
+    return IdentityResidual(identity, k, token, fourier_terms, series_terms, abs(lhs - rhs))
 
 
 def tan_half_residual(theta, fourier_terms: int, digits: int = 15) -> FixedDecimal:
@@ -554,13 +547,12 @@ def tan_half_residual(theta, fourier_terms: int, digits: int = 15) -> FixedDecim
     mean of the partial sums is used; expect only a handful of digits even
     at large term counts.
     """
-    token = canonical_theta_token(theta)
     _check_fourier_terms(fourier_terms)
     scale = _working_scale(digits)
-    _theta_mantissa(token, scale)  # refuses an angle outside (0, pi) or within 1 ulp of 0
+    token, _ = _angle(theta, scale)  # refuses an angle outside (0, pi) or within 1 ulp of 0
     # twice the direct loop's bits: 1 + cos(theta), above 2^-57 for any angle below
     # _PI_LOWER, then stays far above the error of sin and cos in tan(theta/2)
-    bits = 2 * ((10**scale).bit_length() + 2 * fourier_terms.bit_length() + 4)
+    bits = 2 * _direct_bits(scale, fourier_terms)
     s, c, e = _sin_cos(token, bits)
     values, drift = _alternating_trig(s, c, e, bits, fourier_terms, cosine=False)
     running = acc = 0

@@ -205,6 +205,15 @@ def test_cache_prefix_ends_before_a_wrong_value(tmp_path, wrong):
     assert exact_module._load_cache(path) == values[: wrong - 1]
 
 
+def test_cache_is_read_no_further_than_the_ceiling(tmp_path, monkeypatch):
+    # a file written under a higher ceiling: the lines past it are neither parsed nor checked
+    path = str(tmp_path / "tangent.tsv")
+    values = [tangent_number(n) for n in range(1, 13)]
+    exact_module._save_cache(path, values)
+    monkeypatch.setattr(exact_module, "MAX_TANGENT_INDEX", 10)
+    assert exact_module._load_cache(path) == values[:10]
+
+
 @pytest.mark.parametrize("failure", [OSError, RuntimeError])
 def test_failed_cache_save_leaves_no_temp_file(tmp_path, monkeypatch, failure):
     def refuse(src, dst):

@@ -36,8 +36,8 @@ def residual_fraction(result):
 def working_theta(theta, digits=30):
     """The angle as the identities read it, at working precision and range-checked."""
     scale = digits + GUARD_DIGITS
-    m, err = identities._theta_mantissa(canonical_theta_token(theta), scale)
-    return FixedDecimal(m, scale, err)
+    _, m = identities._angle(theta, scale)
+    return FixedDecimal(m, scale, 1)
 
 
 def test_canonical_theta_tokens():
@@ -205,6 +205,19 @@ def test_check_identity_is_rhs_eval_against_fourier_lhs(monkeypatch, identity, k
     assert result.residual == abs(lhs - rhs_eval(identity, k, theta, 80, 30))
 
 
+def test_check_identity_reads_each_angle_once(monkeypatch):
+    # a pi/q angle costs one pi for each side's reading of it and one for the ladder's
+    # tail bound; the residual is the one the two sides give
+    expected = check_identity("S1", 1, "pi/3", 1000, 80, 30)
+    scales = []
+    original = identities.compute_pi
+    monkeypatch.setattr(
+        identities, "compute_pi", lambda scale: scales.append(scale) or original(scale)
+    )
+    assert check_identity("S1", 1, "pi/3", 1000, 80, 30) == expected
+    assert len(scales) <= 3
+
+
 def test_rhs_stability_in_series_terms():
     a = rhs_eval("S1", 2, "1", 60, digits=30)
     b = rhs_eval("S1", 2, "1", 120, digits=30)
@@ -283,7 +296,8 @@ def test_residual_record_fields():
     assert result.theta_token == "pi/2"
     assert result.fourier_terms == 2_000
     assert result.series_terms == 40
-    assert float(result.theta.as_fraction()) == pytest.approx(1.5707963267948966)
+    theta = working_theta(result.theta_token, 20)
+    assert float(theta.as_fraction()) == pytest.approx(1.5707963267948966)
 
 
 def rotation_pair_reference(k, token, counts, scale):
@@ -465,6 +479,9 @@ def test_identity_validation():
         rhs_eval("S1", 1, "1", 0)
     with pytest.raises(ValueError, match="k must be >= 1"):
         rhs_eval("S1", 0, "1", 20)
+    # with k and the angle both bad, the ladder names k before it reads the angle
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        check_identity("S1", 0, "4", 100, 20)
     with pytest.raises(ValueError):
         tan_half_residual("1", 1)
 

@@ -269,7 +269,7 @@ RECORDS = {
         ("name", "computed", "reference", "matched_digits", "terms_used", "elapsed"), {}
     ),
     "identities.IdentityResidual": (
-        ("identity", "k", "theta", "theta_token", "fourier_terms", "series_terms", "residual"), {}
+        ("identity", "k", "theta_token", "fourier_terms", "series_terms", "residual"), {}
     ),
 }
 
