@@ -28,7 +28,7 @@ _EXPORTS = {
     "ResourceLimitError": "errors",
     "UnknownConstantError": "errors",
     "bernoulli": "exact",
-    "FixedDecimal": "highprec",
+    "Ball": "highprec",
     "SeriesResult": "highprec",
     "compute_pi": "highprec",
     "estimate_terms": "highprec",

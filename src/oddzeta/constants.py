@@ -37,7 +37,7 @@ ZETA_ODD_EXTRA_DIGITS = 2  # zeta(2k+1) sums A_(2k+1) this many digits past the 
 class ConstantValue(
     namedtuple("ConstantValue", "name value method k terms_used", defaults=(None, None))
 ):
-    """A computed constant, its ``value`` a FixedDecimal, with its provenance.
+    """A computed constant, its ``value`` a :class:`~oddzeta.highprec.Ball`, with its provenance.
 
     ``k`` and ``terms_used`` describe the series evaluation; both are None
     for closed-form values.
@@ -79,8 +79,8 @@ def alt_harmonic(digits: int) -> ConstantValue:
 def zeta_odd(k: int, digits: int) -> ConstantValue:
     """zeta(2k+1) = A_(2k+1) / (1 - 2^(-2k)).
 
-    The divisor is applied as the exact ratio 4^k/(4^k-1) on the
-    working-precision sum, before the final rounding step.
+    The divisor is applied as the exact ratio 4^k/(4^k-1) to the ball of A_(2k+1),
+    summed two digits past the request and printed at the request.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -88,7 +88,7 @@ def zeta_odd(k: int, digits: int) -> ConstantValue:
         raise ValueError("digits must be >= 1")
     inner = _series_constant(f"zeta_odd({k})", 2 * k + 1, digits + ZETA_ODD_EXTRA_DIGITS)
     four = 1 << (2 * k)
-    return inner._replace(value=inner.value.mul_ratio(four, four - 1).rescale(digits))
+    return inner._replace(value=inner.value.mul_ratio(four, four - 1)._replace(scale=digits))
 
 
 def catalan(digits: int) -> ConstantValue:
@@ -106,14 +106,14 @@ def zeta_even_closed(n: int, digits: int) -> ConstantValue:
 
     With B_2n = (-1)^(n+1) 2n T_n / (4^n (4^n - 1)) and column 1's N_n(1) = 2 T_n,
     the multiplier of pi^(2n) is the exact ratio N_n(1) / (4 (2n-1)! (4^n - 1)),
-    applied once before the final rounding step.
+    applied once to pi^(2n) at the working scale.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     power = compute_pi(_working_scale(digits)).pow_int(2 * n)
     four = 1 << (2 * n)
     ratio = e_column(1, n)[n - 1], 4 * factorial(2 * n - 1) * (four - 1)
-    value = power.mul_ratio(*ratio).rescale(digits)
+    value = power.mul_ratio(*ratio)._replace(scale=digits)
     return ConstantValue(name=f"zeta_even({n})", value=value, method=CLOSED_FORM_METHOD)
 
 

@@ -1,18 +1,20 @@
-"""Fixed-point decimal arithmetic with tracked error bounds, pi, and series sums.
+"""Binary midpoint-radius enclosures, pi, and the series sums.
 
-Values are ``mantissa * 10^(-scale)`` with an integer ``err_ulp`` that is a
-true upper bound on the absolute error in units of the last place.  Every
-operation propagates the bound conservatively; bounds only ever grow.
+A :class:`Ball` is an integer midpoint and radius in units of 2^-bits.  Every layer
+computes on balls, pi from the Chudnovsky series straight into one, and each
+operation adds to the radius what it carries and what its rounding loses.  A ball
+names the decimal places it prints at, and :meth:`Ball.rounded` is the one place its
+midpoint becomes decimal digits (the midpoint-radius discipline of F. Johansson,
+Arb, IEEE Trans. Computers 66, 2017; Brent & Zimmermann, Modern Computer
+Arithmetic, CUP 2010, ch. 3-4).
 
-The series sums give their terms at such a scale, but carry the power of pi/2
-(or of the ladder's angle) in binary.  The decimal power is divided by the
-first factorial-size denominator once, before row 1, and from then on the
-power over its denominator is carried as one binary quotient, cut row by row
-to 64 bits past the current term and divided by the small step of the
-denominator, with its bound carried the same way.  Its length falls with the
+The series sums carry the power of pi/2 (or of the ladder's angle) over its
+denominator as one binary quotient: the power is divided by the first
+factorial-size denominator once, before row 1, and from then on the quotient is
+cut row by row to 64 bits past the current term and divided by the small step of
+the denominator, with its bound carried the same way.  Its length falls with the
 terms' (the decreasing-precision evaluation of a series: Brent & Zimmermann,
-Modern Computer Arithmetic, CUP 2010, ch. 4), and no row divides by a whole
-denominator or by a power of ten.
+ch. 4), and no row divides by a whole denominator.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import ResourceLimitError
 
 __all__ = [
     "GUARD_DIGITS",
-    "FixedDecimal",
+    "Ball",
     "SeriesResult",
     "compute_pi",
     "estimate_terms",
@@ -48,6 +50,11 @@ def _working_scale(digits: int) -> int:
     return digits + GUARD_DIGITS
 
 
+def _working_bits(scale: int) -> int:
+    """The bits of a ball printed at ``scale`` places: 64 past the unit 10^-scale."""
+    return (10**scale).bit_length() + 64
+
+
 def _divround(a: int, b: int) -> int:
     """Nearest integer to a/b (b > 0), ties toward +infinity; error <= 1/2."""
     q, r = divmod(a, b)
@@ -58,114 +65,108 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-class FixedDecimal(namedtuple("FixedDecimal", "mantissa scale err_ulp", defaults=(0,))):
-    """Fixed-point decimal ``mantissa * 10^(-scale)`` with error ``<= err_ulp`` ulp."""
+def _product_error(size_a: int, err_a: int, size_b: int, err_b: int, bits: int) -> int:
+    """Bound on |a b - a~ b~| plus the rounding of a~ b~ to 2^-bits, in units of 2^-bits,
+    for |a - a~| <= err_a, |b - b~| <= err_b, |a~| <= size_a and |b~| <= size_b:
+    (size_a + err_a) err_b + size_b err_a over 2^bits, rounded up, plus 1."""
+    return -(-((size_a + err_a) * err_b + size_b * err_a) >> bits) + 1
+
+
+class Ball(namedtuple("Ball", "mid rad bits scale")):
+    """The enclosure [mid - rad, mid + rad] 2^-bits, rad >= 0, printed at ``scale`` places.
+
+    Two operands share one ``bits``.  A result's radius bounds the operands' radii carried
+    through the operation plus the rounding of its midpoint to 2^-bits, so the result
+    holds every value the operands hold.
+    """
 
     __slots__ = ()
 
-    def as_fraction(self) -> Fraction:
-        """Midpoint of the enclosure (ignores err_ulp)."""
-        from fractions import Fraction
+    def _check(self, other: "Ball") -> int:
+        if other.bits != self.bits:
+            raise ValueError(f"balls at {self.bits} and {other.bits} bits: shift one first")
+        return self.bits
 
-        return Fraction(self.mantissa, 10**self.scale)
+    def __add__(self, other: "Ball") -> "Ball":
+        self._check(other)
+        return self._replace(mid=self.mid + other.mid, rad=self.rad + other.rad)
 
-    def bounds(self) -> tuple[Fraction, Fraction]:
-        from fractions import Fraction
+    def __sub__(self, other: "Ball") -> "Ball":
+        self._check(other)
+        return self._replace(mid=self.mid - other.mid, rad=self.rad + other.rad)
 
-        ulp = Fraction(1, 10**self.scale)
-        mid = self.as_fraction()
-        return mid - self.err_ulp * ulp, mid + self.err_ulp * ulp
-
-    def rescale(self, scale: int) -> "FixedDecimal":
-        if scale == self.scale:
-            return self
-        if scale > self.scale:
-            shift = 10 ** (scale - self.scale)
-            return FixedDecimal(self.mantissa * shift, scale, self.err_ulp * shift)
-        shift = 10 ** (self.scale - scale)
-        m = _divround(self.mantissa, shift)
-        # propagated err/shift plus <= 1/2 rounding, rounded up to an integer
-        err = _ceil_div(2 * self.err_ulp + shift, 2 * shift)
-        return FixedDecimal(m, scale, err)
-
-    def _aligned(self, other: "FixedDecimal") -> tuple["FixedDecimal", "FixedDecimal"]:
-        s = max(self.scale, other.scale)
-        return self.rescale(s), other.rescale(s)
-
-    def __add__(self, other: "FixedDecimal") -> "FixedDecimal":
-        a, b = self._aligned(other)
-        return FixedDecimal(a.mantissa + b.mantissa, a.scale, a.err_ulp + b.err_ulp)
-
-    def __sub__(self, other: "FixedDecimal") -> "FixedDecimal":
-        a, b = self._aligned(other)
-        return FixedDecimal(a.mantissa - b.mantissa, a.scale, a.err_ulp + b.err_ulp)
-
-    def __neg__(self) -> "FixedDecimal":
-        return FixedDecimal(-self.mantissa, self.scale, self.err_ulp)
-
-    def __abs__(self) -> "FixedDecimal":
-        return FixedDecimal(abs(self.mantissa), self.scale, self.err_ulp)
+    def __abs__(self) -> "Ball":
+        # ||x| - |mid|| <= |x - mid|, so the radius holds
+        return self._replace(mid=abs(self.mid))
 
     def __mul__(self, other: object):
-        # without this a tuple repeats itself: FixedDecimal(15, 1) * 2 is a 6-tuple
-        raise TypeError(
-            "FixedDecimal does not support '*': use mul for a FixedDecimal factor "
-            "or mul_ratio for an exact ratio"
-        )
+        # without this a tuple repeats itself: Ball(15, 0, 4, 1) * 2 is an 8-tuple
+        raise TypeError("Ball has no '*': use mul for a Ball or mul_ratio for an exact ratio")
 
     __rmul__ = __mul__
 
-    def mul(self, other: "FixedDecimal") -> "FixedDecimal":
-        a, b = self._aligned(other)
-        unit = 10**a.scale
-        m = _divround(a.mantissa * b.mantissa, unit)
-        cross = abs(a.mantissa) * b.err_ulp + abs(b.mantissa) * a.err_ulp
-        err = _ceil_div(cross + a.err_ulp * b.err_ulp, unit) + 1
-        return FixedDecimal(m, a.scale, err)
+    def mul(self, other: "Ball") -> "Ball":
+        bits = self._check(other)
+        mid = ((self.mid * other.mid >> (bits - 1)) + 1) >> 1
+        rad = _product_error(abs(self.mid), self.rad, abs(other.mid), other.rad, bits)
+        return self._replace(mid=mid, rad=rad)
 
-    def mul_ratio(self, num: int, den: int) -> "FixedDecimal":
+    def mul_ratio(self, num: int, den: int) -> "Ball":
         """Product with num/den (den > 0); the fraction need not be in lowest terms."""
-        m = _divround(self.mantissa * num, den)
-        err = _ceil_div(self.err_ulp * abs(num), den) + 1
-        return FixedDecimal(m, self.scale, err)
+        return self._replace(
+            mid=_divround(self.mid * num, den), rad=_ceil_div(self.rad * abs(num), den) + 1
+        )
 
-    def pow_int(self, exponent: int) -> "FixedDecimal":
+    def pow_int(self, exponent: int) -> "Ball":
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        result = FixedDecimal(10**self.scale, self.scale)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
+        result, base = self._replace(mid=1 << self.bits, rad=0), self
+        while exponent:
+            if exponent & 1:
                 result = result.mul(base)
-            e >>= 1
-            if e:
+            exponent >>= 1
+            if exponent:
                 base = base.mul(base)
         return result
 
+    def shift(self, bits: int) -> "Ball":
+        """The ball at ``bits``: exact with more bits; with fewer the midpoint is rounded
+        to nearest, and the radius rounded up gains one unit for it."""
+        d = self.bits - bits
+        if d <= 0:
+            return self._replace(mid=self.mid << -d, rad=self.rad << -d, bits=bits)
+        mid = ((self.mid >> (d - 1)) + 1) >> 1
+        return self._replace(mid=mid, rad=-(-self.rad >> d) + 1, bits=bits)
+
+    def rounded(self) -> int:
+        """The midpoint in units of 10^-scale, rounded to nearest, ties toward +infinity:
+        the one place a binary value becomes decimal digits."""
+        return ((self.mid * 10**self.scale >> (self.bits - 1)) + 1) >> 1
+
     def to_decimal(self) -> str:
-        """Plain decimal string with exactly ``scale`` fractional digits."""
-        sign = "-" if self.mantissa < 0 else ""
-        digits = abs(self.mantissa)
+        """Plain decimal string of :meth:`rounded` with exactly ``scale`` fractional digits."""
+        mantissa = self.rounded()
+        sign = "-" if mantissa < 0 else ""
+        digits = abs(mantissa)
         if self.scale == 0:
             return f"{sign}{digits}"
         whole, frac = divmod(digits, 10**self.scale)
         return f"{sign}{whole}.{frac:0{self.scale}d}"
 
     def to_sci(self, sig: int = 6) -> str:
-        """Scientific notation with ``sig`` significant digits (deterministic)."""
-        if self.mantissa == 0:
+        """Scientific notation of :meth:`rounded` with ``sig`` significant digits."""
+        mantissa = self.rounded()
+        if mantissa == 0:
             return "0e+0"
-        sign = "-" if self.mantissa < 0 else ""
-        digits = str(abs(self.mantissa))
+        sign = "-" if mantissa < 0 else ""
+        digits = str(abs(mantissa))
         exponent = len(digits) - 1 - self.scale
         if len(digits) > sig:
-            rounded = str(_divround(abs(self.mantissa), 10 ** (len(digits) - sig)))
+            rounded = str(_divround(abs(mantissa), 10 ** (len(digits) - sig)))
             if len(rounded) > sig:  # rounding produced a carry
                 rounded = rounded[:sig]
                 exponent += 1
             digits = rounded
-        digits = digits.ljust(sig, "0") if len(digits) < sig else digits
         head, tail = digits[0], digits[1:].rstrip("0")
         mant = f"{head}.{tail}" if tail else head
         return f"{sign}{mant}e{exponent:+d}"
@@ -202,24 +203,24 @@ def _chudnovsky(bits: int) -> tuple[int, int]:
     return m, ((m + 1) * bound >> (total.bit_length() - 2)) + 3
 
 
-def compute_pi(digits: int) -> FixedDecimal:
-    """pi with err_ulp <= 1 at the requested scale (Chudnovsky series, 64 guard bits)."""
-    work = _working_scale(digits)
+def compute_pi(digits: int) -> Ball:
+    """pi printed at ``digits`` places, from the Chudnovsky series at 64 guard bits."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
     if digits > MAX_PI_DIGITS:
         raise ResourceLimitError(f"pi digits {digits} exceeds ceiling {MAX_PI_DIGITS}")
-    unit = 10**work
-    bits = unit.bit_length() + 64
-    m, err = _chudnovsky(bits)
-    # the floor to the working scale loses less than one ulp
-    result = FixedDecimal((m * unit) >> bits, work, ((err * unit) >> bits) + 2).rescale(digits)
-    if result.err_ulp > 1:
-        raise ArithmeticError(f"pi error bound {result.err_ulp} ulp exceeds the promised 1 ulp")
-    return result
+    bits = _working_bits(digits)
+    mid, rad = _chudnovsky(bits)
+    # below 2^63 units, the radius is below half a unit of 10^-digits
+    if rad >> 63:
+        raise ArithmeticError(f"pi error bound {rad} exceeds half a unit at {digits} digits")
+    return Ball(mid, rad, bits, digits)
 
 
-def half_pi(scale: int) -> FixedDecimal:
-    """pi/2 at the given scale with err_ulp <= 1, halved from :func:`compute_pi` at that scale."""
-    return FixedDecimal(_divround(compute_pi(scale).mantissa, 2), scale, 1)
+def half_pi(scale: int) -> Ball:
+    """pi/2 printed at ``scale`` places: :func:`compute_pi` read one bit finer, exactly."""
+    pi = compute_pi(scale)
+    return pi._replace(bits=pi.bits + 1)
 
 
 class SeriesResult:
@@ -229,7 +230,7 @@ class SeriesResult:
     # wrapping __init__, and a NamedTuple has no __init__ of its own to wrap
     __slots__ = ("value", "terms_used", "tail_bound", "k")
 
-    def __init__(self, value: FixedDecimal, terms_used: int, tail_bound: FixedDecimal, k: int):
+    def __init__(self, value: Ball, terms_used: int, tail_bound: Ball, k: int):
         self.value = value
         self.terms_used = terms_used
         self.tail_bound = tail_bound
@@ -251,22 +252,21 @@ def estimate_terms(digits: int, k: int) -> int:
 
 
 def _series_terms(
-    power: FixedDecimal, step: FixedDecimal, column, den: int, index: int, stop: bool = False
+    power: Ball, step: Ball, column, den: int, index: int, stop: int = -1
 ) -> list[tuple[int, int]]:
-    """(mantissa, err_ulp) of power * step^(n-1) * column[n-1] / den_n for n = 1, 2, ...
+    """(mid, rad) of power * step^(n-1) * column[n-1] / den_n for n = 1, 2, ...
 
-    ``power`` and ``step`` are non-negative and share one scale, den > 0, and
+    ``power`` and ``step`` are non-negative balls at one ``bits``, den > 0, and
     den_(n+1) = den_n * denominator_step(n, index).  Each pair is the rounded term and
-    its bound at that scale.  The step is converted once to S 2^-F, with F fractional
-    bits, 64 more than the scale has.
+    its bound in units of 2^-bits; the step is S 2^-bits within se.
 
     The power over its denominator is one binary quotient Q 2^-f with error at most
-    qe 2^-f.  Before row 1, f = bitlen(den) + 64, Q = floor(P 2^f / den) and
-    qe = floor(pe 2^f / den) + 2, for the power's mantissa P and bound pe.
+    qe 2^-f, in those units.  Before row 1, f = bitlen(den) + 64, Q = floor(P 2^f / den)
+    and qe = floor(pe 2^f / den) + 2, for the power's midpoint P and radius pe.
 
     Each row's term is N Q 2^-f for its numerator N.  N is cut to 64 bits past Q,
     N = n' 2^c + r with 0 <= r < 2^c, and Q n' is rounded off f - c bits.  The exact
-    product lies within (qe (|n'| + 1) + [c > 0] Q) 2^-(f-c) of Q n' 2^-(f-c), and the
+    product lies within (qe |n'| + [c > 0] (Q + qe)) 2^-(f-c) of Q n' 2^-(f-c), and the
     rounding adds 1/2, so with x that bound shifted down f - c bits, x + 2 bounds the
     error; a zero N gives 0 and 1.  The row then multiplies Q S, shifts off ``drop``
     bits to leave Q 64 bits past the row's term, and divides by the small integer
@@ -275,24 +275,23 @@ def _series_terms(
     qe' = floor((((Q + qe) se + S qe) >> drop) / step_n) + 2, so the bound stays
     rigorous while Q shrinks with the terms.
 
-    With ``stop``, the loop is :func:`sum_series`'s: it ends at the first row n >= 5
-    whose term is at most 100 ulp, and that term's bound is 2, or 1 for a zero N.  With
-    rho = qe / Q and m the row's mantissa, qe |n'| 2^-(f-c) <= rho (|m| + 1/2), and the
-    rest of x 2^-(f-c) is at most as much where N was not cut (|n'| >= 1) and below
-    2^-62 (|m| + 1/2) where it was (|n'| > 2^63 Q); so x 2^-(f-c) < 1 while
-    rho < 10^-3 and |m| <= 100.  For :func:`sum_series`, whose power is (pi/2)^(k+1)
-    with k <= 121 at a scale d >= 11, rho stays below 10^-6: it starts below
-    pe / P + 2^-62, with pe / P < 200 10^-d (``pow_int`` adds its factors' relative
-    bounds and 2 / P a product), and each of at most 5000 rows (the tangent index
-    ceiling) adds below 2 se / S + 2^-61, with se / S < 3 10^-d, since every later Q
-    is at least 2^63.
+    The loop ends at the first row n >= 5 whose |midpoint| is at most ``stop``, or at
+    the column's end.  With rho = qe / Q and m the row's midpoint, the row's bound is
+    below (2 rho + 2^-62) (|m| + 1/2) + 2: qe |n'| 2^-(f-c) <= rho (|m| + 1/2), qe 2^-(f-c)
+    is at most as much, and where N was cut, |n'| > 2^63 Q puts Q 2^-(f-c) below
+    2^-63 (|m| + 1/2).  rho starts below pe / P + 2^-61 / P, the binary power's relative
+    error and the floors, and each row adds below 2 se / S + 2^-61, since every later Q
+    is at least 2^63.  For :func:`sum_series`, whose power is (pi/2)^(k+1), k <= 121, at
+    B >= 69 bits, pe / P and se / S lie below 2^-50: pi's radius is about 1000 K^2 units
+    of 2^-B for the K ~ B / 47 terms of :func:`_chudnovsky`, and ``pow_int`` adds its
+    factors' relative bounds and 2^-B a product, each product being at least 1.  So over
+    at most 5000 rows (the tangent index ceiling) rho < 2^-36, and the stop row, where
+    |m| < 201 2^(B-1) 10^-w < 2^40 with w ten digits past the printed ones, has a bound
+    below 40 units of 2^-B, which is below 2^-26 units of 10^-w.
     """
-    unit = 10**power.scale
-    frac = unit.bit_length() + 64
-    s = _divround(step.mantissa << frac, unit)
-    se = _ceil_div(step.err_ulp << frac, unit) + 1
+    s, se, frac, _ = step
     f = den.bit_length() + 64
-    q, qe = (power.mantissa << f) // den, (power.err_ulp << f) // den + 2
+    q, qe = (power.mid << f) // den, (power.rad << f) // den + 2
     # step_n = 4 (2n+index)(2n+index+1) and its growth step_(n+1) - step_n, which
     # rises by 32 a row
     divisor, grow = 4 * (index + 2) * (index + 3), 8 * (2 * index + 7)
@@ -306,7 +305,7 @@ def _series_terms(
             x = qe * (abs(num) + 1) + q
         else:
             shift = f
-            x = qe * (abs(num) + 1)
+            x = qe * abs(num)
         if shift > 0:
             mantissa = ((q * num >> (shift - 1)) + 1) >> 1
             err = (x >> shift) + 2 if num else 1
@@ -314,7 +313,7 @@ def _series_terms(
             mantissa = q * num << -shift
             err = (x << -shift) + 2 if num else 1
         append((mantissa, err))
-        if stop and n >= 5 and abs(mantissa) <= 100:
+        if n >= 5 and abs(mantissa) <= stop:
             break
         qs = q * s
         bound = (q + qe) * se + s * qe
@@ -330,36 +329,32 @@ def _series_terms(
 
 
 def sum_series(k: int, digits: int) -> SeriesResult:
-    """Evaluate A_k = sum_n E_n(k) (pi/2)^(2n+k-1) to ``digits`` digits.
+    """Evaluate A_k = sum_n E_n(k) (pi/2)^(2n+k-1), printed at ``digits`` places.
 
     Terms are exact rationals N_n(k) / den(n, k), never reduced by a gcd:
     the numerators are read from column k of the coefficient store grown
     once to :func:`estimate_terms` rows, and :func:`_series_terms` carries the
     power of pi/2 over its denominator, as one binary quotient, row to row on
-    plain integers, and stops the sum.
-    The reported error bound adds to the per-term bounds |m_N| // 2 + 1 ulp for the
-    omitted tail, m_N being the last term's mantissa.  The tail is below t_N / 3, a
-    third of the true last term, for every column the store serves (the moment lemma
-    in :mod:`oddzeta.coeffs`), and t_N <= |m_N| + err_N <= |m_N| + 2 at the stop row
-    (:func:`_series_terms`).  Since |m| // 2 + 1 >= (|m| + 2) / 3 for every |m| >= 0,
-    the added term covers (|m_N| + err_N) / 3 and so the tail.
+    plain integers, 64 bits past the printed digits.  The sum stops at the first row
+    n >= 5 whose term rounds to at most 100 units of 10^-w at the working scale w, which
+    carries the guard digits: 2 |m| 10^w < 201 2^bits.
+    The value's radius adds to the per-term bounds (|m_N| + err_N) // 3 + 1 for the
+    omitted tail, m_N being the last term's midpoint and err_N its bound.  The tail is
+    below t_N / 3, a third of the true last term, for every column the store serves
+    (the moment lemma in :mod:`oddzeta.coeffs`), and t_N <= |m_N| + err_N.
     """
     column = e_column(k, estimate_terms(digits, k))
     work = _working_scale(digits)
-    hp = half_pi(work)
-    terms = _series_terms(hp.pow_int(k + 1), hp.mul(hp), column, e_denominator(1, k), k, stop=True)
+    hp = half_pi(digits)
+    stop = ((201 << hp.bits) - 1) // (2 * 10**work)
+    terms = _series_terms(hp.pow_int(k + 1), hp.mul(hp), column, e_denominator(1, k), k, stop)
     mantissas, errs = zip(*terms)
-    tail_ulp = abs(mantissas[-1]) // 2 + 1
-    value = FixedDecimal(sum(mantissas), work, sum(errs) + tail_ulp).rescale(digits)
-    return SeriesResult(
-        value=value,
-        terms_used=len(terms),
-        tail_bound=FixedDecimal(tail_ulp, work, 0),
-        k=k,
-    )
+    tail = (abs(mantissas[-1]) + errs[-1]) // 3 + 1
+    value = Ball(sum(mantissas), sum(errs) + tail, hp.bits, digits)
+    return SeriesResult(value, len(terms), Ball(tail, 0, hp.bits, work), k)
 
 
-def term_ratio_sequence(k: int, n_count: int, digits: int = 15) -> list[tuple[int, FixedDecimal]]:
+def term_ratio_sequence(k: int, n_count: int, digits: int = 15) -> list[tuple[int, Ball]]:
     """Diagnostic sequence |E_(n+1)(k) / E_n(k)| * (pi/2)^2 for n = 1..n_count.
 
     The sequence tends to 1/4 and, by the moment lemma in :mod:`oddzeta.coeffs`,
@@ -371,9 +366,9 @@ def term_ratio_sequence(k: int, n_count: int, digits: int = 15) -> list[tuple[in
     work = _working_scale(digits)
     column = e_column(k, n_count + 1)
     hp = half_pi(work)
-    step = hp.mul(hp)
+    step = hp.mul(hp)._replace(scale=digits)
     # E_(n+1)(k) / E_n(k) = N_(n+1)(k) / (N_n(k) * den(n+1, k) / den(n, k))
     return [
-        (n, step.mul_ratio(abs(num), abs(prev) * denominator_step(n, k)).rescale(digits))
+        (n, step.mul_ratio(abs(num), abs(prev) * denominator_step(n, k)))
         for n, (prev, num) in enumerate(zip(column, column[1:]), 1)
     ]

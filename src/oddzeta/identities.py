@@ -31,11 +31,13 @@ from math import ceil, comb, cos, factorial, gcd, isqrt, lgamma, log, log2
 from .coeffs import _leading_differences, d_denominator, e_column
 from .errors import ResourceLimitError
 from .highprec import (
-    FixedDecimal,
+    Ball,
     _ceil_div,
     _chudnovsky,
     _divround,
+    _product_error,
     _series_terms,
+    _working_bits,
     _working_scale,
     compute_pi,
     sum_series,
@@ -143,16 +145,17 @@ def _rational(token: str) -> tuple[int, int]:
     return int(num), int(den or 1)
 
 
-def _angle(theta, scale: int) -> tuple[str, int]:
-    """(token, mantissa) of the angle at ``scale`` digits, range-checked and within 1 ulp.
+def _angle(theta, scale: int) -> tuple[str, Ball]:
+    """(token, ball) of the angle, range-checked, printed at ``scale`` places.
 
     A pi/q angle is divided from :func:`compute_pi` at that scale, computed here.
-    An angle whose enclosure at the working ``scale`` holds 0 is refused: both sides
-    would then vanish and agree whatever they compute.
+    An angle that rounds to 1 unit of 10^-scale or less is refused: both sides would
+    then all but vanish and agree whatever they compute.
     """
     token = canonical_theta_token(theta)
     if token.startswith("pi/"):
-        m = _divround(compute_pi(scale).mantissa, int(token[3:]))
+        q, pi = int(token[3:]), compute_pi(scale)
+        tiny, angle = 2 * pi.rounded() < 3 * q, pi.mul_ratio(1, q)
     else:
         num, den = _rational(token)
         if not 0 < num * _PI_LOWER[1] < _PI_LOWER[0] * den:
@@ -160,12 +163,13 @@ def _angle(theta, scale: int) -> tuple[str, int]:
                 f"theta={token} outside the open interval (0, pi); rational angles "
                 f"must stay below {_PI_LOWER[0] / _PI_LOWER[1]}"
             )
-        m = _divround(num * 10**scale, den)
-    if m <= 1:
+        bits = _working_bits(scale)
+        tiny, angle = 2 * num * 10**scale < 3 * den, Ball((num << bits) // den, 1, bits, scale)
+    if tiny:
         raise ValueError(
             f"theta={token} is within 1 ulp of 0 at {scale} working digits; raise --digits"
         )
-    return token, m
+    return token, angle
 
 
 def _exponent(identity: str, k: int) -> int:
@@ -291,13 +295,12 @@ def _modulus(z: tuple[int, int]) -> int:
 
 
 def _ball_mul(a, err_a: int, b, err_b: int, bits: int):
-    """(a b rounded to 2^-bits, its error): |a b - a~ b~| <= (|a~| + err_a) err_b + |b~| err_a,
-    and rounding both parts adds below one unit."""
+    """(a b rounded to 2^-bits, its error), the real product's bound on the moduli:
+    rounding both parts adds below one unit."""
     half = 1 << (bits - 1)
     re = (a[0] * b[0] - a[1] * b[1] + half) >> bits
     im = (a[0] * b[1] + a[1] * b[0] + half) >> bits
-    err = _ceil_div((_modulus(a) + err_a) * err_b + _modulus(b) * err_a, 1 << bits) + 1
-    return (re, im), err
+    return (re, im), _product_error(_modulus(a), err_a, _modulus(b), err_b, bits)
 
 
 def _horner(coefs, errs, z, err_z: int, bits: int):
@@ -443,26 +446,26 @@ def _check_fourier_terms(fourier_terms: int) -> None:
         )
 
 
-def fourier_lhs(identity: str, k: int, theta, fourier_terms: int, digits: int = 30) -> FixedDecimal:
+def fourier_lhs(identity: str, k: int, theta, fourier_terms: int, digits: int = 30) -> Ball:
     """Smoothed partial sum of the alternating sine (S1) or cosine (S2) series, summed
     by parts where :func:`_abel_plan` finds that cheaper, else by the direct loop; the
     tag, k, term count and angle are checked first, the angle at the working scale."""
     exponent = _exponent(identity, k)
     _check_fourier_terms(fourier_terms)
     scale = _working_scale(digits)
-    one = 10**scale
-    token, m = _angle(theta, scale)
-    plan = _abel_plan(exponent, m / one, token == "pi/2", fourier_terms, scale)
+    token, angle = _angle(theta, scale)
+    plan = _abel_plan(exponent, angle.mid / 2**angle.bits, token == "pi/2", fourier_terms, scale)
     if plan:
         twice, unit, err = _abel_sum(exponent, token, fourier_terms, scale, *plan)
     elif token == "pi/2":
         twice, unit, err = _half_pi_sum(exponent, fourier_terms, scale)
     else:
         twice, unit, err = _generic_sum(exponent, token, fourier_terms, scale)
-    return FixedDecimal(_divround(twice * one, 2 * unit), scale, _ceil_div(err * one, unit) + 1)
+    # the sum is twice 2^-b with b the bit length of unit = 2^(b-1), within err / unit
+    return Ball(twice, 2 * err, unit.bit_length(), scale).shift(angle.bits)
 
 
-def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) -> FixedDecimal:
+def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) -> Ball:
     """Ladder-series side of the identity at full working precision.
 
     S1: (-1)^k/2 * sum_n D_n(2k) theta^(2n+2k-1)
@@ -478,31 +481,31 @@ def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) 
         raise ValueError("series_terms must be >= 1")
     odd = e % 2
     scale = _working_scale(digits)
-    token, m = _angle(theta, scale)
+    token, th = _angle(theta, scale)
     # geometric bound on the omitted ladder tail: the term ratio is strictly below
     # (theta/pi)^2 for every n, the moment lemma of coeffs at angle theta, since
     # D_n(e) theta^(2n+e-1) = 4 theta^(e-1) lambda(2n) y^(2n) / ((2n)...(2n+e-1)) with
-    # y = theta/pi; bounded here by a/b with outward rounding, and judged before the
-    # column is read, which may cost tangent numbers to series_terms
-    a, b = (m + 2) ** 2, (compute_pi(scale).mantissa - 2) ** 2
+    # y = theta/pi; bounded by a/b on the printed angle and pi, rounded outward, and judged
+    # before the column is read, which may cost tangent numbers to series_terms
+    a, b = (th.rounded() + 2) ** 2, (compute_pi(scale).rounded() - 2) ** 2
     if 1000 * a >= 999 * b:
         raise ValueError(f"theta={token} is too close to pi for a usable ladder tail bound")
-    th = FixedDecimal(m, scale, 1)
     column = e_column(1, series_terms)
     # the eta-polynomial terms first, from the top r down: past the tangent index ceiling
     # the highest eta sum fails before any lower one runs or the D sum builds (e + 1)!
-    poly = FixedDecimal(0, scale)
+    poly = th._replace(mid=0, rad=0)
     for r in reversed(range(k + odd)):
         exponent = e - 2 * r - 1
         # A_(2r+1): ln 2 for r = 0, eta(2r+1) above
-        term = sum_series(2 * r + 1, digits + 6).value.mul(th.pow_int(exponent))
+        term = th.pow_int(exponent).mul(sum_series(2 * r + 1, digits + 6).value.shift(th.bits))
         poly += term.mul_ratio((-1) ** (k - r - 1 + odd), factorial(exponent))
     # D_n(k) = N_n(1) / d_denominator(n, k), the power carried over the denominator row to row
     den = d_denominator(1, e)
     mantissas, errs = zip(*_series_terms(th.pow_int(e + 1), th.mul(th), column, den, e))
-    acc = FixedDecimal(sum(mantissas), scale, sum(errs)).mul_ratio((-1) ** (k + odd), 2)
-    # |last| rho / (2 (1 - rho)) with rho = a/b
-    return poly + acc._replace(err_ulp=acc.err_ulp + abs(mantissas[-1]) * a // (2 * (b - a)) + 1)
+    # the tail is below (|last| + its bound) rho / (1 - rho) with rho = a/b, then halved
+    tail = (abs(mantissas[-1]) + errs[-1]) * a // (2 * (b - a)) + 1
+    acc = poly._replace(mid=sum(mantissas), rad=sum(errs)).mul_ratio((-1) ** (k + odd), 2)
+    return poly + acc._replace(rad=acc.rad + tail)
 
 
 class IdentityResidual(
@@ -540,7 +543,7 @@ def check_identity(
     return IdentityResidual(identity, k, token, fourier_terms, series_terms, abs(lhs - rhs))
 
 
-def tan_half_residual(theta, fourier_terms: int, digits: int = 15) -> FixedDecimal:
+def tan_half_residual(theta, fourier_terms: int, digits: int = 15) -> Ball:
     """Informational check of the k = 0 sine identity against (1/2) tan(theta/2).
 
     The raw sine sum only converges in the Cesaro sense, so the full (C, 1)
@@ -560,12 +563,11 @@ def tan_half_residual(theta, fourier_terms: int, digits: int = 15) -> FixedDecim
         running += z
         acc += running
     t, err_t = _tan_half(s, c, e, bits)
-    # |mean - t/2| in units of 2^-bits / (2 M): every partial sum carries at most
+    # |mean - t/2| in units of 2^-(bits+1) / M: every partial sum carries at most
     # M drift, and so does their mean, and t/2 carries err_t / 2
-    unit, one = fourier_terms << (bits + 1), 10**scale
     err = fourier_terms * (2 * fourier_terms * drift + err_t)
-    gap = abs(2 * acc - fourier_terms * t)
-    return FixedDecimal(_divround(gap * one, unit), scale, _ceil_div(err * one, unit) + 1)
+    gap = Ball(abs(2 * acc - fourier_terms * t), err, bits + 1, scale)
+    return gap.mul_ratio(1, fourier_terms).shift(_working_bits(scale))
 
 
 def residual_sweep(

@@ -8,9 +8,9 @@ from eta(s) by an exact factor, an atanh series for ln 2, and a transformed
 arctangent series for pi.  The acceleration keeps its Chebyshev weights as
 integers and sums the weighted terms in binary fixed point, each floored at
 2^-64, so the accelerated sum lies in an enclosure one unit of 2^-64 wide
-per term.  The reference is the midpoint of that enclosure, rounded once,
-and its bound adds the half-width to the acceleration's own error.  Only
-the raw fixed-point/rational primitives are shared with the production
+per term.  The reference is a ball around the midpoint of that enclosure,
+whose radius adds the half-width to the acceleration's own error.  Only the
+ball record and the raw integer primitives are shared with the production
 path, so a bug there cannot silently confirm itself.
 """
 
@@ -22,7 +22,7 @@ from collections import namedtuple
 
 from .constants import compute_constant, parse_constant_name, valid_name_summary
 from .errors import ResourceLimitError, UnknownConstantError
-from .highprec import FixedDecimal, _ceil_div, _divround
+from .highprec import Ball, _ceil_div, _divround, _working_bits
 
 __all__ = [
     "VerificationReport",
@@ -49,12 +49,12 @@ _ACCEL_LOG10_NUM = 765_551
 _ACCEL_LOG10_DEN = 10**6
 
 
-def _to_fixed(value: tuple[int, int], bound: tuple[int, int], digits: int) -> FixedDecimal:
-    """Round the (numerator, denominator) pair ``value`` to ``digits``, with ``bound`` its error."""
-    unit = 10**digits
+def _to_ball(value: tuple[int, int], bound: tuple[int, int], digits: int) -> Ball:
+    """The ball, printed at ``digits``, of the (numerator, denominator) pair ``value``
+    with ``bound`` its error: the midpoint rounded to nearest adds 1/2 to the bound."""
+    bits = _working_bits(digits)
     (vn, vd), (bn, bd) = value, bound
-    # true error <= analytic bound + 1/2 ulp of rounding
-    return FixedDecimal(_divround(vn * unit, vd), digits, _ceil_div(2 * bn * unit + bd, 2 * bd))
+    return Ball(_divround(vn << bits, vd), _ceil_div(bn << bits, bd) + 1, bits, digits)
 
 
 def acceleration_depth(digits: int) -> int:
@@ -79,7 +79,7 @@ def _chebyshev_at_3(n: int) -> int:
 
 def accelerated_alternating(
     stride: int, s: int, depth: int, digits: int, factor: tuple[int, int] = (1, 1)
-) -> FixedDecimal:
+) -> Ball:
     """fn/fd * sum_{j>=0} (-1)^j / (1 + stride j)^s at ``digits``, Chebyshev-accelerated.
 
     ``factor`` = (fn, fd) is a positive exact ratio.  The terms are totally monotone
@@ -87,9 +87,9 @@ def accelerated_alternating(
     misses the sum by less than 4 / d_depth, d_depth ~ (3 + sqrt 8)^depth.  Its value
     is S / d_depth, S = sum_j c_j / (1 + stride j)^s over integer weights c_j.  Each
     weighted term is floored at 2^-64, so the sum ``acc`` of the floors has S 2^64 in
-    [acc, acc + depth).  The midpoint (acc + depth / 2) 2^-64 fn / (d_depth fd) is
-    rounded once; ``err_ulp`` is 4 / d_depth plus the half-width depth 2^-65 / d_depth,
-    both times the factor, plus half an ulp for the rounding.
+    [acc, acc + depth).  The ball's midpoint is (acc + depth / 2) 2^-64 fn / (d_depth fd)
+    rounded once, and its radius 4 / d_depth plus the half-width depth 2^-65 / d_depth,
+    both times the factor, plus the rounding.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -107,12 +107,12 @@ def accelerated_alternating(
             raise ArithmeticError(f"Chebyshev weight b_{j + 1} at depth {depth} is not an integer")
     fn, fd = factor
     den = fd * d << 65
-    return _to_fixed(((2 * acc + depth) * fn, den), (((8 << 64) + depth) * fn, den), digits)
+    return _to_ball(((2 * acc + depth) * fn, den), (((8 << 64) + depth) * fn, den), digits)
 
 
 def _accelerated_sum(
     stride: int, s: int, digits: int, factor: tuple[int, int] = (1, 1)
-) -> FixedDecimal:
+) -> Ball:
     """fn/fd * sum_j (-1)^j / (1 + stride j)^s, accelerated deep enough for ``digits``."""
     depth = acceleration_depth(digits + 3)
     if depth > MAX_ACCELERATION_DEPTH:
@@ -120,41 +120,41 @@ def _accelerated_sum(
     return accelerated_alternating(stride, s, depth, digits, factor)
 
 
-def _zeta_from_eta(s: int, digits: int) -> FixedDecimal:
+def _zeta_from_eta(s: int, digits: int) -> Ball:
     """zeta(s) = eta(s) * 2^(s-1)/(2^(s-1)-1), s >= 2, the factor exact on value and bound."""
     f = 1 << (s - 1)
     return _accelerated_sum(1, s, digits, factor=(f, f - 1))
 
 
-def reference_eta(s: int, digits: int) -> FixedDecimal:
+def reference_eta(s: int, digits: int) -> Ball:
     """eta(s) = sum (-1)^(m+1) / m^s by certified alternating-series acceleration."""
     if s < 1:
         raise ValueError("s must be >= 1")
     return _accelerated_sum(1, s, digits)
 
 
-def reference_beta(s: int, digits: int) -> FixedDecimal:
+def reference_beta(s: int, digits: int) -> Ball:
     """beta(s) = sum (-1)^m / (2m+1)^s by the same certified acceleration."""
     if s < 2:
         raise ValueError("s must be >= 2")
     return _accelerated_sum(2, s, digits)
 
 
-def reference_zeta_odd(k: int, digits: int) -> FixedDecimal:
+def reference_zeta_odd(k: int, digits: int) -> Ball:
     """zeta(2k+1) from the accelerated eta(2k+1) sum."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return _zeta_from_eta(2 * k + 1, digits)
 
 
-def reference_zeta_even(n: int, digits: int) -> FixedDecimal:
+def reference_zeta_even(n: int, digits: int) -> Ball:
     """zeta(2n) from the accelerated eta(2n) sum, independent of the Bernoulli closed form."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return _zeta_from_eta(2 * n, digits)
 
 
-def reference_ln2(digits: int) -> FixedDecimal:
+def reference_ln2(digits: int) -> Ball:
     """ln 2 = 2 atanh(1/3) = 2 sum_j 1 / ((2j+1) 3^(2j+1)); tail < term / 8."""
     from fractions import Fraction  # imported on use: verify never calls this reference
 
@@ -167,11 +167,11 @@ def reference_ln2(digits: int) -> FixedDecimal:
         t = Fraction(2, (2 * j + 1) * 3 ** (2 * j + 1))
         total += t
         if t < threshold:
-            return _to_fixed(total.as_integer_ratio(), (t / 8).as_integer_ratio(), digits)
+            return _to_ball(total.as_integer_ratio(), (t / 8).as_integer_ratio(), digits)
         j += 1
 
 
-def reference_pi(digits: int) -> FixedDecimal:
+def reference_pi(digits: int) -> Ball:
     """pi = sum_n 2 (n!)^2 2^(n+1) / (2n+1)! (Euler-transformed arctangent at 1).
 
     Positive terms with ratio (n+1)/(2n+3) < 1/2, so the tail after any term
@@ -189,12 +189,12 @@ def reference_pi(digits: int) -> FixedDecimal:
         total += u
         nxt = u * Fraction(n + 1, 2 * n + 3)
         if nxt < threshold:
-            return _to_fixed(total.as_integer_ratio(), (2 * nxt).as_integer_ratio(), digits)
+            return _to_ball(total.as_integer_ratio(), (2 * nxt).as_integer_ratio(), digits)
         u = nxt
         n += 1
 
 
-def reference_for(name: str, digits: int) -> FixedDecimal:
+def reference_for(name: str, digits: int) -> Ball:
     """Reference value for any supported constant identifier."""
     base, param = parse_constant_name(name)
     if base == "catalan":

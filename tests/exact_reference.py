@@ -15,7 +15,8 @@ the angle, reduced modulo 2 pi, where the package runs a three-term recurrence
 over m; its pi is :func:`machin_pi`, and its sin and cos are Taylor sums on
 integers written out here.  :func:`sin_cos_enclosure`, the reference for the
 package's binary sin and cos, bounds them over an interval of angles with
-Fractions rounded outward.
+Fractions rounded outward.  :func:`bounds`, :func:`midpoint` and
+:func:`printed_err_ulp` read the package's binary balls as exact rationals.
 """
 
 from __future__ import annotations
@@ -26,6 +27,23 @@ from math import ceil, comb, factorial, floor
 
 ANCHOR_INTERVAL = 10_000  # terms between two AngleEngine anchors in the rotation references
 EXTRA_SCALE = 8  # headroom digits for angle reduction and anchor recomputation
+
+
+def midpoint(ball) -> Fraction:
+    """The midpoint mid 2^-bits of a ball, exactly."""
+    return Fraction(ball.mid, 1 << ball.bits)
+
+
+def bounds(ball) -> tuple[Fraction, Fraction]:
+    """The ends (mid - rad) 2^-bits and (mid + rad) 2^-bits of a ball, exactly."""
+    unit = Fraction(1, 1 << ball.bits)
+    return (ball.mid - ball.rad) * unit, (ball.mid + ball.rad) * unit
+
+
+def printed_err_ulp(ball) -> int:
+    """The error bound of a ball's printed mantissa in units of 10^-scale, rounded up:
+    its radius plus the half unit of rounding the midpoint to that unit."""
+    return -(-((2 * ball.rad * 10**ball.scale) + (1 << ball.bits)) >> (ball.bits + 1))
 
 
 def sin_fraction(x: Fraction, terms: int = 40) -> Fraction:

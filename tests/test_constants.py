@@ -15,8 +15,9 @@ from oddzeta.constants import (
     zeta_even_closed,
     zeta_odd,
 )
+from exact_reference import bounds, midpoint
 from oddzeta.errors import UnknownConstantError
-from oddzeta.highprec import FixedDecimal, sum_series
+from oddzeta.highprec import Ball, sum_series
 
 
 def test_fifteen_digit_values():
@@ -37,8 +38,8 @@ def test_zeta_even_closed_values():
     from oddzeta.highprec import compute_pi
 
     p = compute_pi(40)
-    lo, hi = zeta_even_closed(1, 30).value.bounds()
-    exact_lo, exact_hi = (b * b / 6 for b in p.bounds())
+    lo, hi = bounds(zeta_even_closed(1, 30).value)
+    exact_lo, exact_hi = (b * b / 6 for b in bounds(p))
     assert lo <= exact_hi and exact_lo <= hi
 
 
@@ -53,7 +54,7 @@ def test_zeta_even_closed_equals_bernoulli_fraction_form(digits):
     for n in range(1, 41):
         rational = bernoulli(2 * n) * (-1) ** (n + 1) * (1 << (2 * n - 1)) / factorial(2 * n)
         power = compute_pi(digits + GUARD_DIGITS).pow_int(2 * n)
-        expected = power.mul_ratio(rational.numerator, rational.denominator).rescale(digits)
+        expected = power.mul_ratio(rational.numerator, rational.denominator)._replace(scale=digits)
         assert zeta_even_closed(n, digits).value == expected, n
 
 
@@ -71,9 +72,9 @@ def test_value_records_are_immutable():
         value.name = "other"
     renamed = value._replace(name="other")
     assert (renamed.name, value.name, renamed.value) == ("other", "catalan", value.value)
-    assert FixedDecimal(7, 2) == FixedDecimal(mantissa=7, scale=2, err_ulp=0)
-    assert hash(FixedDecimal(7, 2)) == hash(FixedDecimal(mantissa=7, scale=2))
-    assert repr(FixedDecimal(7, 2)) == "FixedDecimal(mantissa=7, scale=2, err_ulp=0)"
+    assert Ball(7, 0, 4, 2) == Ball(mid=7, rad=0, bits=4, scale=2)
+    assert hash(Ball(7, 0, 4, 2)) == hash(Ball(mid=7, rad=0, bits=4, scale=2))
+    assert repr(Ball(7, 0, 4, 2)) == "Ball(mid=7, rad=0, bits=4, scale=2)"
 
 
 def test_constant_builds_only_the_columns_it_sums(cold_store):
@@ -92,8 +93,8 @@ def test_alt_harmonic_thirty_digits_vs_log_oracle():
 
 def test_eta_to_apery_bridge():
     digits = 20
-    eta = eta_odd(1, digits).value.as_fraction()
-    ap = apery(digits).value.as_fraction()
+    eta = midpoint(eta_odd(1, digits).value)
+    ap = midpoint(apery(digits).value)
     assert abs(eta * Fraction(4, 3) - ap) <= Fraction(3, 10**digits)
 
 
@@ -101,21 +102,21 @@ def test_eta_zeta_bridge():
     digits = 20
     for k in (1, 2, 3):
         factor = 1 - Fraction(1, 1 << (2 * k))
-        z = zeta_odd(k, digits).value.as_fraction()
-        e = eta_odd(k, digits).value.as_fraction()
+        z = midpoint(zeta_odd(k, digits).value)
+        e = midpoint(eta_odd(k, digits).value)
         assert abs(z * factor - e) <= Fraction(3, 10**digits)
 
 
 def test_bracketing_bounds():
-    assert Fraction(91, 100) < catalan(15).value.as_fraction() < Fraction(92, 100)
-    assert Fraction(120, 100) < apery(15).value.as_fraction() < Fraction(121, 100)
+    assert Fraction(91, 100) < midpoint(catalan(15).value) < Fraction(92, 100)
+    assert Fraction(120, 100) < midpoint(apery(15).value) < Fraction(121, 100)
     for k in range(1, 6):
-        value = zeta_odd(k, 15).value.as_fraction()
+        value = midpoint(zeta_odd(k, 15).value)
         assert 1 < value < Fraction(125, 100)
 
 
 def test_zeta_odd_monotone_decreasing():
-    values = [zeta_odd(k, 15).value.as_fraction() for k in range(1, 7)]
+    values = [midpoint(zeta_odd(k, 15).value) for k in range(1, 7)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 

@@ -1,4 +1,4 @@
-"""Fixed-point arithmetic soundness, pi, and the series summation engine."""
+"""Binary ball soundness, pi, and the series summation engine."""
 
 import sys
 from fractions import Fraction
@@ -7,13 +7,13 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, strategies as st
 
-from exact_reference import machin_pi
+from exact_reference import bounds, machin_pi, midpoint, printed_err_ulp
 from oddzeta import highprec
 from oddzeta.coeffs import denominator_step, e_column, e_denominator
 from oddzeta.errors import ResourceLimitError
 from oddzeta.highprec import (
     GUARD_DIGITS,
-    FixedDecimal,
+    Ball,
     compute_pi,
     estimate_terms,
     half_pi,
@@ -21,84 +21,100 @@ from oddzeta.highprec import (
     term_ratio_sequence,
 )
 
-mantissas = st.integers(min_value=-(10**25), max_value=10**25)
-scales = st.integers(min_value=0, max_value=20)
-errs = st.integers(min_value=0, max_value=1000)
+mids = st.integers(min_value=-(10**25), max_value=10**25)
+bit_counts = st.integers(min_value=1, max_value=90)
+rads = st.integers(min_value=0, max_value=1000)
 
 
-def enclosure_contains(fd: FixedDecimal, exact: Fraction) -> bool:
-    lo, hi = fd.bounds()
+def enclosure_contains(ball: Ball, exact: Fraction) -> bool:
+    lo, hi = bounds(ball)
     return lo <= exact <= hi
 
 
-@given(mantissas, scales, errs, mantissas, scales, errs)
-def test_add_sub_mul_enclosures(ma, sa, ea, mb, sb, eb):
-    a = FixedDecimal(ma, sa, ea)
-    b = FixedDecimal(mb, sb, eb)
-    for exact_a in a.bounds():
-        for exact_b in b.bounds():
+@given(mids, rads, mids, rads, bit_counts)
+def test_add_sub_mul_enclosures(ma, ra, mb, rb, bits):
+    a, b = Ball(ma, ra, bits, 0), Ball(mb, rb, bits, 0)
+    for exact_a in (*bounds(a), midpoint(a)):
+        for exact_b in bounds(b):
             assert enclosure_contains(a + b, exact_a + exact_b)
             assert enclosure_contains(a - b, exact_a - exact_b)
             assert enclosure_contains(a.mul(b), exact_a * exact_b)
-        assert enclosure_contains(-a, -exact_a)
+        assert enclosure_contains(abs(a), abs(exact_a))
 
 
-@given(mantissas, scales, errs, st.integers(min_value=0, max_value=25))
-def test_rescale_enclosure(m, s, e, target):
-    fd = FixedDecimal(m, s, e)
-    for exact in fd.bounds():
-        assert enclosure_contains(fd.rescale(target), exact)
+def test_operands_at_different_bits_are_refused():
+    a, b = Ball(3, 1, 10, 2), Ball(3, 1, 11, 2)
+    for operation in (lambda: a + b, lambda: a - b, lambda: a.mul(b)):
+        with pytest.raises(ValueError, match="shift one first"):
+            operation()
+
+
+@given(mids, rads, bit_counts, st.integers(min_value=1, max_value=120))
+def test_rescale_enclosure(m, r, bits, target):
+    # shift is the binary rescale: exact to more bits, rounded to fewer
+    ball = Ball(m, r, bits, 0)
+    for exact in bounds(ball):
+        assert enclosure_contains(ball.shift(target), exact)
 
 
 @given(
-    mantissas,
-    scales,
-    errs,
+    mids,
+    rads,
+    bit_counts,
     st.fractions(
         min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=10**6
     ),
     st.integers(min_value=1, max_value=10**6),
 )
-def test_mul_ratio_enclosure(m, s, e, q, c):
+def test_mul_ratio_enclosure(m, r, bits, q, c):
     # a signed ratio handed over unreduced, as the callers do
-    fd = FixedDecimal(m, s, e)
-    product = fd.mul_ratio(q.numerator * c, q.denominator * c)
-    for exact in fd.bounds():
+    ball = Ball(m, r, bits, 0)
+    product = ball.mul_ratio(q.numerator * c, q.denominator * c)
+    for exact in bounds(ball):
         assert enclosure_contains(product, exact * q)
 
 
+def printed(value, scale: int) -> Ball:
+    """A ball of radius 0 whose midpoint is ``value`` to 2^-64, printed at ``scale``."""
+    return Ball(round(Fraction(value) * 2**64), 0, 64, scale)
+
+
 def test_decimal_rendering():
-    assert FixedDecimal(1234, 3).to_decimal() == "1.234"
-    assert FixedDecimal(-1234, 3).to_decimal() == "-1.234"
-    assert FixedDecimal(7, 3).to_decimal() == "0.007"
-    assert FixedDecimal(5, 0).to_decimal() == "5"
+    assert printed(Fraction(1234, 1000), 3).to_decimal() == "1.234"
+    assert printed(Fraction(-1234, 1000), 3).to_decimal() == "-1.234"
+    assert printed(Fraction(7, 1000), 3).to_decimal() == "0.007"
+    assert printed(5, 0).to_decimal() == "5"
+    # the one rounding, to nearest with ties toward +infinity
+    assert Ball(3, 0, 1, 0).to_decimal() == "2"
+    assert Ball(-3, 0, 1, 0).to_decimal() == "-1"
+    assert printed(Fraction(2, 3), 4).to_decimal() == "0.6667"
 
 
 def test_sci_rendering():
-    assert FixedDecimal(123456789, 12).to_sci(4) == "1.235e-4"
-    assert FixedDecimal(-5, 8).to_sci(3) == "-5e-8"
-    assert FixedDecimal(0, 8).to_sci() == "0e+0"
-    assert FixedDecimal(999999999, 4).to_sci(3) == "1e+5"
+    assert printed(Fraction(123456789, 10**12), 12).to_sci(4) == "1.235e-4"
+    assert printed(Fraction(-5, 10**8), 8).to_sci(3) == "-5e-8"
+    assert printed(0, 8).to_sci() == "0e+0"
+    assert printed(Fraction(999999999, 10**4), 4).to_sci(3) == "1e+5"
 
 
 def test_star_is_refused_in_favour_of_mul_and_mul_ratio():
-    # a tuple would otherwise repeat itself: FixedDecimal(15, 1) * 2 is a 6-tuple
-    fd = FixedDecimal(15, 1)
-    for product in (lambda: fd * 2, lambda: 2 * fd, lambda: fd * fd):
+    # a tuple would otherwise repeat itself: Ball(15, 0, 4, 1) * 2 is an 8-tuple
+    ball = Ball(15, 0, 4, 1)
+    for product in (lambda: ball * 2, lambda: 2 * ball, lambda: ball * ball):
         with pytest.raises(TypeError, match=r"\bmul\b.*\bmul_ratio\b"):
             product()
 
 
 def test_pow_int():
-    x = FixedDecimal(15 * 10**19, 20, 1)  # 3/2
+    x = Ball(3 << 63, 1, 64, 0)  # 3/2
     assert enclosure_contains(x.pow_int(5), Fraction(243, 32))
-    assert x.pow_int(0).as_fraction() == 1
+    assert midpoint(x.pow_int(0)) == 1
 
 
 def test_pi_coarse_bracket():
     p = compute_pi(1)
     assert p.to_decimal() == "3.1"
-    assert p.err_ulp <= 1
+    assert printed_err_ulp(p) <= 1
 
 
 def test_pi_bound_breach_raises(monkeypatch):
@@ -113,8 +129,8 @@ def test_pi_equals_machin_at_every_digit_count():
     # the Chudnovsky sum rounds to the same mantissa as Machin's arctangents
     for digits in range(1, 1101):
         pi = compute_pi(digits)
-        assert (pi.mantissa, pi.scale) == (machin_pi(digits), digits)
-        assert pi.err_ulp <= 1
+        assert (pi.rounded(), pi.scale) == (machin_pi(digits), digits)
+        assert printed_err_ulp(pi) <= 1
 
 
 def test_pi_twenty_digits():
@@ -130,21 +146,21 @@ def test_pi_against_independent_series():
 
 @given(
     st.integers(min_value=-(10**8), max_value=10**8),
-    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=1, max_value=40),
     st.integers(min_value=0, max_value=10),
     st.integers(min_value=0, max_value=5),
 )
-def test_pow_int_enclosure(m, s, e, exponent):
-    fd = FixedDecimal(m, s, e)
-    for exact in fd.bounds():
-        assert enclosure_contains(fd.pow_int(exponent), exact**exponent)
+def test_pow_int_enclosure(m, bits, r, exponent):
+    ball = Ball(m, r, bits, 0)
+    for exact in bounds(ball):
+        assert enclosure_contains(ball.pow_int(exponent), exact**exponent)
 
 
 @pytest.mark.parametrize("digits", [15, 30, 50])
 def test_pi_precision_monotone(digits):
-    wide = compute_pi(digits).rescale(digits - 5)
+    wide = compute_pi(digits)._replace(scale=digits - 5)
     narrow = compute_pi(digits - 5)
-    assert abs(wide.mantissa - narrow.mantissa) <= 1
+    assert abs(wide.rounded() - narrow.rounded()) <= 1
 
 
 def test_pi_ceiling_refused_before_any_arctangent(monkeypatch):
@@ -180,59 +196,85 @@ def test_sum_series_stops_before_its_column_ends(k):
         assert sum_series(k, digits).terms_used < estimate_terms(digits, k)
 
 
-def sum_series_reference(k, digits):
-    """(value, terms_used, tail_bound) by the loop that builds FixedDecimals for every term.
+def stop_limit(bits: int, work: int) -> int:
+    """The largest |midpoint| in units of 2^-bits that rounds to at most 100 units of
+    10^-work: sum_series' stop row."""
+    return ((201 << bits) - 1) // (2 * 10**work)
 
-    The summation as the package ran it before its loop moved to plain integers.
+
+def sum_series_reference(k, digits):
+    """(printed mantissa, terms_used, lower, upper) of A_k's partial sum, the bounds exact.
+
+    The loop as the package ran it on FixedDecimals, before it summed in binary: row n's
+    term is N_n(k) (pi/2)^(2n+k-1) / den_n, and the sum stops at the first row n >= 5 whose
+    term rounds to at most 100 units of the working scale w.  Here pi/2 and each power of
+    it are integer bounds at 2^-bits, 30 digits finer than w and rounded outward, from
+    Machin's arctangents; each term's bounds are rounded outward too, so the exact partial
+    sum with pi itself lies between the Fractions returned.  The stop test and the
+    printed mantissa must come out the same at both ends.
     """
-    column = e_column(k, estimate_terms(digits, k))
-    den = e_denominator(1, k)
     work = digits + GUARD_DIGITS
-    hp = half_pi(work)
-    step = hp.mul(hp)
-    power = hp.pow_int(k + 1)
-    total = total_err = terms = 0
-    prev_abs = None
-    for n, num in enumerate(column, 1):
-        twos = ((num | den) & -(num | den)).bit_length() - 1
-        term = power.mul_ratio(num >> twos, den >> twos)
-        total += term.mantissa
-        total_err += term.err_ulp
-        terms = n
-        magnitude = abs(term.mantissa)
-        if prev_abs is not None and n > 5 and prev_abs > 1000:
-            assert 3 * magnitude <= prev_abs + 8
-        prev_abs = magnitude
-        if magnitude <= 100 and n >= 5:
+    fine = work + 30
+    bits = (10**fine).bit_length()
+    pi = machin_pi(fine)  # within a unit of 10^-fine
+    x_lo, x_hi = ((pi - 1) << bits) // (2 * 10**fine), -(-((pi + 1) << bits) // (2 * 10**fine))
+    step_lo, step_hi = x_lo * x_lo >> bits, -(-(x_hi * x_hi) >> bits)
+    power_lo, power_hi = x_lo, x_hi
+    for _ in range(k):
+        power_lo, power_hi = power_lo * x_lo >> bits, -(-(power_hi * x_hi) >> bits)
+    den = e_denominator(1, k)
+    total_lo = total_hi = 0
+    for n, num in enumerate(e_column(k, estimate_terms(digits, k)), 1):
+        low, high = (power_lo, power_hi) if num >= 0 else (power_hi, power_lo)
+        lo, hi = num * low // den, -(-(num * high) // den)
+        total_lo, total_hi = total_lo + lo, total_hi + hi
+        stops = [n >= 5 and 2 * abs(end) * 10**work < 201 << bits for end in (lo, hi)]
+        assert stops[0] == stops[1], (k, digits, n)
+        if stops[0]:
             break
-        power = power.mul(step)
+        power_lo, power_hi = power_lo * step_lo >> bits, -(-(power_hi * step_hi) >> bits)
         den *= denominator_step(n, k)
-    tail_ulp = (prev_abs or 0) // 2 + 1
-    value = FixedDecimal(total, work, total_err + tail_ulp).rescale(digits)
-    return value, terms, FixedDecimal(tail_ulp, work, 0)
+    lower, upper = Fraction(total_lo, 1 << bits), Fraction(total_hi, 1 << bits)
+    mantissas = {round_half_up(end * 10**digits) for end in (lower, upper)}
+    assert len(mantissas) == 1, (k, digits)
+    return mantissas.pop(), n, lower, upper
+
+
+def round_half_up(value: Fraction) -> int:
+    return (2 * value.numerator + value.denominator) // (2 * value.denominator)
 
 
 @pytest.mark.parametrize("k", [*range(1, 13), 15, 20, 21, 30])
 def test_sum_series_equals_fixed_decimal_loop(k):
+    # the same rows and the same printed digits as the exact reference, and the ball holds
+    # the reference's exact partial sum
     for digits in (1, 2, 5, 30, 57, 100, 300, *((500,) if k <= 2 else ())):
         result = sum_series(k, digits)
-        assert (result.value, result.terms_used, result.tail_bound) == sum_series_reference(
-            k, digits
-        )
+        mantissa, terms_used, lower, upper = sum_series_reference(k, digits)
+        assert (result.value.rounded(), result.terms_used) == (mantissa, terms_used)
+        lo, hi = bounds(result.value)
+        assert lo <= lower <= upper <= hi
 
 
 def test_sum_series_builds_constant_fixed_decimals(monkeypatch):
+    # a sum makes a few balls for pi and its powers and one for its value, not one a row
     made = []
-    original = FixedDecimal.__new__
+    new, make = Ball.__new__, Ball._make
 
-    def spy(cls, *args, **kwargs):
+    def spy_new(cls, *args, **kwargs):
         made.append(args)
-        return original(cls, *args, **kwargs)
+        return new(cls, *args, **kwargs)
+
+    @classmethod
+    def spy_make(cls, iterable):
+        made.append(iterable)
+        return make(iterable)
 
     counts = []
     for digits in (30, 200):
         sum_series(3, digits)  # grow the column outside the count
-        monkeypatch.setattr(FixedDecimal, "__new__", spy)
+        monkeypatch.setattr(Ball, "__new__", spy_new)
+        monkeypatch.setattr(Ball, "_make", spy_make)
         terms = sum_series(3, digits).terms_used
         monkeypatch.undo()
         counts.append(len(made))
@@ -243,17 +285,18 @@ def test_sum_series_builds_constant_fixed_decimals(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_series_terms_equal_fixed_decimal_loop_at_1000_digits(k):
-    # the binary quotient gives every mantissa of the decimal power, and a bound at most
-    # one ulp off the decimal power's
+    # the binary quotient gives every midpoint of the loop that multiplies the ball power
+    # row by row, as the sum once did with FixedDecimals, and a bound at most one unit off
     digits = 1000
     column = e_column(k, estimate_terms(digits, k))
-    hp = half_pi(digits + GUARD_DIGITS)
+    hp = half_pi(digits)
+    stop = stop_limit(hp.bits, digits + GUARD_DIGITS)
     step, power, den = hp.mul(hp), hp.pow_int(k + 1), e_denominator(1, k)
     expected = []
     for n, num in enumerate(column, 1):
         term = power.mul_ratio(num, den)
-        expected.append((term.mantissa, term.err_ulp))
-        if abs(term.mantissa) <= 100 and n >= 5:
+        expected.append((term.mid, term.rad))
+        if abs(term.mid) <= stop and n >= 5:
             break
         power = power.mul(step)
         den *= denominator_step(n, k)
@@ -263,7 +306,7 @@ def test_series_terms_equal_fixed_decimal_loop_at_1000_digits(k):
     assert all(abs(err - want) <= 1 for (_, err), (_, want) in zip(terms, expected))
 
 
-HALF_PI_SQUARED_30 = 2467401100272339654708622749970
+HALF_PI_SQUARED_100 = 3127802485764025003062641505888  # (pi/2)^2 at 2^-100
 
 
 @given(
@@ -275,23 +318,23 @@ HALF_PI_SQUARED_30 = 2467401100272339654708622749970
     st.integers(min_value=1, max_value=9),
 )
 @example(10**60 + 1, 2 * 10**30 + 1, 0, [1, 10**80, 10**80], 1, 1)  # an exact power, rounded
-# (pi/2)^2 at 30 digits over the first 40 rows of sum_series(1, 20)
-@example(HALF_PI_SQUARED_30, HALF_PI_SQUARED_30, 3, e_column(1, 40), e_denominator(1, 1), 1)
+# (pi/2)^2 at 100 bits over the first 40 rows of sum_series(1, 20)
+@example(HALF_PI_SQUARED_100, HALF_PI_SQUARED_100, 3, e_column(1, 40), e_denominator(1, 1), 1)
 def test_series_terms_enclose_the_exact_terms(pm, sm, err, column, den, index):
     # every yielded bound holds for the midpoints of power and step: N_n / den_n up to
     # 10^80 magnifies the power's error in the first rows, and every row carries the
     # power over its denominator as one binary quotient
-    assert_terms_enclose(pm, sm, err, column, den, index, 30)
+    assert_terms_enclose(pm, sm, err, column, den, index, 100)
 
 
-def assert_terms_enclose(pm, sm, err, column, den, index, scale):
+def assert_terms_enclose(pm, sm, err, column, den, index, bits):
     """Every _series_terms bound holds for the midpoints pm, sm of power and step."""
-    power, step = FixedDecimal(pm, scale, err), FixedDecimal(sm, scale, err)
+    power, step = Ball(pm, err, bits, 0), Ball(sm, err, bits, 0)
     exact = Fraction(pm)
     terms = highprec._series_terms(power, step, column, den, index)
     for n, (num, (mantissa, err_ulp)) in enumerate(zip(column, terms), 1):
         assert abs(mantissa - exact * Fraction(num, den)) <= err_ulp
-        exact *= Fraction(sm, 10**scale)
+        exact *= Fraction(sm, 1 << bits)
         den *= denominator_step(n, index)
 
 
@@ -315,11 +358,11 @@ def decaying_columns(draw):
     decaying_columns(),
     st.integers(min_value=1, max_value=10**6),
     st.integers(min_value=1, max_value=9),
-    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=200),
 )
-def test_quotient_rows_enclose_the_exact_terms(pm, sm, err, column, den, index, scale):
+def test_quotient_rows_enclose_the_exact_terms(pm, sm, err, column, den, index, bits):
     # a quotient sized from a small term is still bounded when a larger term follows it
-    assert_terms_enclose(pm, sm, err, column, den, index, scale)
+    assert_terms_enclose(pm, sm, err, column, den, index, bits)
 
 
 def series_rows(call):
@@ -355,7 +398,7 @@ def series_rows(call):
 def test_first_quotient_encloses_the_power_over_the_denominator(pm, pe, den):
     # qe = floor(pe 2^f / den) + 2: each of the two floors loses less than one unit
     _, rows = series_rows(
-        lambda: highprec._series_terms(FixedDecimal(pm, 20, pe), FixedDecimal(1, 20), [1], den, 1)
+        lambda: highprec._series_terms(Ball(pm, pe, 64, 20), Ball(1, 0, 64, 20), [1], den, 1)
     )
     q, qe, f, _ = rows[0]
     assert f == den.bit_length() + 64
@@ -368,22 +411,23 @@ def test_series_power_shrinks_with_the_terms():
     terms_used = result.terms_used
     # every row is a quotient row
     assert terms_used == len(rows) > 500
-    # row 1's quotient is the decimal power over den_1, 64 bits past den_1's length
+    # row 1's quotient is the ball power over den_1, 64 bits past den_1's length
     q, _, f, _ = rows[0]
     den = e_denominator(1, 3)
     assert f == den.bit_length() + 64
-    assert q == (half_pi(310).pow_int(4).mantissa << f) // den
-    # each later quotient is cut to 64 bits past the row before's term; once the few ulp
-    # of the power's own error have shrunk with the coefficients (by row 20), its bound
-    # stays far below one ulp of the term
+    assert q == (half_pi(300).pow_int(4).mid << f) // den
+    # each later quotient is cut to 64 bits past the row before's term; once the 2^20 or
+    # so units of the power's own error have shrunk with the coefficients (by row 40), its
+    # bound stays far below one unit of the term
     for n, ((_, _, _, t_bits), (q, qe, f, next_t_bits)) in enumerate(zip(rows, rows[1:]), 2):
         assert q.bit_length() <= t_bits + 65
-        assert n < 20 or qe < 1 << (q.bit_length() - next_t_bits - 32)
-    # the last quotient is as short as the last terms, and it is the decimal power over
-    # den_n, its exponent past the length the denominator has over the power
+        assert n < 40 or qe < 1 << (q.bit_length() - next_t_bits - 32)
+    # the last quotient is as short as the last terms, about 100 units of 10^-310 or 2^40
+    # units of the power's 2^-bits, and it is the ball power over den_n, its exponent past
+    # the length the denominator has over the power
     q, _, f, _ = rows[-1]
-    assert q.bit_length() <= rows[-2][3] + 65 < 80
-    power = half_pi(310).pow_int(2 * terms_used + 2).mantissa
+    assert q.bit_length() <= rows[-2][3] + 65 < 112
+    power = half_pi(300).pow_int(2 * terms_used + 2).mid
     den = e_denominator(terms_used, 3)
     assert f > den.bit_length() - power.bit_length() > 4000
     assert abs(q * den - (power << f)) << 64 < power << f
@@ -393,22 +437,22 @@ def test_sum_series_reports_tail_and_terms():
     result = sum_series(2, 20)
     assert result.k == 2
     assert result.terms_used >= 5
-    assert result.tail_bound.mantissa >= 0
-    # the tail bound was folded into the error bound before rescaling
-    assert result.value.err_ulp >= 1
+    assert result.tail_bound.mid >= 1
+    # the tail bound was folded into the value's radius
+    assert result.value.rad > result.tail_bound.mid
 
 
 def test_sum_series_doubling_agreement():
     for k in (1, 2, 3):
         low = sum_series(k, 15).value
-        high = sum_series(k, 30).value.rescale(15)
-        assert abs(low.mantissa - high.mantissa) <= 100  # first 13 digits agree
+        high = sum_series(k, 30).value._replace(scale=15)
+        assert abs(low.rounded() - high.rounded()) <= 100  # first 13 digits agree
 
 
 def test_term_ratio_sequence_near_quarter():
     for k in range(1, 7):
         ratios = dict(term_ratio_sequence(k, 60, digits=12))
-        value = ratios[59].as_fraction()
+        value = midpoint(ratios[59])
         assert Fraction(2, 10) < value < Fraction(3, 10)
 
 
@@ -416,7 +460,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         compute_pi(0)
     with pytest.raises(ValueError):
-        FixedDecimal(15, 1).pow_int(-1)
+        Ball(15, 0, 4, 1).pow_int(-1)
     with pytest.raises(ValueError):
         term_ratio_sequence(1, 0)
     with pytest.raises(ValueError):
@@ -429,20 +473,23 @@ def test_validation_errors():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 60, 61, 120, 121])
 def test_stop_row_bound_is_at_most_two(k):
-    # _series_terms' argument: qe / q stays below 10^-6 on every row, so the term that
-    # stops the sum has a bound of at most 2 and |m| // 2 + 1 covers (|m| + err) / 3
+    # _series_terms' argument: qe / q stays below 2^-36 on every row, so the term that
+    # stops the sum, at most 100 units of the working scale w, has a bound below 2^-26
+    # units of 10^-w, far below the two units the decimal sum once allowed it
     for digits in (1, 2, 30, 300):
-        hp = half_pi(digits + GUARD_DIGITS)
+        work = digits + GUARD_DIGITS
+        hp = half_pi(digits)
         column = e_column(k, estimate_terms(digits, k))
+        stop = stop_limit(hp.bits, work)
         terms, rows = series_rows(
             lambda: highprec._series_terms(
-                hp.pow_int(k + 1), hp.mul(hp), column, e_denominator(1, k), k, stop=True
+                hp.pow_int(k + 1), hp.mul(hp), column, e_denominator(1, k), k, stop
             )
         )
-        assert all(qe * 10**6 < q for q, qe, _, _ in rows)
+        assert all(qe << 36 < q for q, qe, _, _ in rows)
         mantissa, err = terms[-1]
-        assert abs(mantissa) <= 100 and err <= 2
-        assert 3 * (abs(mantissa) // 2 + 1) >= abs(mantissa) + err
+        assert len(terms) >= 5 and 2 * abs(mantissa) * 10**work < 201 << hp.bits
+        assert err <= 40 and err * 10**work << 26 < 1 << hp.bits
 
 
 def column_constant(k: int) -> str:
@@ -465,9 +512,10 @@ def test_proven_tail_covers_what_the_sum_omits(k, digits):
     column = e_column(k, result.terms_used)
     terms = highprec._series_terms(hp.pow_int(k + 1), hp.mul(hp), column, e_denominator(1, k), k)
     reference = reference_for(column_constant(k), hp.scale)
-    omitted = reference.mantissa - sum(m for m, _ in terms)
-    slack = reference.err_ulp + sum(err for _, err in terms)
+    unit = Fraction(1, 1 << hp.bits)
+    omitted = midpoint(reference) - sum(m for m, _ in terms) * unit
+    slack = Fraction(reference.rad, 1 << reference.bits) + sum(err for _, err in terms) * unit
     last, last_err = terms[-1]
     assert 0 < omitted - slack
-    assert 3 * (omitted + slack) < last - last_err
-    assert omitted + slack <= result.tail_bound.mantissa * 10**extra
+    assert 3 * (omitted + slack) < (last - last_err) * unit
+    assert omitted + slack <= midpoint(result.tail_bound)

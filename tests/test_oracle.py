@@ -8,12 +8,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from exact_reference import accelerated_alternating_fractions, round_div
+from exact_reference import (
+    accelerated_alternating_fractions,
+    bounds,
+    midpoint,
+    printed_err_ulp,
+    round_div,
+)
 from oddzeta import oracle as oracle_module
 from oddzeta.cli import DIGITS_CEILING
 from oddzeta.constants import compute_constant, parse_constant_name
 from oddzeta.errors import ResourceLimitError, UnknownConstantError
-from oddzeta.highprec import FixedDecimal
+from oddzeta.highprec import Ball
 from oddzeta.oracle import (
     MAX_ACCELERATION_DEPTH,
     VERIFY_EXTRA_DIGITS,
@@ -42,8 +48,8 @@ def test_closed_form_anchor_eta_two():
     digits = 30
     eta2 = reference_eta(2, digits)
     p = reference_pi(digits + 5)
-    exact_lo, exact_hi = (b * b / 12 for b in p.bounds())
-    lo, hi = eta2.bounds()
+    exact_lo, exact_hi = (b * b / 12 for b in bounds(p))
+    lo, hi = bounds(eta2)
     assert lo <= exact_hi and exact_lo <= hi
     assert eta2.to_decimal() == "0.822467033424113218236207583323"
 
@@ -53,8 +59,8 @@ def test_closed_form_anchor_beta_three():
     digits = 30
     beta3 = reference_beta(3, digits)
     p = reference_pi(digits + 5)
-    exact_lo, exact_hi = (b**3 / 32 for b in p.bounds())
-    lo, hi = beta3.bounds()
+    exact_lo, exact_hi = (b**3 / 32 for b in bounds(p))
+    lo, hi = bounds(beta3)
     assert lo <= exact_hi and exact_lo <= hi
 
 
@@ -74,13 +80,11 @@ def test_acceleration_depth_doubling_stability(fn, arg):
 
 
 def rounded(value, bound, digits):
-    """``value`` rounded half up at ``digits``; ``err_ulp`` is ``bound`` in ulp plus half an ulp.
-
-    That is the error of the rounded value, taken up to the next integer.
-    """
+    """(mantissa, err_ulp): ``value`` rounded half up at ``digits``, and ``bound`` in ulp
+    plus half an ulp, the error of the rounded value taken up to the next integer."""
     unit = 10**digits
     mantissa = round_div(value.numerator * unit, value.denominator)
-    return FixedDecimal(mantissa, digits, math.ceil(bound * unit + Fraction(1, 2)))
+    return mantissa, math.ceil(bound * unit + Fraction(1, 2))
 
 
 def exact_rounding(stride, s, depth, digits, factor=(1, 1)):
@@ -97,8 +101,8 @@ def test_accelerated_alternating_bound_is_sound():
     value = accelerated_alternating(1, 2, 25, digits)
     _, bound = accelerated_alternating_fractions(lambda j: (1, (j + 1) ** 2), 25)
     p = reference_pi(40)
-    truth = p.as_fraction() ** 2 / 12
-    assert abs(value.as_fraction() - truth) + Fraction(1, 2 * 10**digits) < bound
+    truth = midpoint(p) ** 2 / 12
+    assert abs(Fraction(value.rounded(), 10**digits) - truth) + Fraction(1, 2 * 10**digits) < bound
 
 
 def test_doubled_chebyshev_equals_the_recurrence():
@@ -116,16 +120,16 @@ ALTERNATING_FAMILIES = {"eta": 1, "beta": 2}
 def assert_rounds_or_encloses(value, bound, stride, s, depth, digits, factor=(1, 1)):
     """``accelerated_alternating`` against the fraction loop's ``value`` and ``bound``.
 
-    At the oracle's own depth for ``digits`` it equals the loop's rounding.  Below it,
-    the enclosure may be wider than an ulp, so the loop's value must lie within the
-    returned bound less the acceleration's own error ``bound``.
+    At every depth the returned ball holds the loop's value widened by the acceleration's
+    own error ``bound``; at the oracle's own depth for ``digits`` it prints the loop's
+    rounding, with the loop's error bound.
     """
     got = accelerated_alternating(stride, s, depth, digits, factor)
     value, bound = value * Fraction(*factor), bound * Fraction(*factor)
+    lo, hi = bounds(got)
+    assert lo <= value - bound and value + bound <= hi
     if depth >= acceleration_depth(digits + 3):
-        assert got == rounded(value, bound, digits)
-    else:
-        assert abs(got.as_fraction() - value) + bound <= Fraction(got.err_ulp, 10**digits)
+        assert (got.rounded(), printed_err_ulp(got)) == rounded(value, bound, digits)
 
 
 @pytest.mark.parametrize("depth", [2, 3, 10, 50, 277, 600])
@@ -183,7 +187,8 @@ def test_reference_strings_equal_fraction_loop():
         factor = (1 << (s - 1), (1 << (s - 1)) - 1) if zeta else (1, 1)
         for digits in levels:
             expected = exact_rounding(stride, s, acceleration_depth(digits + 3), digits, factor)
-            assert reference_for(name, digits) == expected, (name, digits)
+            reference = reference_for(name, digits)
+            assert (reference.rounded(), printed_err_ulp(reference)) == expected, (name, digits)
 
 
 def test_acceleration_makes_constant_fractions(monkeypatch):
@@ -255,7 +260,7 @@ def test_reference_zeta_even_against_closed_form():
     # zeta(2) = pi^2/6: the accelerated eta(2) sum must land on the same digits
     z2 = reference_zeta_even(1, 30)
     p = reference_pi(40)
-    assert abs(z2.as_fraction() - p.as_fraction() ** 2 / 6) < Fraction(1, 10**29)
+    assert abs(midpoint(z2) - midpoint(p) ** 2 / 6) < Fraction(1, 10**29)
     assert reference_zeta_even(3, 15).to_decimal() == "1.017343061984449"
 
 
@@ -341,7 +346,7 @@ def test_verify_report_fields_and_json():
 
 
 def test_verify_never_raises_on_mismatch(monkeypatch):
-    fake = FixedDecimal(5, 1, 0)  # deliberately wrong reference (0.5)
+    fake = Ball(1, 0, 1, 1)  # deliberately wrong reference (0.5)
     monkeypatch.setattr(oracle_module, "reference_for", lambda name, digits: fake)
     report = oracle_module.verify("catalan", 10)
     assert report.matched_digits == 0
@@ -360,16 +365,19 @@ def test_zeta_even_series_matches_bernoulli_form():
     from oddzeta.constants import zeta_even_closed
 
     for n in (1, 2, 3):
-        closed = zeta_even_closed(n, 25).value
-        direct = reference_zeta_even(n, 25)
-        assert abs(closed.mantissa - direct.mantissa) <= closed.err_ulp + direct.err_ulp
+        (closed_lo, closed_hi), (direct_lo, direct_hi) = (
+            bounds(zeta_even_closed(n, 25).value),
+            bounds(reference_zeta_even(n, 25)),
+        )
+        assert closed_lo <= direct_hi and direct_lo <= closed_hi
 
 
 @given(st.integers(min_value=1, max_value=200), st.sampled_from(default_battery()))
 def test_constant_equals_oracle_rounded(digits, name):
     # the oracle at digits + 5, rounded to digits, lies within 1/2 ulp plus 10^-5 of its
-    # own bound of the true value, so a mantissa distance above err_ulp is a wrong result
+    # own bound of the true value, so a mantissa distance above the printed bound is a
+    # wrong result
     value = compute_constant(name, digits).value
-    expected = reference_for(name, digits + 5).rescale(digits)
+    expected = reference_for(name, digits + 5)._replace(scale=digits)
     assert value.scale == digits
-    assert abs(value.mantissa - expected.mantissa) <= value.err_ulp
+    assert abs(value.rounded() - expected.rounded()) <= printed_err_ulp(value)

@@ -108,12 +108,11 @@ def test_no_lru_cache_in_package():
 # where the name Fraction may appear, by module: functions that take or return one,
 # parse an angle, or are oracle references built on their own rational loop.  No module
 # imports it at its top ("import"), where every cold start would pay for it, and every
-# computation path applies its exact factors with FixedDecimal.mul_ratio on integer
-# pairs instead.
+# computation path applies its exact factors with Ball.mul_ratio on integer pairs
+# instead.  highprec never names it: the exact bounds of a ball are read in the tests.
 FRACTION_PLACES = {
     "coeffs": {"d_coeff", "e_coeff", "f_ratio"},
     "exact": {"bernoulli"},
-    "highprec": {"as_fraction", "bounds"},
     "identities": {"canonical_theta_token"},
     "oracle": {"reference_ln2", "reference_pi"},
 }
@@ -152,6 +151,88 @@ def test_fraction_only_where_allowed():
         if place not in FRACTION_PLACES.get(path.stem, ())
     )
     assert found == []
+
+
+def holds_power_of_ten(node: ast.AST, tens: set[str]) -> bool:
+    """True where ``node`` holds 10 ** e with e not a constant, or a name in ``tens``,
+    outside a ``.bit_length()`` call, which reads a size and not a value."""
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "bit_length":
+        return False
+    if isinstance(node, ast.Name):
+        return node.id in tens
+    if (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Pow)
+        and isinstance(node.left, ast.Constant)
+        and node.left.value == 10
+        and not isinstance(node.right, ast.Constant)
+    ):
+        return True
+    return any(holds_power_of_ten(sub, tens) for sub in ast.iter_child_nodes(node))
+
+
+def decimal_roundings(path: Path):
+    """``module.function`` (``module.Class.method``) of every rounding in ``path`` whose
+    dividend holds a power of ten: a floor division, a right shift, or a call of
+    _divround, _ceil_div or divmod, where the dividend holds 10 ** e or a name that
+    function binds to an expression holding one.  That is how a value in some other unit
+    becomes a decimal mantissa."""
+    tree = ast.parse(path.read_text())
+    for top in tree.body:
+        inner = top.body if isinstance(top, ast.ClassDef) else [top]
+        for fn in inner:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            name = f"{top.name}.{fn.name}" if fn is not top else fn.name
+            pairs = [
+                pair
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Assign)
+                for target in node.targets
+                for pair in (
+                    zip(target.elts, node.value.elts)
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                    else [(target, node.value)]
+                )
+            ]
+            tens = {t.id for t, v in pairs if isinstance(t, ast.Name) and holds_power_of_ten(v, set())}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.FloorDiv, ast.RShift)):
+                    dividend = node.left
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("_divround", "_ceil_div", "divmod")
+                ):
+                    dividend = node.args[0]
+                else:
+                    continue
+                if holds_power_of_ten(dividend, tens):
+                    yield f"{path.stem}.{name}"
+
+
+def test_decimal_digits_are_made_in_one_place():
+    # every layer computes on binary balls; a second place that turns a value into a
+    # decimal mantissa would round twice, and the printed digit would no longer be the
+    # one the ball's midpoint rounds to
+    package = Path(oddzeta.__file__).parent
+    found = {site for path in package.glob("*.py") for site in decimal_roundings(path)}
+    assert found == {"highprec.Ball.rounded"}
+
+
+def test_the_decimal_rounding_check_sees_a_second_site():
+    source = (
+        "def f(x, scale, bits):\n"
+        "    one = 10**scale\n"
+        "    return _divround(x * one, 1 << bits)\n"
+        "def g(x, scale, bits):\n"
+        "    bits = (10**scale).bit_length()\n"
+        "    return (x << bits) // 10**scale\n"
+    )
+    path = Path(sys.prefix) / "not_a_file.py"  # only read through the patched read_text
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Path, "read_text", lambda self: source)
+        assert list(decimal_roundings(path)) == ["not_a_file.f"]
 
 
 def run_fresh(script: str) -> list[str]:
@@ -261,7 +342,7 @@ def test_command_loads_no_re_typing_or_enum(argv):
 
 
 RECORDS = {
-    "highprec.FixedDecimal": (("mantissa", "scale", "err_ulp"), {"err_ulp": 0}),
+    "highprec.Ball": (("mid", "rad", "bits", "scale"), {}),
     "constants.ConstantValue": (
         ("name", "value", "method", "k", "terms_used"), {"k": None, "terms_used": None}
     ),
