@@ -21,31 +21,37 @@ denominators the E recurrence reads, with j = k // 2 and B = P_(k - k mod 2),
 
 shifted left by k bits for odd k (the factor 2^k / (2^k - 1)).  So N_n(k) = T_n Q_k(n)
 with Q_k an integer-valued polynomial of degree below k, by induction on odd k:
-Q_1 = 2, and C(2n+k-1, 2n+2r) = C(2n+k-1, k-1-2r) has degree k-1-2r in n.  A column
-is therefore built from its own Q_k alone, and no column reads another's rows: the
-recurrence run with every T_n = 1 gives Q_k(1..k) without tangent numbers, their k
-differences extend Q_k a row at a time by k-1 subtractions, and row n is T_n Q_k(n).
+Q_1 = 2, and C(2n+k-1, 2n+2r) = C(2n+k-1, k-1-2r) has degree k-1-2r in n.
 Nothing is reduced by a gcd until it is read: ``d_coeff``, ``e_coeff`` and ``f_ratio``
 make a ``Fraction``, and the ``coeffs`` command divides each cell by one gcd.
 
-Every column is a moment sequence, and in every column served each series term is
-positive and below a quarter of the one before.  With lambda(s) = sum_(m odd) m^-s, the tangent series and DLMF 25.6.2 give
-T_n / (2n-1)! = 2 4^n lambda(2n) / pi^(2n) (DLMF 4.19.4), so the term of row n is
+Every column is a moment sequence.  With lambda(s) = sum_(m odd) m^-s, the tangent series
+and DLMF 25.6.2 give T_n / (2n-1)! = 2 4^n lambda(2n) / pi^(2n) (DLMF 4.19.4), so the term
+of row n is
 
     E_n(k) (pi/2)^(2n+k-1) = (pi/2)^(k-1) R_k(n) lambda(2n) / 4^n,
-    R_k(n) = 2 Q_k(n) / (P_k (2n)(2n+1)...(2n+k-1)) = sum_(j<k) c_j / (2n+j),
+    R_k(n) = 2 Q_k(n) / (P_k (2n)(2n+1)...(2n+k-1)) = int_0^1 s^(2n-1) w_k(s) ds
 
-by partial fractions, with c_j = 2 (-1)^j C(k-1, j) Q_k(-j/2) / (P_k (k-1)!).  So
-R_k(n) = int_0^1 s^(2n-1) w_k(s) ds for w_k(s) = sum_(j<k) c_j s^j.  If w_k > 0 on (0, 1),
-then R_k(n) > 0 and R_k(n+1) < R_k(n); lambda(2n+2) < lambda(2n) too, so every term of
-column k is positive and below a quarter of the one before, and the terms after row N
-sum to less than t_N / 3, a third of the last term summed.  In the Bernstein basis of
-degree k-1 (Farouki, CAGD 29, 2012), w_k = sum_i b_i C(k-1, i) s^i (1-s)^(k-1-i) with
-b_i = 2 Delta^i u_0 / (P_k (k-1)!) for u_j = Q_k(-j/2), and so w_k > 0 on (0, 1) where
-``_leading_differences([u_0, ..., u_(k-1)])`` is positive throughout.  The u_j are
-integers: the recurrence with every T_n = 1, run at 2n = 0, -1, ..., -(k-1), with
-C(x, m) = (-1)^m C(m-x-1, m) for x < 0.  ``tests/test_coeffs.py`` checks them for every
-k up to MAX_COLUMN_INDEX, and a larger index is refused before any work.
+for a weight w_k = sum_(m<k) a_m u^m in u = 1 - s.  By the Beta integral
+int_0^1 s^(2n-1) u^m ds = m! (2n-1)! / (2n+m)!, the E recurrence's T_n term gives R the
+moment of 2 u^(k-1) / (k-1)!, and its column 2r+1 term the moment of w_(2r+1) / (k-1-2r)!,
+each times sigma_k = B 2^(k [k odd]) / P_k.  So the integers c_m(k) = (k-1)! m! a_m P_k / 2
+follow one recurrence, free of n, with e_m the unit vector:
+
+    c(k) = (-1)^j 2^(k [k odd]) ((k-1)! P_(k-1) e_(k-1)
+                                  - sum_(r<j) (-1)^r C(k-1, 2r) P_(k-1) / P_(2r+1) c(2r+1)),
+
+and Q_k(n) = H / (k-1)! with H = sum_m c_m (2n+m+1)...(2n+k-1), by Horner's rule in n.
+Each odd weight is built once and read by every column above it; row n is T_n Q_k(n).
+
+If w_k > 0 on (0, 1), then R_k(n) > 0 and R_k(n+1) < R_k(n); lambda(2n+2) < lambda(2n)
+too, so every term of column k is positive and below a quarter of the one before, and
+the terms after row N sum to less than t_N / 3, a third of the last term summed.  In the
+Bernstein basis of degree k-1 (Farouki, CAGD 29, 2012), u^m = sum_(i<k-m) C(k-1-m, i)
+C(k-1, i)^-1 s^i u^(k-1-i), so w_k's i-th Bernstein coefficient is a positive multiple of
+sum_(m<k-i) c_m (k-1)! / m! C(k-1-m, i), and w_k > 0 on (0, 1) where these are all
+positive.  ``tests/test_coeffs.py`` checks them for every k up to MAX_COLUMN_INDEX, and a
+larger index is refused before any work.
 """
 
 from __future__ import annotations
@@ -66,12 +72,12 @@ __all__ = [
 ]
 
 # the largest column served, k = 60 of beta_even, eta_odd and zeta_odd: every column up
-# to it is proven a moment sequence, and its head Q_k(1..k) takes about 0.4 s on a
-# 2-CPU Xeon VM
+# to it is proven a moment sequence, and the weights of all its odd columns take about
+# 0.1 s on a 2-CPU Xeon VM
 MAX_COLUMN_INDEX = 121
 
-# k -> ([N_1(k), N_2(k), ...], [Delta^j Q_k at the next row, j < k]); columns only
-# grow, stored numerators never change
+# k -> ([N_1(k), N_2(k), ...], [c_0(k), ..., c_(k-1)(k)]); a weight is built once, columns
+# only grow, stored numerators never change
 _columns: dict[int, tuple[list[int], list[int]]] = {}
 
 
@@ -92,53 +98,34 @@ def _odd_product(k: int) -> int:
     return prod((1 << r) - 1 for r in range(3, k + 1, 2))
 
 
-def _leading_differences(values: list[int]) -> list[int]:
-    """Delta^j v_0 for j = 0..len(values)-1, where Delta v_i = v_i - v_(i+1)."""
-    out = []
-    while values:
-        out.append(values[0])
-        values = [x - y for x, y in zip(values, values[1:])]
-    return out
-
-
-def _quotient_differences(k: int) -> list[int]:
-    """Delta^j Q_k(1) for j < k, from Q_k(1..k): the E recurrence with every T_n = 1.
-
-    Over the common base B = P_(k - k mod 2), odd column c = 2r+1 < k is carried as the
-    integers (-1)^r Q_c(n) B / P_c: the recurrence's bracket, shifted by c bits and
-    divided exactly by 2^c - 1 = P_c / P_(c-1).  So it multiplies by binomials only,
-    with C(2n+c-1, 2n+2r) read as C(2n+c-1, c-1-2r).
-    """
-    base = _odd_product(k - k % 2)
-    odd: list[list[int]] = []
-    for c in (*range(1, k, 2), k):
-        values = [
-            base - sum(row[n - 1] * comb(2 * n + c - 1, c - 1 - 2 * r) for r, row in enumerate(odd))
-            << c % 2 * c
-            for n in range(1, k + 1)
-        ]
-        if c == k:
-            return _leading_differences([(-1) ** (k // 2) * v for v in values])
-        odd.append([v // ((1 << c) - 1) for v in values])
+def _weight(k: int) -> list[int]:
+    """c(k), w_k's integer coefficients in powers of 1 - s, from the odd weights below k."""
+    if k not in _columns:
+        base = _odd_product(k - 1)
+        weight = [0] * (k - 1) + [factorial(k - 1) * base]
+        for r in range(k // 2):
+            scale = (-1) ** r * comb(k - 1, 2 * r) * (base // _odd_product(2 * r + 1))
+            for m, c in enumerate(_weight(2 * r + 1)):
+                weight[m] -= scale * c
+        _columns[k] = ([], [(-1) ** (k // 2) * c << k % 2 * k for c in weight])
+    return _columns[k][1]
 
 
 def _column(k: int, rows: int) -> list[int]:
     """The stored column N_.(k), grown to at least ``rows`` entries as T_n Q_k(n)."""
     _check_column_index(k)
-    column, steps = _columns.setdefault(k, ([], []))
-    have = len(column)
-    if have < rows:
+    if k not in _columns or len(_columns[k][0]) < rows:
         # reaching the last row first checks the index ceiling before any work is
         # done, and writes the disk cache once per column, not once per row
         tangent_number(rows)
-        if not steps:
-            steps.extend(_quotient_differences(k))
-        for n in range(have + 1, rows + 1):
-            column.append(tangent_number(n) * steps[0])
-            # Delta^j Q_k(n+1) = Delta^j Q_k(n) - Delta^(j+1) Q_k(n); Delta^(k-1) is constant
-            for i in range(k - 1):
-                steps[i] -= steps[i + 1]
-    return column
+        weight, scale = _weight(k), factorial(k - 1)
+        column = _columns[k][0]
+        for n in range(len(column) + 1, rows + 1):
+            h = 0
+            for m, c in enumerate(weight):
+                h = h * (2 * n + m) + c
+            column.append(tangent_number(n) * (h // scale))
+    return _columns[k][0]
 
 
 def d_denominator(n: int, k: int) -> int:

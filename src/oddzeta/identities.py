@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import ceil, comb, cos, factorial, gcd, isqrt, lgamma, log, log2
 
-from .coeffs import _leading_differences, d_denominator, e_column
+from .coeffs import d_denominator, e_column
 from .errors import ResourceLimitError
 from .highprec import (
     Ball,
@@ -301,6 +301,15 @@ def _ball_mul(a, err_a: int, b, err_b: int, bits: int):
     re = (a[0] * b[0] - a[1] * b[1] + half) >> bits
     im = (a[0] * b[1] + a[1] * b[0] + half) >> bits
     return (re, im), _product_error(_modulus(a), err_a, _modulus(b), err_b, bits)
+
+
+def _leading_differences(values: list[int]) -> list[int]:
+    """Delta^j v_0 for j = 0..len(values)-1, where Delta v_i = v_i - v_(i+1)."""
+    out = []
+    while values:
+        out.append(values[0])
+        values = [x - y for x, y in zip(values, values[1:])]
+    return out
 
 
 def _horner(coefs, errs, z, err_z: int, bits: int):

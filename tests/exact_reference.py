@@ -6,8 +6,8 @@ numbers), ladder coefficients from the closed-form product (not the
 recurrence), and the step formulas are written out literally, one per
 integration step.  :func:`odd_column_numerators`, the reference for the
 package's integer coefficient columns, runs the recursion through the odd
-columns that the package's per-column quotient polynomials replace;
-:func:`quotient_values` runs it with every T_n = 1, at any half-integer n.
+columns that the package's weight recurrence replaces; :func:`quotient_values`
+runs it with every T_n = 1, at any half-integer n.
 :func:`machin_pi` is Machin's arctangent formula on integers, the reference
 for the package's Chudnovsky pi.  :class:`AngleEngine`,
 the reference for the Fourier pass, takes sin and cos of m*theta straight from

@@ -1,6 +1,7 @@
 """Ladder and series coefficients: recurrences vs step formulas, exactly."""
 
 from fractions import Fraction
+from itertools import count
 from math import comb, factorial, gcd, prod
 
 import pytest
@@ -70,11 +71,12 @@ def test_column_build_makes_no_fraction(cold_store, monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", spy)
     e_column(10, 242)
     assert made == []
-    # column 10 alone is stored: its rows and the k differences of its quotient polynomial
-    assert sorted(coeffs._columns) == [10]
-    column, steps = coeffs._columns[10]
-    assert all(type(v) is int for v in column + steps)
-    assert (len(column), len(steps)) == (242, 10)
+    # rows are stored for column 10 alone; the odd columns below it store only the weights
+    # it reads, and every stored number is an integer
+    assert sorted(coeffs._columns) == [1, 3, 5, 7, 9, 10]
+    assert [k for k, (column, _) in coeffs._columns.items() if column] == [10]
+    assert all(type(v) is int for entry in coeffs._columns.values() for v in entry[0] + entry[1])
+    assert [len(v) for v in coeffs._columns[10]] == [242, 10]
 
 
 def test_columns_equal_the_odd_column_recursion(cold_store):
@@ -98,37 +100,88 @@ def test_numerators_are_tangent_numbers_times_a_polynomial(k, start):
     assert quotients == [0]
 
 
-def test_every_served_column_is_a_moment_sequence():
-    # w_k's Bernstein coefficients are positive multiples of the leading differences of
-    # Q_k(0), Q_k(-1/2), ..., Q_k(-(k-1)/2): all positive means w_k > 0 on (0, 1), and
-    # so every term of column k is below a quarter of the one before (coeffs docstring)
+@pytest.fixture(scope="module")
+def reference_quotients():
+    """Q_k(1..top+2) for every k up to MAX_COLUMN_INDEX, by the reference's odd-column
+    recursion with every T_n = 1."""
     top = coeffs.MAX_COLUMN_INDEX
-    values = quotient_values(top, [*range(0, -top, -1), *range(2, 2 * top + 1, 2)])
-    for k in range(1, top + 1):
-        assert min(coeffs._leading_differences(values[k][:k])) > 0, k
-    # the reference is the package's Q_k: k values fix a polynomial of degree below k
-    for k in (*range(1, 31), 60, 61, top - 1, top):
-        quotients = values[k][top:top + k]
-        assert coeffs._leading_differences(quotients) == coeffs._quotient_differences(k), k
+    return quotient_values(top, range(2, 2 * top + 5, 2))
+
+
+def bernstein_multiples(weight: list[int]) -> list[int]:
+    """sum_(m<k-i) c_m (k-1)!/m! C(k-1-m, i) for i < k: w_k's Bernstein coefficients of
+    degree k-1, each times a positive factor, from c(k) in powers of u = 1 - s."""
+    k = len(weight)
+    scaled = [c * (factorial(k - 1) // factorial(m)) for m, c in enumerate(weight)]
+    return [sum(d * comb(k - 1 - m, i) for m, d in enumerate(scaled[:k - i])) for i in range(k)]
+
+
+def scaled_quotients(weight: list[int]):
+    """(k-1)! Q_k(n) for n = 1, 2, ... from the moments of w_k: sum_m c_m (2n+k-1)! / (2n+m)!."""
+    k = len(weight)
+    for n in count(1):
+        yield sum(c * prod(range(2 * n + m + 1, 2 * n + k)) for m, c in enumerate(weight))
+
+
+def is_positive_moment_weight(weight: list[int], quotients: list[int]) -> bool:
+    """Whether w_k's moments give the k values Q_k(1..k), which fix Q_k, a polynomial of
+    degree below k, and w_k > 0 on (0, 1) by its Bernstein coefficients."""
+    k = len(weight)
+    scale = factorial(k - 1)
+    moments = all(x == scale * q for x, q in zip(scaled_quotients(weight), quotients[:k]))
+    return moments and min(bernstein_multiples(weight)) > 0
+
+
+def test_every_served_column_is_a_moment_sequence(reference_quotients):
+    # the package's w_k is positive on (0, 1) for every column served, and it is the weight
+    # of column k, so every term of column k is below a quarter of the one before (coeffs
+    # docstring)
+    for k in range(1, coeffs.MAX_COLUMN_INDEX + 1):
+        assert is_positive_moment_weight(coeffs._weight(k), reference_quotients[k]), k
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 61, 121])
+def test_a_weight_changed_by_one_fails_the_moment_check(k, reference_quotients):
+    weight = coeffs._weight(k)
+    for m in range(k):
+        mutated = list(weight)
+        mutated[m] += 1
+        assert not is_positive_moment_weight(mutated, reference_quotients[k]), m
+
+
+@pytest.mark.parametrize("k", [60, 61, 120, 121])
+def test_top_columns_equal_the_quotient_reference(k, reference_quotients):
+    # past the k <= 40 of test_columns_equal_the_odd_column_recursion, each of the highest
+    # columns is T_n Q_k(n) with Q_k from the reference recursion
+    rows = k + 2
+    quotients = reference_quotients[k][:rows]
+    assert e_column(k, rows) == [tan_number(n) * q for n, q in enumerate(quotients, 1)]
 
 
 def test_series_rows_are_moments_of_the_bernstein_weight():
-    # R_k(n) = 2 4^n (2n-1)! E_n(k) / T_n is sum_(j<k) c_j / (2n+j), the n-th moment of
-    # w_k = sum_j c_j s^j, and w_k's Bernstein coefficients are the leading differences
-    # of u_j = Q_k(-j/2) times 2 / (P_k (k-1)!)
-    top = 20
-    values = quotient_values(top, range(0, -top, -1))
+    # R_k(n) = 2 4^n (2n-1)! E_n(k) / T_n is the n-th moment of w_k = sum_m a_m u^m, u = 1 - s,
+    # with a_m = 2 c_m / ((k-1)! m! P_k), and bernstein_multiples gives w_k's Bernstein
+    # coefficients times C(k-1, i) (k-1)!^2 P_k / 2
     limits = {}
-    for k in range(1, top + 1):
-        u = values[k][:k]
-        unit = Fraction(2, prod((1 << r) - 1 for r in range(3, k + 1, 2)) * factorial(k - 1))
-        c = [unit * (-1) ** j * comb(k - 1, j) * u[j] for j in range(k)]
+    for k in range(1, 21):
+        weight = coeffs._weight(k)
+        odd = prod((1 << r) - 1 for r in range(3, k + 1, 2))
+        a = [Fraction(2 * c, factorial(k - 1) * factorial(m) * odd) for m, c in enumerate(weight)]
         for n in range(1, 51):
             moment = Fraction(2 * 4**n * factorial(2 * n - 1), tan_number(n)) * e_coeff(n, k)
-            assert moment == sum(cj / (2 * n + j) for j, cj in enumerate(c)), (k, n)
-        bernstein = [sum(comb(i, j) * c[j] / comb(k - 1, j) for j in range(i + 1)) for i in range(k)]
-        assert bernstein == [unit * d for d in coeffs._leading_differences(u)]
-        limits[k] = sum(c) / 4
+            # the Beta integrals m! (2n-1)! / (2n+m)!
+            beta = [Fraction(factorial(m), prod(range(2 * n, 2 * n + m + 1))) for m in range(k)]
+            assert moment == sum(x * y for x, y in zip(a, beta)), (k, n)
+        b = [
+            Fraction(2 * v, comb(k - 1, i) * factorial(k - 1) ** 2 * odd)
+            for i, v in enumerate(bernstein_multiples(weight))
+        ]
+        for s in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), Fraction(1)):
+            power = sum(x * (1 - s) ** m for m, x in enumerate(a))
+            assert power == sum(
+                bi * comb(k - 1, i) * s**i * (1 - s) ** (k - 1 - i) for i, bi in enumerate(b)
+            ), (k, s)
+        limits[k] = a[0] / 4
     # F_n(k) tends to K(k) = w_k(1) / 4
     assert (limits[1], limits[3], limits[4]) == (1, Fraction(4, 7), Fraction(17, 42))
     assert abs(f_ratio(400, 3) - limits[3]) < Fraction(1, 10**6)

@@ -78,11 +78,13 @@ def test_value_records_are_immutable():
 
 
 def test_constant_builds_only_the_columns_it_sums(cold_store):
-    # beta(10) sums column 10, which is built from its own quotient polynomial alone
+    # beta(10) sums column 10, the only one whose rows are built; the odd columns below it
+    # store only the weights that column 10's weight reads
     from oddzeta import coeffs
 
     compute_constant("beta_even(5)", 30)
-    assert sorted(coeffs._columns) == [10]
+    assert sorted(coeffs._columns) == [1, 3, 5, 7, 9, 10]
+    assert [k for k, (column, _) in coeffs._columns.items() if column] == [10]
 
 
 def test_alt_harmonic_thirty_digits_vs_log_oracle():

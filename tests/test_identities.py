@@ -225,6 +225,24 @@ def test_rhs_stability_in_series_terms():
     assert abs(midpoint(a) - midpoint(b)) < Fraction(1, 10**20)
 
 
+def test_top_rhs_builds_each_odd_weight_once(cold_store, monkeypatch):
+    # the ladder at the top k sums every odd column up to 121, and each reads the odd
+    # weights below it: every one is built once and shared
+    from oddzeta import coeffs
+
+    built = []
+    weight = coeffs._weight
+
+    def spy(k):
+        if k not in coeffs._columns:
+            built.append(k)
+        return weight(k)
+
+    monkeypatch.setattr(coeffs, "_weight", spy)
+    rhs_eval("S1", 61, "1", 80)
+    assert sorted(built) == list(range(1, coeffs.MAX_COLUMN_INDEX + 1, 2))
+
+
 def test_fourier_lhs_stable_under_doubling():
     a = fourier_lhs("S1", 2, "1", 10_000, digits=20)
     b = fourier_lhs("S1", 2, "1", 20_000, digits=20)
