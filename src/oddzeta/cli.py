@@ -24,7 +24,7 @@ import sys
 from math import gcd
 from types import SimpleNamespace
 
-from .coeffs import e_column, e_denominator
+from .coeffs import denominator_step, e_column, e_denominator
 from .constants import compute_constant
 from .errors import ResourceLimitError
 from .highprec import term_ratio_sequence
@@ -78,10 +78,11 @@ def _cmd_coeffs(args: SimpleNamespace, out) -> int:
     columns = [e_column(k, args.n) for k in range(1, args.k)] + [top]
     rows = []
     for k, column in enumerate(columns, 1):
+        den = e_denominator(1, k)
         for n, num in enumerate(column, 1):
-            den = e_denominator(n, k)
             g = gcd(num, den)  # den > 0, so E_n(k) in lowest terms, 0 as 0/1
             rows.append({"k": k, "n": n, "numerator": num // g, "denominator": den // g})
+            den *= denominator_step(n, k)
     # exact E_n(k) pass Python's default int->str digit limit near n = 780
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

@@ -52,11 +52,23 @@ C(k-1, i)^-1 s^i u^(k-1-i), so w_k's i-th Bernstein coefficient is a positive mu
 sum_(m<k-i) c_m (k-1)! / m! C(k-1-m, i), and w_k > 0 on (0, 1) where these are all
 positive.  ``tests/test_coeffs.py`` checks them for every k up to MAX_COLUMN_INDEX, and a
 larger index is refused before any work.
+
+The same identity splits the rows of a sum at n0 = B // 8 + 1, for the B bits of its
+pi/2 (``highprec.sum_series``).  Rows n <= n0 read the exact N_n(k) of this store.  Each
+row past n0 is (pi/2)^(k-1) R_k(n) lambda(2n) / 4^n, with R_k(n) from ``row_moments``,
+which reads the stored weight c(k) and no tangent number, and lambda(2n) / 4^n =
+sum_(m odd) (2m)^-2n summed over the odd m whose term reaches a unit of 2^-B: three to
+five past n0 for most columns (up to 41 for column 121 at one digit), and from about row
+B/5 only m = 1.  The odd m from the first one left out, M, on
+sum to below M^-2n (1 + M / (2 (2n - 1))): M^-2n, plus the integral of x^-2n / 2 from M.
+The exact E_n(k) themselves, and everything that prints or reads them (``coeffs``,
+``ratio``, ``zeta_even`` and the identity ladder), still come from the tangent numbers.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial, prod
+from itertools import accumulate, count, repeat
+from math import comb, factorial, perm, prod
 
 from .errors import ResourceLimitError
 from .exact import tangent_number
@@ -69,6 +81,7 @@ __all__ = [
     "e_column",
     "e_denominator",
     "f_ratio",
+    "row_moments",
 ]
 
 # the largest column served, k = 60 of beta_even, eta_odd and zeta_odd: every column up
@@ -111,6 +124,29 @@ def _weight(k: int) -> list[int]:
     return _columns[k][1]
 
 
+def _quotients(k: int, start: int):
+    """Q_k(n) = H / (k-1)! for n = start, start + 1, ...: the first k by Horner's rule
+    from c(k), the rest from the backward differences of those k, summed k - 1 times
+    over, since Q_k has degree below k."""
+    weight, scale = _weight(k), factorial(k - 1)
+    values = []
+    for n in range(start, start + k):
+        h = 0
+        for m, c in enumerate(weight):
+            h = h * (2 * n + m) + c
+        values.append(h // scale)
+        yield values[-1]
+    differences = []  # the i-th backward differences at n = start + k - 1, i < k
+    while values:
+        differences.append(values[-1])
+        values = [b - a for a, b in zip(values, values[1:])]
+    rows = repeat(differences.pop())
+    for last in reversed(differences):
+        rows = accumulate(rows, initial=last)
+        next(rows)  # the value at start + k - 1, already given
+    yield from rows
+
+
 def _column(k: int, rows: int) -> list[int]:
     """The stored column N_.(k), grown to at least ``rows`` entries as T_n Q_k(n)."""
     _check_column_index(k)
@@ -118,14 +154,22 @@ def _column(k: int, rows: int) -> list[int]:
         # reaching the last row first checks the index ceiling before any work is
         # done, and writes the disk cache once per column, not once per row
         tangent_number(rows)
-        weight, scale = _weight(k), factorial(k - 1)
+        _weight(k)  # makes the store's entry for k
         column = _columns[k][0]
-        for n in range(len(column) + 1, rows + 1):
-            h = 0
-            for m, c in enumerate(weight):
-                h = h * (2 * n + m) + c
-            column.append(tangent_number(n) * (h // scale))
+        start = len(column) + 1
+        column.extend(
+            tangent_number(n) * q for n, q in zip(range(start, rows + 1), _quotients(k, start))
+        )
     return _columns[k][0]
+
+
+def row_moments(k: int, start: int):
+    """(num, den) of R_k(n) = 2 Q_k(n) / (P_k (2n)(2n+1)...(2n+k-1)) for n = start,
+    start + 1, ...: row n's term over (pi/2)^(k-1) lambda(2n) / 4^n, read from the
+    stored weight with no tangent number."""
+    _check_column_index(k)
+    falling = map(perm, count(2 * start + k - 1, 2), repeat(k))
+    return zip(map((2).__mul__, _quotients(k, start)), map(_odd_product(k).__mul__, falling))
 
 
 def d_denominator(n: int, k: int) -> int:

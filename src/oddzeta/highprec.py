@@ -14,7 +14,9 @@ factorial-size denominator once, before row 1, and from then on the quotient is
 cut row by row to 64 bits past the current term and divided by the small step of
 the denominator, with its bound carried the same way.  Its length falls with the
 terms' (the decreasing-precision evaluation of a series: Brent & Zimmermann,
-ch. 4), and no row divides by a whole denominator.
+ch. 4), and no row divides by a whole denominator.  Past row B // 8 + 1, B the bits
+of pi/2, a sum of A_k reads no tangent number: each row is its exact rational moment
+times lambda(2n) / 4^n, summed over a few odd m under a tail bound.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import isqrt
 
-from .coeffs import denominator_step, e_column, e_denominator
+from .coeffs import denominator_step, e_column, e_denominator, row_moments
 from .errors import ResourceLimitError
 
 __all__ = [
@@ -251,6 +253,11 @@ def estimate_terms(digits: int, k: int) -> int:
     return _ceil_div(need * 10**6, _LOG10_4_MICRO) + 5
 
 
+def _stops(n: int, mantissa: int, stop: int) -> bool:
+    """The stop rule of every series row: row n >= 5 with |midpoint| at most ``stop``."""
+    return n >= 5 and abs(mantissa) <= stop
+
+
 def _series_terms(
     power: Ball, step: Ball, column, den: int, index: int, stop: int = -1
 ) -> list[tuple[int, int]]:
@@ -313,7 +320,7 @@ def _series_terms(
             mantissa = q * num << -shift
             err = (x << -shift) + 2 if num else 1
         append((mantissa, err))
-        if n >= 5 and abs(mantissa) <= stop:
+        if _stops(n, mantissa, stop):
             break
         qs = q * s
         bound = (q + qe) * se + s * qe
@@ -328,26 +335,84 @@ def _series_terms(
     return terms
 
 
+def _lambda_terms(
+    prefix: Ball, moments, first: int, last: int, stop: int
+) -> list[tuple[int, int]]:
+    """(mid, rad) of prefix * R_n * lambda(2n) / 4^n for n = first, ..., last, R_n = num / den
+    the pairs ``moments`` yields (den > 0), for a non-negative ball ``prefix``.
+
+    With p and e the prefix's midpoint and radius in units of 2^-B, p lambda(2n) / 4^n =
+    sum_(m odd) p (2m)^-2n is carried as the integers y_m = floor(p (2m)^-2n): y_1 is
+    p >> 2n, and y_3, y_5, ... are kept while they are at least 1; each row divides every
+    y_m by 4 m^2, which floors to the same value, and drops those that reach 0.  The first odd m
+    left out, M, has p (2M)^-2n < 1, and the odd m >= M sum to below
+    M^-2n (1 + M / (2 (2n - 1))) (M^-2n plus the integral of x^-2n / 2 from M), so p times
+    them is below 1 + ceil(M / (4n - 2)).  With S the sum of the y_m, p lambda(2n) / 4^n
+    lies in [S, S + d), d adding that tail to one unit for each floor.  The prefix's radius
+    adds e lambda(2n) / 4^n < e 2^(1-2n), as lambda(2n) <= lambda(2) < 2, so the row's
+    exact value is within |R_n| t_n of R_n S for t_n = d + (e >> (2n - 1)) + 1, and the
+    midpoint round(R_n S) within floor(|R_n| t) + 2 for any t >= t_n.  Each part of t_n
+    only falls with n, so t is taken once, at the first row.  The rows end at the first
+    row whose midpoint stops the sum (:func:`_stops`), or after row ``last``.
+    """
+    p, e = prefix.mid, prefix.rad
+    ys = []  # y_3, y_5, ...
+    while y := p // (4 * len(ys) + 6) ** (2 * first):
+        ys.append(y)
+    squares = [(4 * i + 6) ** 2 for i in range(len(ys))]
+    t = len(ys) + 3 + _ceil_div(2 * len(ys) + 3, 4 * first - 2) + (e >> (2 * first - 1))
+    terms = []
+    append = terms.append
+    y1 = p >> 2 * first
+    for n, (num, den) in zip(range(first, last + 1), moments):
+        s = y1
+        if ys:
+            s += sum(ys)
+            ys = [y // sq for y, sq in zip(ys, squares) if y >= sq]  # row n + 1's
+        mantissa = _divround(num * s, den)
+        append((mantissa, abs(num) * t // den + 2))
+        if _stops(n, mantissa, stop):
+            break
+        y1 >>= 2
+    return terms
+
+
 def sum_series(k: int, digits: int) -> SeriesResult:
     """Evaluate A_k = sum_n E_n(k) (pi/2)^(2n+k-1), printed at ``digits`` places.
 
-    Terms are exact rationals N_n(k) / den(n, k), never reduced by a gcd:
-    the numerators are read from column k of the coefficient store grown
-    once to :func:`estimate_terms` rows, and :func:`_series_terms` carries the
-    power of pi/2 over its denominator, as one binary quotient, row to row on
-    plain integers, 64 bits past the printed digits.  The sum stops at the first row
-    n >= 5 whose term rounds to at most 100 units of 10^-w at the working scale w, which
-    carries the guard digits: 2 |m| 10^w < 201 2^bits.
+    The rows are those of the paper's series, evaluated two ways with one bookkeeping:
+    each is a (midpoint, bound) pair in units of 2^-B at the bits B of pi/2, and the sum
+    stops at the first row n >= 5 whose midpoint rounds to at most 100 units of 10^-w at
+    the working scale w, which carries the guard digits: 2 |m| 10^w < 201 2^B.
+
+    * Rows n <= n0 = B // 8 + 1 are the exact rationals N_n(k) / den(n, k), never reduced
+      by a gcd: :func:`_series_terms` carries the power of pi/2 over its denominator, as
+      one binary quotient, row to row on plain integers, 64 bits past the printed digits.
+    * Rows past n0 are (pi/2)^(k-1) R_k(n) lambda(2n) / 4^n (the moment form in
+      :mod:`oddzeta.coeffs`), with R_k(n) from the stored weight and lambda(2n) summed
+      over the few odd m whose term reaches a unit of 2^-B, under a rigorous tail bound
+      (:func:`_lambda_terms`).  They need no tangent number and no power of pi: past n0
+      three to five odd m reach a unit of 2^-B for most columns, and from about row B/5
+      only m = 1.
+
+    Both routes enclose the same exact term, so the stop row is the one the exact rows
+    would give unless a term lies within its bound, tens of units, of the stop line.  No
+    more rows are taken than :func:`estimate_terms` counts.
     The value's radius adds to the per-term bounds (|m_N| + err_N) // 3 + 1 for the
     omitted tail, m_N being the last term's midpoint and err_N its bound.  The tail is
     below t_N / 3, a third of the true last term, for every column the store serves
     (the moment lemma in :mod:`oddzeta.coeffs`), and t_N <= |m_N| + err_N.
     """
-    column = e_column(k, estimate_terms(digits, k))
+    rows = estimate_terms(digits, k)
     work = _working_scale(digits)
     hp = half_pi(digits)
+    exact_rows = min(rows, hp.bits // 8 + 1)
+    column = e_column(k, exact_rows)
     stop = ((201 << hp.bits) - 1) // (2 * 10**work)
     terms = _series_terms(hp.pow_int(k + 1), hp.mul(hp), column, e_denominator(1, k), k, stop)
+    if len(terms) == exact_rows < rows and not _stops(exact_rows, terms[-1][0], stop):
+        first = exact_rows + 1
+        terms += _lambda_terms(hp.pow_int(k - 1), row_moments(k, first), first, rows, stop)
     mantissas, errs = zip(*terms)
     tail = (abs(mantissas[-1]) + errs[-1]) // 3 + 1
     value = Ball(sum(mantissas), sum(errs) + tail, hp.bits, digits)

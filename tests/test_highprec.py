@@ -2,14 +2,16 @@
 
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice, repeat, takewhile
+from math import factorial
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from exact_reference import bounds, machin_pi, midpoint, printed_err_ulp
+from exact_reference import bounds, machin_pi, midpoint, printed_err_ulp, tan_number
 from oddzeta import highprec
 from oddzeta.coeffs import denominator_step, e_column, e_denominator
+from oddzeta.constants import compute_constant
 from oddzeta.errors import ResourceLimitError
 from oddzeta.highprec import (
     GUARD_DIGITS,
@@ -20,6 +22,7 @@ from oddzeta.highprec import (
     sum_series,
     term_ratio_sequence,
 )
+from oddzeta.oracle import default_battery, reference_for
 
 mids = st.integers(min_value=-(10**25), max_value=10**25)
 bit_counts = st.integers(min_value=1, max_value=90)
@@ -256,6 +259,82 @@ def test_sum_series_equals_fixed_decimal_loop(k):
         assert lo <= lower <= upper <= hi
 
 
+@settings(max_examples=12)
+@given(st.integers(min_value=1, max_value=121), st.integers(min_value=1, max_value=300))
+@example(121, 300)
+@example(120, 300)
+@example(1, 300)
+@example(61, 1)
+def test_lambda_rows_equal_the_exact_reference(k, digits):
+    # rows past n0 are summed through lambda(2n), not from T_n: the printed digits, the
+    # stop row and the enclosure are those of the exact rows summed on FixedDecimals
+    result = sum_series(k, digits)
+    mantissa, terms_used, lower, upper = sum_series_reference(k, digits)
+    assert (result.value.rounded(), result.terms_used) == (mantissa, terms_used)
+    assert terms_used > half_pi(digits).bits // 8 + 1
+    lo, hi = bounds(result.value)
+    assert lo <= lower <= upper <= hi
+
+
+def lambda_row_enclosure(n: int, bits: int, digits: int = 80) -> tuple[Fraction, Fraction]:
+    """Exact-rational ends around 2^bits lambda(2n) / 4^n, from the reference tangent
+    number: T_n / (2n-1)! = 2 4^n lambda(2n) / pi^(2n), with Machin's pi."""
+    pi = machin_pi(digits)  # within a unit of 10^-digits
+    scale = Fraction(tan_number(n) << bits, 2 * factorial(2 * n - 1) * 16**n)
+    return tuple(scale * Fraction(end, 10**digits) ** (2 * n) for end in (pi - 1, pi + 1))
+
+
+@pytest.mark.parametrize("bits, rad", [(24, 0), (32, 0), (24, 1 << 20)])
+def test_lambda_row_bound_holds_on_an_exact_witness(bits, rad):
+    # row 1 with prefix 1 +- rad 2^-bits and moment 1 sums 2^bits (2m)^-2 over the odd m
+    # below M = 2049 or 32769, one floor each; its bound adds those floors, the tail bound
+    # 1 + ceil(M / 2) over the odd m from M on, rad / 2 for the prefix's radius times
+    # lambda(2) / 4 < 1/2, and 3 units.  With no radius the tail bound is the largest term
+    (mantissa, err), = highprec._lambda_terms(Ball(1 << bits, rad, bits, 0), [(1, 1)], 1, 1, -1)
+    m = 1
+    while (2 * m) ** 2 <= 1 << bits:
+        m += 2
+    floors, tail = (m - 1) // 2, 1 + -(-m // 2)
+    assert err == floors + tail + (rad >> 1) + 3
+    low, high = lambda_row_enclosure(1, bits)
+    low, high = low * (1 - Fraction(rad, 1 << bits)), high * (1 + Fraction(rad, 1 << bits))
+    assert mantissa - err <= low < high <= mantissa + err
+    # each part is needed: the sum falls short of lambda(2) / 4 by more than the floors
+    # and M^-2 alone, and the prefix's radius moves the row by more than the rest
+    if rad:
+        assert mantissa + err - (rad >> 1) < high
+    else:
+        assert tail > floors and mantissa + err - (tail - 1) < low
+
+
+def test_lambda_rows_keep_every_odd_m_that_reaches_a_unit():
+    # rows 3..21 of 2^40 lambda(2n) / 4^n: each midpoint is the sum of floor(2^40 (2m)^-2n)
+    # over every odd m where that is at least 1, and each bound holds the exact value
+    bits = 40
+    rows = highprec._lambda_terms(Ball(1 << bits, 0, bits, 0), repeat((1, 1)), 3, 21, -1)
+    assert len(rows) == 19
+    for n, (mantissa, err) in enumerate(rows, 3):
+        floors = list(takewhile(bool, ((1 << bits) // (2 * m) ** (2 * n) for m in count(1, 2))))
+        assert mantissa == sum(floors)
+        low, high = lambda_row_enclosure(n, bits)
+        assert mantissa - err <= low < high <= mantissa + err
+
+
+@settings(max_examples=15)
+@given(st.integers(min_value=1, max_value=1000), st.sampled_from(default_battery()))
+@example(1000, "apery")
+@example(1000, "catalan")
+@example(1000, "zeta_odd(3)")
+@example(1, "alt_harmonic")
+def test_lambda_rows_hold_the_oracle_reference(digits, name):
+    # past n0 every battery constant is summed through lambda(2n); its ball, tail bound
+    # included, holds the oracle's ball taken 20 digits finer
+    value = compute_constant(name, digits).value
+    lo, hi = bounds(value)
+    ref_lo, ref_hi = bounds(reference_for(name, digits + 20))
+    assert lo <= ref_lo <= ref_hi <= hi
+
+
 def test_sum_series_builds_constant_fixed_decimals(monkeypatch):
     # a sum makes a few balls for pi and its powers and one for its value, not one a row
     made = []
@@ -408,9 +487,9 @@ def test_first_quotient_encloses_the_power_over_the_denominator(pm, pe, den):
 
 def test_series_power_shrinks_with_the_terms():
     result, rows = series_rows(lambda: sum_series(3, 300))
-    terms_used = result.terms_used
-    # every row is a quotient row
-    assert terms_used == len(rows) > 500
+    exact_rows = half_pi(300).bits // 8 + 1
+    # rows 1..n0 are quotient rows; the rows past n0 are summed through lambda(2n)
+    assert len(rows) == exact_rows == 133 and result.terms_used > 500
     # row 1's quotient is the ball power over den_1, 64 bits past den_1's length
     q, _, f, _ = rows[0]
     den = e_denominator(1, 3)
@@ -422,14 +501,14 @@ def test_series_power_shrinks_with_the_terms():
     for n, ((_, _, _, t_bits), (q, qe, f, next_t_bits)) in enumerate(zip(rows, rows[1:]), 2):
         assert q.bit_length() <= t_bits + 65
         assert n < 40 or qe < 1 << (q.bit_length() - next_t_bits - 32)
-    # the last quotient is as short as the last terms, about 100 units of 10^-310 or 2^40
-    # units of the power's 2^-bits, and it is the ball power over den_n, its exponent past
-    # the length the denominator has over the power
+    # row n0's quotient is as short as its terms, 2n0 bits or so shorter than row 1's, and
+    # it is the ball power over den_n0, its exponent past the length the denominator has
+    # over the power
     q, _, f, _ = rows[-1]
-    assert q.bit_length() <= rows[-2][3] + 65 < 112
-    power = half_pi(300).pow_int(2 * terms_used + 2).mid
-    den = e_denominator(terms_used, 3)
-    assert f > den.bit_length() - power.bit_length() > 4000
+    assert q.bit_length() <= rows[-2][3] + 65 < rows[0][0].bit_length() - 2 * exact_rows
+    power = half_pi(300).pow_int(2 * exact_rows + 2).mid
+    den = e_denominator(exact_rows, 3)
+    assert f > den.bit_length() - power.bit_length() > 800
     assert abs(q * den - (power << f)) << 64 < power << f
 
 
@@ -505,8 +584,6 @@ def column_constant(k: int) -> str:
 def test_proven_tail_covers_what_the_sum_omits(k, digits):
     # A_k minus the terms_used terms that sum_series summed, both taken 12 digits past its
     # working scale, is positive, below a third of the last term and below the tail it adds
-    from oddzeta.oracle import reference_for
-
     result, extra = sum_series(k, digits), 12
     hp = half_pi(digits + GUARD_DIGITS + extra)
     column = e_column(k, result.terms_used)

@@ -41,17 +41,18 @@ def test_no_assert_in_package():
 
 def test_oracle_shares_no_generation_code():
     # the oracle must not confirm the production coefficients with their own source,
-    # nor production pi or series terms with theirs: its pi is its own arctangent series
+    # nor production pi or series terms with theirs: its pi is its own arctangent series,
+    # and its accelerated sums share nothing with the lambda(2n) rows past n0
     source = Path(oddzeta.__file__).parent / "oracle.py"
-    imports = [
-        node
-        for node in ast.walk(ast.parse(source.read_text()))
-        if isinstance(node, ast.ImportFrom)
-    ]
+    tree = ast.parse(source.read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     modules = {node.module for node in imports}
     assert modules.isdisjoint({"exact", "coeffs", "oddzeta.exact", "oddzeta.coeffs"})
     names = {alias.name for node in imports for alias in node.names}
-    assert names.isdisjoint({"compute_pi", "_series_terms"})
+    generation = {"compute_pi", "_series_terms", "_lambda_terms", "_stops", "row_moments"}
+    assert names.isdisjoint(generation)
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert used.isdisjoint(generation)
 
 
 def test_only_exact_and_coeffs_size_the_tangent_list():
