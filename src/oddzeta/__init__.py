@@ -31,7 +31,6 @@ _EXPORTS = {
     "Ball": "highprec",
     "SeriesResult": "highprec",
     "compute_pi": "highprec",
-    "estimate_terms": "highprec",
     "sum_series": "highprec",
     "term_ratio_sequence": "highprec",
     "IdentityResidual": "identities",

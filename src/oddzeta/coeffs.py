@@ -61,8 +61,10 @@ sum_(m odd) (2m)^-2n summed over the odd m whose term reaches a unit of 2^-B: th
 five past n0 for most columns (up to 41 for column 121 at one digit), and from about row
 B/5 only m = 1.  The odd m from the first one left out, M, on
 sum to below M^-2n (1 + M / (2 (2n - 1))): M^-2n, plus the integral of x^-2n / 2 from M.
-The exact E_n(k) themselves, and everything that prints or reads them (``coeffs``,
-``ratio``, ``zeta_even`` and the identity ladder), still come from the tangent numbers.
+Only those later rows are tested against the sum's stop line.  The exact E_n(k)
+themselves, and everything that prints them (``e_coeff``, ``coeffs`` and ``ratio``),
+still come from this store; ``zeta_even`` and the identity ladder read T_n from the tangent list itself,
+since column 1 is 2 T_n.
 """
 
 from __future__ import annotations

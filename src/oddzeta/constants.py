@@ -3,7 +3,7 @@
 The alternating sums A_k = sum_n E_n(k) (pi/2)^(2n+k-1) give beta(2k) for
 even index and eta(2k+1) for odd index; zeta at odd arguments follows from
 eta via the exact factor 2^(2k)/(2^(2k)-1), and zeta at even arguments has
-the classical Bernoulli closed form, read from the same coefficient store.
+the classical Bernoulli closed form, read from the same tangent numbers.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 from collections import namedtuple
 from math import factorial
 
-from .coeffs import e_column
 from .errors import UnknownConstantError
+from .exact import tangent_number
 from .highprec import _working_scale, compute_pi, sum_series
 
 __all__ = [
@@ -104,16 +104,16 @@ def apery(digits: int) -> ConstantValue:
 def zeta_even_closed(n: int, digits: int) -> ConstantValue:
     """zeta(2n) = B_2n/2 * (2 pi)^(2n) * (-1)^(n+1) / (2n)!.
 
-    With B_2n = (-1)^(n+1) 2n T_n / (4^n (4^n - 1)) and column 1's N_n(1) = 2 T_n,
-    the multiplier of pi^(2n) is the exact ratio N_n(1) / (4 (2n-1)! (4^n - 1)),
-    applied once to pi^(2n) at the working scale.
+    With B_2n = (-1)^(n+1) 2n T_n / (4^n (4^n - 1)), the multiplier of pi^(2n) is the
+    exact ratio T_n / (2 (2n-1)! (4^n - 1)), applied once to pi^(2n) at the working scale.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    power = compute_pi(_working_scale(digits)).pow_int(2 * n)
+    scale = _working_scale(digits)
+    tangent = tangent_number(n)  # past the index ceiling, refused before pi is built
+    power = compute_pi(scale).pow_int(2 * n)
     four = 1 << (2 * n)
-    ratio = e_column(1, n)[n - 1], 4 * factorial(2 * n - 1) * (four - 1)
-    value = power.mul_ratio(*ratio)._replace(scale=digits)
+    value = power.mul_ratio(tangent, 2 * factorial(2 * n - 1) * (four - 1))._replace(scale=digits)
     return ConstantValue(name=f"zeta_even({n})", value=value, method=CLOSED_FORM_METHOD)
 
 

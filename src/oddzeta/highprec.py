@@ -32,7 +32,6 @@ __all__ = [
     "Ball",
     "SeriesResult",
     "compute_pi",
-    "estimate_terms",
     "half_pi",
     "sum_series",
     "term_ratio_sequence",
@@ -40,9 +39,6 @@ __all__ = [
 
 GUARD_DIGITS = 10
 MAX_PI_DIGITS = 100_000
-
-# log10(4) scaled by 10^6 and rounded down, so that row counts round up
-_LOG10_4_MICRO = 602_059
 
 
 def _working_scale(digits: int) -> int:
@@ -230,38 +226,16 @@ class SeriesResult:
 
     # a plain class, not a NamedTuple: perfbench/worker.py counts terms_used by
     # wrapping __init__, and a NamedTuple has no __init__ of its own to wrap
-    __slots__ = ("value", "terms_used", "tail_bound", "k")
+    __slots__ = ("value", "terms_used", "tail_bound")
 
-    def __init__(self, value: Ball, terms_used: int, tail_bound: Ball, k: int):
+    def __init__(self, value: Ball, terms_used: int, tail_bound: Ball):
         self.value = value
         self.terms_used = terms_used
         self.tail_bound = tail_bound
-        self.k = k
 
 
-def estimate_terms(digits: int, k: int) -> int:
-    """Row count whose geometric tail (ratio 1/4) sits below 10^-(digits+guard).
-
-    The term ratio tends to 1/4 (E_(n+1)(k) / E_n(k) tends to 1/pi^2, and a
-    row multiplies the power by (pi/2)^2), and the (pi/2)^(k-1) prefactor adds
-    roughly a fifth of a digit per unit of k.  :func:`sum_series` stops on its
-    own cutoff a dozen rows or more before the count returned here.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    need = _working_scale(digits) + 1 + (k + 4) // 5
-    return _ceil_div(need * 10**6, _LOG10_4_MICRO) + 5
-
-
-def _stops(n: int, mantissa: int, stop: int) -> bool:
-    """The stop rule of every series row: row n >= 5 with |midpoint| at most ``stop``."""
-    return n >= 5 and abs(mantissa) <= stop
-
-
-def _series_terms(
-    power: Ball, step: Ball, column, den: int, index: int, stop: int = -1
-) -> list[tuple[int, int]]:
-    """(mid, rad) of power * step^(n-1) * column[n-1] / den_n for n = 1, 2, ...
+def _series_terms(power: Ball, step: Ball, column, den: int, index: int) -> list[tuple[int, int]]:
+    """(mid, rad) of power * step^(n-1) * column[n-1] / den_n for every row of ``column``.
 
     ``power`` and ``step`` are non-negative balls at one ``bits``, den > 0, and
     den_(n+1) = den_n * denominator_step(n, index).  Each pair is the rounded term and
@@ -282,19 +256,17 @@ def _series_terms(
     qe' = floor((((Q + qe) se + S qe) >> drop) / step_n) + 2, so the bound stays
     rigorous while Q shrinks with the terms.
 
-    The loop ends at the first row n >= 5 whose |midpoint| is at most ``stop``, or at
-    the column's end.  With rho = qe / Q and m the row's midpoint, the row's bound is
-    below (2 rho + 2^-62) (|m| + 1/2) + 2: qe |n'| 2^-(f-c) <= rho (|m| + 1/2), qe 2^-(f-c)
-    is at most as much, and where N was cut, |n'| > 2^63 Q puts Q 2^-(f-c) below
+    With rho = qe / Q and m the row's midpoint, the row's bound is below
+    (2 rho + 2^-62) (|m| + 1/2) + 2: qe |n'| 2^-(f-c) <= rho (|m| + 1/2), qe 2^-(f-c) is at
+    most as much, and where N was cut, |n'| > 2^63 Q puts Q 2^-(f-c) below
     2^-63 (|m| + 1/2).  rho starts below pe / P + 2^-61 / P, the binary power's relative
     error and the floors, and each row adds below 2 se / S + 2^-61, since every later Q
     is at least 2^63.  For :func:`sum_series`, whose power is (pi/2)^(k+1), k <= 121, at
     B >= 69 bits, pe / P and se / S lie below 2^-50: pi's radius is about 1000 K^2 units
     of 2^-B for the K ~ B / 47 terms of :func:`_chudnovsky`, and ``pow_int`` adds its
     factors' relative bounds and 2^-B a product, each product being at least 1.  So over
-    at most 5000 rows (the tangent index ceiling) rho < 2^-36, and the stop row, where
-    |m| < 201 2^(B-1) 10^-w < 2^40 with w ten digits past the printed ones, has a bound
-    below 40 units of 2^-B, which is below 2^-26 units of 10^-w.
+    at most 5000 rows (the tangent index ceiling) rho < 2^-36, and each row's bound is
+    below 2^-34 (|m| + 1/2) + 2 units of 2^-B.
     """
     s, se, frac, _ = step
     f = den.bit_length() + 64
@@ -304,7 +276,7 @@ def _series_terms(
     divisor, grow = 4 * (index + 2) * (index + 3), 8 * (2 * index + 7)
     terms = []
     append = terms.append
-    for n, num in enumerate(column, 1):
+    for num in column:
         cut = num.bit_length() - q.bit_length() - 64
         if cut > 0:
             num >>= cut
@@ -320,8 +292,6 @@ def _series_terms(
             mantissa = q * num << -shift
             err = (x << -shift) + 2 if num else 1
         append((mantissa, err))
-        if _stops(n, mantissa, stop):
-            break
         qs = q * s
         bound = (q + qe) * se + s * qe
         drop = qs.bit_length() - divisor.bit_length() - mantissa.bit_length() - 64
@@ -335,11 +305,10 @@ def _series_terms(
     return terms
 
 
-def _lambda_terms(
-    prefix: Ball, moments, first: int, last: int, stop: int
-) -> list[tuple[int, int]]:
-    """(mid, rad) of prefix * R_n * lambda(2n) / 4^n for n = first, ..., last, R_n = num / den
-    the pairs ``moments`` yields (den > 0), for a non-negative ball ``prefix``.
+def _lambda_terms(prefix: Ball, moments, first: int, stop: int) -> list[tuple[int, int]]:
+    """(mid, rad) of prefix * R_n * lambda(2n) / 4^n for n = first, first + 1, ..., R_n =
+    num / den the pairs ``moments`` yields (den > 0), for a non-negative ball ``prefix``,
+    up to the first row whose |midpoint| is at most ``stop``: the one place a sum stops.
 
     With p and e the prefix's midpoint and radius in units of 2^-B, p lambda(2n) / 4^n =
     sum_(m odd) p (2m)^-2n is carried as the integers y_m = floor(p (2m)^-2n): y_1 is
@@ -352,8 +321,9 @@ def _lambda_terms(
     adds e lambda(2n) / 4^n < e 2^(1-2n), as lambda(2n) <= lambda(2) < 2, so the row's
     exact value is within |R_n| t_n of R_n S for t_n = d + (e >> (2n - 1)) + 1, and the
     midpoint round(R_n S) within floor(|R_n| t) + 2 for any t >= t_n.  Each part of t_n
-    only falls with n, so t is taken once, at the first row.  The rows end at the first
-    row whose midpoint stops the sum (:func:`_stops`), or after row ``last``.
+    only falls with n, so t is taken once, at the first row.  The loop needs no row count
+    for a stop >= 0: once 2n reaches the bit length of p every y_m is 0, and so is the
+    midpoint.  It also ends where ``moments`` does.
     """
     p, e = prefix.mid, prefix.rad
     ys = []  # y_3, y_5, ...
@@ -364,14 +334,14 @@ def _lambda_terms(
     terms = []
     append = terms.append
     y1 = p >> 2 * first
-    for n, (num, den) in zip(range(first, last + 1), moments):
+    for num, den in moments:
         s = y1
         if ys:
             s += sum(ys)
             ys = [y // sq for y, sq in zip(ys, squares) if y >= sq]  # row n + 1's
         mantissa = _divround(num * s, den)
         append((mantissa, abs(num) * t // den + 2))
-        if _stops(n, mantissa, stop):
+        if abs(mantissa) <= stop:
             break
         y1 >>= 2
     return terms
@@ -381,9 +351,7 @@ def sum_series(k: int, digits: int) -> SeriesResult:
     """Evaluate A_k = sum_n E_n(k) (pi/2)^(2n+k-1), printed at ``digits`` places.
 
     The rows are those of the paper's series, evaluated two ways with one bookkeeping:
-    each is a (midpoint, bound) pair in units of 2^-B at the bits B of pi/2, and the sum
-    stops at the first row n >= 5 whose midpoint rounds to at most 100 units of 10^-w at
-    the working scale w, which carries the guard digits: 2 |m| 10^w < 201 2^B.
+    each is a (midpoint, bound) pair in units of 2^-B at the bits B of pi/2.
 
     * Rows n <= n0 = B // 8 + 1 are the exact rationals N_n(k) / den(n, k), never reduced
       by a gcd: :func:`_series_terms` carries the power of pi/2 over its denominator, as
@@ -395,28 +363,26 @@ def sum_series(k: int, digits: int) -> SeriesResult:
       three to five odd m reach a unit of 2^-B for most columns, and from about row B/5
       only m = 1.
 
-    Both routes enclose the same exact term, so the stop row is the one the exact rows
-    would give unless a term lies within its bound, tens of units, of the stop line.  No
-    more rows are taken than :func:`estimate_terms` counts.
+    The sum stops at the first row past n0 whose midpoint rounds to at most 100 units of
+    10^-w at the working scale w, which carries the guard digits: 2 |m| 10^w < 201 2^B.
+    The terms fall by about 4 a row from far above that line at n0: for every column the
+    store serves the stop row lies five or more rows past n0 (``tests/test_highprec.py``),
+    the margin growing with the digits, so no exact row is tested against the line.
     The value's radius adds to the per-term bounds (|m_N| + err_N) // 3 + 1 for the
     omitted tail, m_N being the last term's midpoint and err_N its bound.  The tail is
     below t_N / 3, a third of the true last term, for every column the store serves
     (the moment lemma in :mod:`oddzeta.coeffs`), and t_N <= |m_N| + err_N.
     """
-    rows = estimate_terms(digits, k)
     work = _working_scale(digits)
     hp = half_pi(digits)
-    exact_rows = min(rows, hp.bits // 8 + 1)
-    column = e_column(k, exact_rows)
+    n0 = hp.bits // 8 + 1
     stop = ((201 << hp.bits) - 1) // (2 * 10**work)
-    terms = _series_terms(hp.pow_int(k + 1), hp.mul(hp), column, e_denominator(1, k), k, stop)
-    if len(terms) == exact_rows < rows and not _stops(exact_rows, terms[-1][0], stop):
-        first = exact_rows + 1
-        terms += _lambda_terms(hp.pow_int(k - 1), row_moments(k, first), first, rows, stop)
+    terms = _series_terms(hp.pow_int(k + 1), hp.mul(hp), e_column(k, n0), e_denominator(1, k), k)
+    terms += _lambda_terms(hp.pow_int(k - 1), row_moments(k, n0 + 1), n0 + 1, stop)
     mantissas, errs = zip(*terms)
     tail = (abs(mantissas[-1]) + errs[-1]) // 3 + 1
     value = Ball(sum(mantissas), sum(errs) + tail, hp.bits, digits)
-    return SeriesResult(value, len(terms), Ball(tail, 0, hp.bits, work), k)
+    return SeriesResult(value, len(terms), Ball(tail, 0, hp.bits, work))
 
 
 def term_ratio_sequence(k: int, n_count: int, digits: int = 15) -> list[tuple[int, Ball]]:

@@ -28,8 +28,9 @@ from __future__ import annotations
 from collections import namedtuple
 from math import ceil, comb, cos, factorial, gcd, isqrt, lgamma, log, log2
 
-from .coeffs import d_denominator, e_column
+from .coeffs import d_denominator
 from .errors import ResourceLimitError
+from .exact import tangent_number
 from .highprec import (
     Ball,
     _ceil_div,
@@ -495,22 +496,24 @@ def rhs_eval(identity: str, k: int, theta, series_terms: int, digits: int = 30) 
     # (theta/pi)^2 for every n, the moment lemma of coeffs at angle theta, since
     # D_n(e) theta^(2n+e-1) = 4 theta^(e-1) lambda(2n) y^(2n) / ((2n)...(2n+e-1)) with
     # y = theta/pi; bounded by a/b on the printed angle and pi, rounded outward, and judged
-    # before the column is read, which may cost tangent numbers to series_terms
+    # before the tangent numbers to series_terms are read
     a, b = (th.rounded() + 2) ** 2, (compute_pi(scale).rounded() - 2) ** 2
     if 1000 * a >= 999 * b:
         raise ValueError(f"theta={token} is too close to pi for a usable ladder tail bound")
-    column = e_column(1, series_terms)
-    # the eta-polynomial terms first, from the top r down: past the tangent index ceiling
-    # the highest eta sum fails before any lower one runs or the D sum builds (e + 1)!
+    tangent_number(series_terms)  # past the index ceiling, refused before any sum runs
+    # the eta-polynomial terms from the top r down: past the column index ceiling the
+    # highest eta sum fails before any lower one runs or the D sum builds (e + 1)!
     poly = th._replace(mid=0, rad=0)
     for r in reversed(range(k + odd)):
         exponent = e - 2 * r - 1
         # A_(2r+1): ln 2 for r = 0, eta(2r+1) above
         term = th.pow_int(exponent).mul(sum_series(2 * r + 1, digits + 6).value.shift(th.bits))
         poly += term.mul_ratio((-1) ** (k - r - 1 + odd), factorial(exponent))
-    # D_n(k) = N_n(1) / d_denominator(n, k), the power carried over the denominator row to row
-    den = d_denominator(1, e)
-    mantissas, errs = zip(*_series_terms(th.pow_int(e + 1), th.mul(th), column, den, e))
+    # D_n(e) = 2 T_n / d_denominator(n, e), read as T_n over half that denominator, with
+    # the power carried over it row to row
+    tangents = map(tangent_number, range(1, series_terms + 1))
+    den = d_denominator(1, e) // 2
+    mantissas, errs = zip(*_series_terms(th.pow_int(e + 1), th.mul(th), tangents, den, e))
     # the tail is below (|last| + its bound) rho / (1 - rho) with rho = a/b, then halved
     tail = (abs(mantissas[-1]) + errs[-1]) * a // (2 * (b - a)) + 1
     acc = poly._replace(mid=sum(mantissas), rad=sum(errs)).mul_ratio((-1) ** (k + odd), 2)

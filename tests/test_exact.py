@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from exact_reference import tan_fraction, tan_number
-from oddzeta import coeffs, oracle
+from oddzeta import coeffs, constants, identities, oracle
 from oddzeta import exact as exact_module
 from oddzeta.cli import EXIT_OK, run
 from oddzeta.errors import ResourceLimitError
@@ -109,9 +109,10 @@ def warm_verify_warm_up():
     ],
 )
 def test_no_tangent_index_is_computed_twice(cold_store, monkeypatch, entry):
-    # exact and coeffs are the only modules that ask for a tangent index
+    # the modules that ask for a tangent index: exact and coeffs, the zeta(2n) closed form
+    # and the ladder (tests/test_source.py)
     requests = []
-    for module in (exact_module, coeffs):
+    for module in (exact_module, coeffs, constants, identities):
         ask = module.tangent_number
         monkeypatch.setattr(
             module, "tangent_number", lambda n, ask=ask: requests.append(n) or ask(n)

@@ -2,7 +2,7 @@
 
 import sys
 from fractions import Fraction
-from itertools import count, islice, repeat, takewhile
+from itertools import count, takewhile
 from math import factorial
 
 import pytest
@@ -10,14 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from exact_reference import bounds, machin_pi, midpoint, printed_err_ulp, tan_number
 from oddzeta import highprec
-from oddzeta.coeffs import denominator_step, e_column, e_denominator
+from oddzeta.coeffs import denominator_step, e_column, e_denominator, row_moments
 from oddzeta.constants import compute_constant
 from oddzeta.errors import ResourceLimitError
 from oddzeta.highprec import (
     GUARD_DIGITS,
     Ball,
     compute_pi,
-    estimate_terms,
     half_pi,
     sum_series,
     term_ratio_sequence,
@@ -176,27 +175,30 @@ def test_half_pi():
     assert half_pi(20).to_decimal() == "1.57079632679489661923"
 
 
-def test_estimate_terms_cases():
-    assert 55 <= estimate_terms(30, 3) <= 120
-    assert estimate_terms(1, 1) >= 3
-
-
-@given(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=12))
-def test_estimate_terms_monotone(digits, k):
-    assert estimate_terms(digits + 10, k) > estimate_terms(digits, k)
-
-
 def test_sum_series_values():
     assert sum_series(1, 15).value.to_decimal() == "0.693147180559945"
     assert sum_series(2, 15).value.to_decimal() == "0.915965594177219"
     assert sum_series(3, 15).value.to_decimal() == "0.901542677369696"
 
 
+def exact_rows(digits: int) -> int:
+    """n0 = B // 8 + 1 for the bits B of pi/2: the last row sum_series reads exactly."""
+    return half_pi(digits).bits // 8 + 1
+
+
 @pytest.mark.parametrize("k", [*range(1, 13), 15, 20, 21, 30])
 def test_sum_series_stops_before_its_column_ends(k):
-    # rows are sized from the 1/4 term ratio; the cutoff must still end the loop, not the column
-    for digits in (1, 2, 5, 10, 30, 57, 100, 300):
-        assert sum_series(k, digits).terms_used < estimate_terms(digits, k)
+    # the exact column ends at n0 and only the lambda rows test the stop line, so no exact
+    # row may reach it: the stop row lies five rows or more past n0, the margin growing
+    # with the digits
+    margins = [sum_series(k, d).terms_used - exact_rows(d) for d in (1, 10, 30, 57, 100, 300)]
+    assert 5 <= min(margins) and margins == sorted(margins) and margins[-1] > 100
+
+
+def test_every_column_stops_five_rows_past_its_exact_rows():
+    for k in range(1, 122):
+        for digits in range(1, 11):
+            assert sum_series(k, digits).terms_used >= exact_rows(digits) + 5, (k, digits)
 
 
 def stop_limit(bits: int, work: int) -> int:
@@ -210,10 +212,11 @@ def sum_series_reference(k, digits):
 
     The loop as the package ran it on FixedDecimals, before it summed in binary: row n's
     term is N_n(k) (pi/2)^(2n+k-1) / den_n, and the sum stops at the first row n >= 5 whose
-    term rounds to at most 100 units of the working scale w.  Here pi/2 and each power of
-    it are integer bounds at 2^-bits, 30 digits finer than w and rounded outward, from
-    Machin's arctangents; each term's bounds are rounded outward too, so the exact partial
-    sum with pi itself lies between the Fractions returned.  The stop test and the
+    term rounds to at most 100 units of the working scale w; the column doubles whenever
+    the loop reaches its end, so no row count comes from the package.  Here pi/2 and each
+    power of it are integer bounds at 2^-bits, 30 digits finer than w and rounded outward,
+    from Machin's arctangents; each term's bounds are rounded outward too, so the exact
+    partial sum with pi itself lies between the Fractions returned.  The stop test and the
     printed mantissa must come out the same at both ends.
     """
     work = digits + GUARD_DIGITS
@@ -227,7 +230,11 @@ def sum_series_reference(k, digits):
         power_lo, power_hi = power_lo * x_lo >> bits, -(-(power_hi * x_hi) >> bits)
     den = e_denominator(1, k)
     total_lo = total_hi = 0
-    for n, num in enumerate(e_column(k, estimate_terms(digits, k)), 1):
+    column = []
+    for n in count(1):
+        if n > len(column):
+            column = e_column(k, 2 * n)
+        num = column[n - 1]
         low, high = (power_lo, power_hi) if num >= 0 else (power_hi, power_lo)
         lo, hi = num * low // den, -(-(num * high) // den)
         total_lo, total_hi = total_lo + lo, total_hi + hi
@@ -271,7 +278,7 @@ def test_lambda_rows_equal_the_exact_reference(k, digits):
     result = sum_series(k, digits)
     mantissa, terms_used, lower, upper = sum_series_reference(k, digits)
     assert (result.value.rounded(), result.terms_used) == (mantissa, terms_used)
-    assert terms_used > half_pi(digits).bits // 8 + 1
+    assert terms_used > exact_rows(digits)
     lo, hi = bounds(result.value)
     assert lo <= lower <= upper <= hi
 
@@ -290,7 +297,7 @@ def test_lambda_row_bound_holds_on_an_exact_witness(bits, rad):
     # below M = 2049 or 32769, one floor each; its bound adds those floors, the tail bound
     # 1 + ceil(M / 2) over the odd m from M on, rad / 2 for the prefix's radius times
     # lambda(2) / 4 < 1/2, and 3 units.  With no radius the tail bound is the largest term
-    (mantissa, err), = highprec._lambda_terms(Ball(1 << bits, rad, bits, 0), [(1, 1)], 1, 1, -1)
+    (mantissa, err), = highprec._lambda_terms(Ball(1 << bits, rad, bits, 0), [(1, 1)], 1, -1)
     m = 1
     while (2 * m) ** 2 <= 1 << bits:
         m += 2
@@ -311,7 +318,7 @@ def test_lambda_rows_keep_every_odd_m_that_reaches_a_unit():
     # rows 3..21 of 2^40 lambda(2n) / 4^n: each midpoint is the sum of floor(2^40 (2m)^-2n)
     # over every odd m where that is at least 1, and each bound holds the exact value
     bits = 40
-    rows = highprec._lambda_terms(Ball(1 << bits, 0, bits, 0), repeat((1, 1)), 3, 21, -1)
+    rows = highprec._lambda_terms(Ball(1 << bits, 0, bits, 0), [(1, 1)] * 19, 3, -1)
     assert len(rows) == 19
     for n, (mantissa, err) in enumerate(rows, 3):
         floors = list(takewhile(bool, ((1 << bits) // (2 * m) ** (2 * n) for m in count(1, 2))))
@@ -367,20 +374,16 @@ def test_series_terms_equal_fixed_decimal_loop_at_1000_digits(k):
     # the binary quotient gives every midpoint of the loop that multiplies the ball power
     # row by row, as the sum once did with FixedDecimals, and a bound at most one unit off
     digits = 1000
-    column = e_column(k, estimate_terms(digits, k))
+    column = e_column(k, sum_series(k, digits).terms_used)  # every row to the stop row
     hp = half_pi(digits)
-    stop = stop_limit(hp.bits, digits + GUARD_DIGITS)
     step, power, den = hp.mul(hp), hp.pow_int(k + 1), e_denominator(1, k)
     expected = []
     for n, num in enumerate(column, 1):
         term = power.mul_ratio(num, den)
         expected.append((term.mid, term.rad))
-        if abs(term.mid) <= stop and n >= 5:
-            break
         power = power.mul(step)
         den *= denominator_step(n, k)
     terms = highprec._series_terms(hp.pow_int(k + 1), step, column, e_denominator(1, k), k)
-    terms = list(islice(terms, len(expected)))
     assert [m for m, _ in terms] == [m for m, _ in expected]
     assert all(abs(err - want) <= 1 for (_, err), (_, want) in zip(terms, expected))
 
@@ -487,9 +490,9 @@ def test_first_quotient_encloses_the_power_over_the_denominator(pm, pe, den):
 
 def test_series_power_shrinks_with_the_terms():
     result, rows = series_rows(lambda: sum_series(3, 300))
-    exact_rows = half_pi(300).bits // 8 + 1
+    n0 = exact_rows(300)
     # rows 1..n0 are quotient rows; the rows past n0 are summed through lambda(2n)
-    assert len(rows) == exact_rows == 133 and result.terms_used > 500
+    assert len(rows) == n0 == 133 and result.terms_used > 500
     # row 1's quotient is the ball power over den_1, 64 bits past den_1's length
     q, _, f, _ = rows[0]
     den = e_denominator(1, 3)
@@ -505,16 +508,15 @@ def test_series_power_shrinks_with_the_terms():
     # it is the ball power over den_n0, its exponent past the length the denominator has
     # over the power
     q, _, f, _ = rows[-1]
-    assert q.bit_length() <= rows[-2][3] + 65 < rows[0][0].bit_length() - 2 * exact_rows
-    power = half_pi(300).pow_int(2 * exact_rows + 2).mid
-    den = e_denominator(exact_rows, 3)
+    assert q.bit_length() <= rows[-2][3] + 65 < rows[0][0].bit_length() - 2 * n0
+    power = half_pi(300).pow_int(2 * n0 + 2).mid
+    den = e_denominator(n0, 3)
     assert f > den.bit_length() - power.bit_length() > 800
     assert abs(q * den - (power << f)) << 64 < power << f
 
 
 def test_sum_series_reports_tail_and_terms():
     result = sum_series(2, 20)
-    assert result.k == 2
     assert result.terms_used >= 5
     assert result.tail_bound.mid >= 1
     # the tail bound was folded into the value's radius
@@ -543,8 +545,6 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         term_ratio_sequence(1, 0)
     with pytest.raises(ValueError):
-        estimate_terms(0, 1)
-    with pytest.raises(ValueError):
         sum_series(0, 10)
     with pytest.raises(ValueError):
         sum_series(1, 0)
@@ -552,23 +552,21 @@ def test_validation_errors():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 60, 61, 120, 121])
 def test_stop_row_bound_is_at_most_two(k):
-    # _series_terms' argument: qe / q stays below 2^-36 on every row, so the term that
-    # stops the sum, at most 100 units of the working scale w, has a bound below 2^-26
-    # units of 10^-w, far below the two units the decimal sum once allowed it
+    # the row that stops the sum is a lambda row past n0, at most 100 units of the working
+    # scale w, and its bound floor(|R_n| t) + 2 is 2 units of 2^-B, below 2^-26 units of
+    # 10^-w; the exact rows before it keep qe / q below 2^-36 (_series_terms' argument)
     for digits in (1, 2, 30, 300):
         work = digits + GUARD_DIGITS
-        hp = half_pi(digits)
-        column = e_column(k, estimate_terms(digits, k))
+        hp, n0 = half_pi(digits), exact_rows(digits)
         stop = stop_limit(hp.bits, work)
-        terms, rows = series_rows(
-            lambda: highprec._series_terms(
-                hp.pow_int(k + 1), hp.mul(hp), column, e_denominator(1, k), k, stop
-            )
-        )
-        assert all(qe << 36 < q for q, qe, _, _ in rows)
+        result, rows = series_rows(lambda: sum_series(k, digits))
+        assert len(rows) == n0 and all(qe << 36 < q for q, qe, _, _ in rows)
+        moments = row_moments(k, n0 + 1)
+        terms = highprec._lambda_terms(hp.pow_int(k - 1), moments, n0 + 1, stop)
+        assert n0 + len(terms) == result.terms_used
         mantissa, err = terms[-1]
-        assert len(terms) >= 5 and 2 * abs(mantissa) * 10**work < 201 << hp.bits
-        assert err <= 40 and err * 10**work << 26 < 1 << hp.bits
+        assert 2 * abs(mantissa) * 10**work < 201 << hp.bits
+        assert err <= 2 and err * 10**work << 26 < 1 << hp.bits
 
 
 def column_constant(k: int) -> str:

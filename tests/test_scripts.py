@@ -36,3 +36,19 @@ def test_residual_sweep_runs():
     assert lines[0] == "identity,k,theta,fourier_terms,residual"
     assert len(lines) == 1 + 2 * 3 * 5  # two identities, k = 1..3, five angles
     assert lines[1].startswith("S1,1,1/2,100000,")
+
+
+def test_code_lines_counts_code_only(tmp_path):
+    # docstrings, comments and blank lines are not counted; a string that is part of a
+    # statement is, on every line it spans
+    (tmp_path / "a.py").write_text(
+        '"""Module\n\ndocstring."""\n\n# comment\nx = 1  # trailing\ny = """not\na docstring"""\n'
+    )
+    (tmp_path / "b.py").write_text("def f():\n    'docstring'\n\n    return (1,\n            2)\n")
+    assert run_script("code_lines.py", str(tmp_path)) == ["    3 a.py", "    3 b.py", "    6 total"]
+    lines = run_script("code_lines.py")  # the package by default
+    counts = [int(line.split()[0]) for line in lines]
+    assert lines[-1].endswith(" total") and counts[-1] == sum(counts[:-1]) > 1000
+    assert [line.split()[1] for line in lines[:-1]] == sorted(
+        path.name for path in (ROOT / "src" / "oddzeta").glob("*.py")
+    )
